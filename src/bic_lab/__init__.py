@@ -22,8 +22,8 @@ from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      DegenerateVector, DivergentTail, FixedPointDivergence,
                      GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
-                     SingularEndpoint, SingularSolve, TrackingAmbiguity,
-                     ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
+                     SingularEndpoint, SingularSolve, ValidationError,
+                     ZeroCross, ZeroLinewidth, ZeroWidth)
 from .hamiltonian import (ComplexEigenSet, EffectivePair, build, char_poly_b,
                           char_poly_b_constant_general, eigensystem, null_space_b)
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
@@ -33,7 +33,7 @@ from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
 from .params import (DimensionlessParams, PhysicalScales, default_g12,
                      from_dict, validate)
 from .spectrum import (EtaPoint, EtaSweepResult, PeakMetrics, SpectrumSeries,
-                       amplitude, eigentrack, peak_metrics, refine_peak,
-                       spectrum_series, sweep_eta)
+                       amplitude, peak_metrics, refine_peak, spectrum_series,
+                       sweep_eta)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

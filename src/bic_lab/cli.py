@@ -13,8 +13,7 @@ Subcommands
 
 All numeric CSV output is serialized with 17 significant digits, `,`
 separators and `\n` newlines, so identical inputs give byte-identical
-files.  The environment variable BIC_LAB_THREADS (0 = auto) controls
-sweep parallelism; results are ordered deterministically regardless.
+files.
 
 Exit codes: 0 success; 2 config or validation error; 3 numerical or IO
 failure; 4 degenerate parameter manifold.
@@ -36,8 +35,8 @@ from .dressing import dress
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      DegenerateVector, DivergentTail, FixedPointDivergence,
                      GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
-                     SingularEndpoint, SingularSolve, TrackingAmbiguity,
-                     ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
+                     SingularEndpoint, SingularSolve, ValidationError,
+                     ZeroCross, ZeroLinewidth, ZeroWidth)
 from .hamiltonian import build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           WignerCoupling, derive_couplings, to_dimensionless)
@@ -57,7 +56,7 @@ _EXIT_BY_ERROR = (
     ((ConvergenceFailure, FixedPointDivergence, DivergentTail), EXIT_NUMERICAL),
     ((SingularSolve, DegenerateVector, ZeroWidth, ZeroCross, ZeroLinewidth,
       DegenerateDressing, SingularEndpoint, NoPeak, MultiPeak, PoleHit,
-      TrackingAmbiguity, ProbeOnSpectrum), EXIT_DEGENERATE),
+      ProbeOnSpectrum), EXIT_DEGENERATE),
 )
 
 SWEEP_HEADER = ["eta", "E_peak", "height", "width", "re_E1", "im_E1"]
@@ -118,10 +117,13 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
     return block
 
 
+def _validation_mode(cfg: dict) -> str:
+    return cfg.get("validation_mode", "permissive")
+
+
 def _params_from_config(cfg: dict) -> DimensionlessParams:
     params = from_dict(_section(cfg, "params"))
-    mode = cfg.get("validation_mode", "permissive")
-    return validate(params, mode=mode)
+    return validate(params, mode=_validation_mode(cfg))
 
 
 def _float_field(block: dict, section: str, key: str, default=None) -> float:
@@ -310,6 +312,9 @@ def _run_sweep(args, dense_default: bool) -> int:
     block = _section(cfg, "sweep", required=not dense_default)
     default = fig5_eta_grid() if dense_default else None
     etas = _eta_list_from_config(block, default=default)
+    # every swept set is computed, so every one meets the chosen mode
+    for eta in etas:
+        validate(params.replace(eta=eta), mode=_validation_mode(cfg))
     window = None
     if "window" in block:
         w = block["window"]

@@ -53,10 +53,6 @@ class PoleHit(BicLabError):
     """A spectrum was requested exactly at a non-removable real pole."""
 
 
-class TrackingAmbiguity(BicLabError):
-    """Eigenvalue branches approach too closely to continue matching."""
-
-
 class SingularEndpoint(BicLabError):
     """A principal-value singularity sits on or outside the integration range."""
 

@@ -18,16 +18,15 @@ unequal distances from the peak, so both are reported.
 
 from __future__ import annotations
 
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MultiPeak, NoPeak, PoleHit, TrackingAmbiguity
-from .hamiltonian import build, eigensystem
+from .errors import MultiPeak, NoPeak, PoleHit, ValidationError
+from .hamiltonian import EffectivePair, build, eigensystem
 from .params import DimensionlessParams
 
 _INV_E = 1.0 / math.e
@@ -106,6 +105,30 @@ def _det_and_numerator(mat: np.ndarray, v: np.ndarray, e, channel: int):
     return det, num
 
 
+def _amplitudes(mat: np.ndarray, v: np.ndarray, grid: np.ndarray,
+                channel: int) -> np.ndarray:
+    """amplitude() at every point of a 1-d grid, for every spectrum caller.
+
+    The channel is checked here, so no caller computes a channel that
+    does not exist.
+    """
+    if channel not in (1, 2):
+        raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
+    det, num = _det_and_numerator(mat, v, grid, channel)
+    amps = np.empty(grid.shape, dtype=complex)
+    floor_d = _det_floor(mat, np.abs(grid))
+    tiny = np.abs(det) < floor_d
+    ok = ~tiny
+    amps[ok] = num[ok] / det[ok]
+    if np.any(tiny):
+        floor_n = _num_floor(mat, v, np.abs(grid))
+        for i in np.flatnonzero(tiny):
+            amps[i] = _resolve_rounding_zero(mat, v, float(grid[i]), channel,
+                                             complex(num[i]), float(floor_d[i]),
+                                             float(floor_n[i]))
+    return amps
+
+
 def amplitude(params: DimensionlessParams, e_tilde: float, channel: int = 1) -> complex:
     """Complex photoassociation amplitude of channel 1 or 2 at E_tilde.
 
@@ -116,36 +139,21 @@ def amplitude(params: DimensionlessParams, e_tilde: float, channel: int = 1) -> 
     residues.  A rounding-level determinant with a surviving numerator
     is a true real pole and raises PoleHit.
     """
-    if channel not in (1, 2):
-        raise ValueError(f"channel must be 1 or 2, got {channel!r}")
     mat = build(params).matrix()
-    v = _coupling_vector(params)
-    det, num = _det_and_numerator(mat, v, complex(e_tilde), channel)
-    det, num = complex(det), complex(num)
-    floor_d = float(_det_floor(mat, abs(e_tilde)))
-    if abs(det) < floor_d:
-        floor_n = float(_num_floor(mat, v, abs(e_tilde)))
-        return _resolve_rounding_zero(mat, v, float(e_tilde), channel,
-                                      num, floor_d, floor_n)
-    return num / det
+    grid = np.array([float(e_tilde)])
+    return complex(_amplitudes(mat, _coupling_vector(params), grid, channel)[0])
 
 
-def _spectrum_values(mat: np.ndarray, v: np.ndarray, grid: np.ndarray,
-                     channel: int) -> np.ndarray:
-    det, num = _det_and_numerator(mat, v, grid, channel)
-    vals = np.empty(grid.shape)
-    floor_d = _det_floor(mat, np.abs(grid))
-    tiny = np.abs(det) < floor_d
-    ok = ~tiny
-    vals[ok] = np.abs(num[ok] / det[ok]) ** 2 / math.pi
-    if np.any(tiny):
-        floor_n = _num_floor(mat, v, np.abs(grid))
-        for i in np.flatnonzero(tiny):
-            a = _resolve_rounding_zero(mat, v, float(grid[i]), channel,
-                                       complex(num[i]), float(floor_d[i]),
-                                       float(floor_n[i]))
-            vals[i] = abs(a) ** 2 / math.pi
-    return vals
+def _spectrum_values(mat: np.ndarray, v: np.ndarray, grid: np.ndarray | float,
+                     channel: int) -> np.ndarray | float:
+    """S_n at the points of grid: an array for an array, a float for a scalar.
+
+    A scalar is evaluated as a one-point array, so it takes the same
+    arithmetic as the same point inside a larger grid.
+    """
+    x = np.atleast_1d(np.asarray(grid, dtype=float))
+    vals = np.abs(_amplitudes(mat, v, x, channel)) ** 2 / math.pi
+    return vals if np.ndim(grid) else float(vals[0])
 
 
 @dataclass(frozen=True)
@@ -183,12 +191,11 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
         raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
     if n_points < 2:
         raise ValueError(f"need n_points >= 2, got {n_points!r}")
-    if channel not in (1, 2):
-        raise ValueError(f"channel must be 1 or 2, got {channel!r}")
     span = e_max - e_min
     base = np.linspace(e_min, e_max, int(n_points))
     spacing = span / (int(n_points) - 1)
-    eig = eigensystem(build(params))
+    pair = build(params)
+    eig = eigensystem(pair)
     extras = []
     for lam in eig.eigenvalues:
         re, im = float(lam.real), abs(float(lam.imag))
@@ -211,9 +218,7 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
         grid = np.unique(grid)
     else:
         grid = base
-    mat = build(params).matrix()
-    v = _coupling_vector(params)
-    values = _spectrum_values(mat, v, grid, channel)
+    values = _spectrum_values(pair.matrix(), _coupling_vector(params), grid, channel)
     return SpectrumSeries(grid=grid, values=values, channel=channel)
 
 
@@ -259,7 +264,8 @@ def _merge_plateaus(xs: np.ndarray, ys: np.ndarray):
     return maxima
 
 
-def refine_peak(f: Callable[[float], float], window: tuple[float, float],
+def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
+                window: tuple[float, float],
                 seeds: Sequence[float] = (), n_coarse: int = 801) -> PeakMetrics:
     """Locate the dominant maximum of f in window and its 1/e crossings.
 
@@ -267,6 +273,10 @@ def refine_peak(f: Callable[[float], float], window: tuple[float, float],
     Lorentzian calibration): coarse scan plus caller seeds, golden
     section to relative 1e-12 on the abscissa, then bisection for the
     two crossings at height/e to 1e-12*|window|.
+
+    f is called once on the numpy array of coarse abscissae, which it
+    must map elementwise (a constant return value is broadcast), and on
+    single float points during the refinement.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -284,7 +294,7 @@ def refine_peak(f: Callable[[float], float], window: tuple[float, float],
         inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
         if inside:
             xs = np.unique(np.concatenate([xs, np.array(inside)]))
-    ys = np.array([f(x) for x in xs])
+    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(ys)):
         raise ValueError("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
@@ -403,10 +413,18 @@ def peak_metrics(params: DimensionlessParams, channel: int = 1,
     reported analytically from the Lorentzian limit with refined=False
     instead of chasing sub-ulp crossings.
     """
-    eig = eigensystem(build(params))
-    e1 = eig.eigenvalues[0]
-    mat = build(params).matrix()
-    v = _coupling_vector(params)
+    pair = build(params)
+    return _peak_metrics(params, pair, eigensystem(pair).eigenvalues, channel,
+                         search_window)
+
+
+def _peak_metrics(params: DimensionlessParams, pair: EffectivePair,
+                  eigenvalues: np.ndarray, channel: int,
+                  search_window: tuple[float, float] | None) -> PeakMetrics:
+    """peak_metrics for a parameter set whose matrix is already solved."""
+    e1 = eigenvalues[0]
+    f = functools.partial(_spectrum_values, pair.matrix(),
+                          _coupling_vector(params), channel=channel)
     scale = max(1.0, abs(e1.real))
     in_window = search_window is None or (search_window[0] < e1.real < search_window[1])
     if 0.0 < abs(e1.imag) < 1e-10 * scale and in_window:
@@ -414,16 +432,11 @@ def peak_metrics(params: DimensionlessParams, channel: int = 1,
         half = 0.5 * LORENTZ_WIDTH_FACTOR * abs(float(e1.imag))
         left = min(float(np.nextafter(c, -np.inf)), c - half)
         right = max(float(np.nextafter(c, np.inf)), c + half)
-        h = float(_spectrum_values(mat, v, np.array([c]), channel)[0])
-        return PeakMetrics(e_peak=c, height=h, width_w=float(right - left),
+        return PeakMetrics(e_peak=c, height=f(c), width_w=float(right - left),
                            left_cross=left, right_cross=right, refined=False)
     if search_window is None:
-        search_window = _auto_window(eig.eigenvalues)
-
-    def f(x: float) -> float:
-        return float(_spectrum_values(mat, v, np.array([x]), channel)[0])
-
-    seeds = _pole_seeds(eig.eigenvalues, search_window)
+        search_window = _auto_window(eigenvalues)
+    seeds = _pole_seeds(eigenvalues, search_window)
     return refine_peak(f, search_window, seeds=seeds)
 
 
@@ -483,24 +496,14 @@ class EtaSweepResult:
         return [p.metrics.width_w if p.metrics else None for p in self.points]
 
 
-def _max_workers(n_tasks: int) -> int:
-    raw = os.environ.get("BIC_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, min(n, n_tasks))
-
-
 def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                window: tuple[float, float] | None) -> EtaPoint:
     p = params.replace(eta=float(eta))
-    eig = eigensystem(build(p))
+    pair = build(p)
+    eig = eigensystem(pair)
     e1 = eig.eigenvalues[0]
     try:
-        metrics = peak_metrics(p, channel=channel, search_window=window)
+        metrics = _peak_metrics(p, pair, eig.eigenvalues, channel, window)
         err = None
     except (NoPeak, MultiPeak, PoleHit) as exc:
         metrics, err = None, f"{type(exc).__name__}: {exc}"
@@ -515,50 +518,10 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     """Peak metrics and least-damped eigenvalue per eta, in input order.
 
     Per-eta spectral failures (NoPeak, MultiPeak, PoleHit) are recorded
-    on the point instead of aborting the sweep.  Points are independent;
-    BIC_LAB_THREADS > 1 (or 0 for auto) evaluates them in a thread pool.
+    on the point instead of aborting the sweep.
     """
     etas = [float(x) for x in eta_list]
     if not etas:
         raise ValueError("eta_list must be nonempty")
-    workers = _max_workers(len(etas))
-    if workers == 1:
-        points = [_sweep_one(params, eta, channel, window) for eta in etas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(
-                lambda eta: _sweep_one(params, eta, channel, window), etas))
-    return EtaSweepResult(points=points)
-
-
-def eigentrack(params: DimensionlessParams, eta_list: Sequence[float]) -> np.ndarray:
-    """Eigenvalue triples tracked continuously along an eta path.
-
-    The first triple uses the canonical ordering; each later triple is
-    permuted to minimize total displacement from its predecessor, so
-    trajectories stay smooth through ordering changes.
-    """
-    from itertools import permutations
-
-    etas = [float(x) for x in eta_list]
-    if not etas:
-        raise ValueError("eta_list must be nonempty")
-    out = np.empty((len(etas), 3), dtype=complex)
-    prev = None
-    for i, eta in enumerate(etas):
-        eig = eigensystem(build(params.replace(eta=eta)))
-        lams = eig.eigenvalues
-        gaps = [abs(lams[a] - lams[b]) for a in range(3) for b in range(a + 1, 3)]
-        if min(gaps) < 1e-12:
-            raise TrackingAmbiguity(
-                f"eigenvalues separated by {min(gaps):.3e} at eta={eta}; "
-                "branches cannot be matched")
-        if prev is None:
-            out[i] = lams
-        else:
-            best = min(permutations(range(3)),
-                       key=lambda perm: sum(abs(lams[perm[k]] - prev[k])
-                                            for k in range(3)))
-            out[i] = [lams[best[k]] for k in range(3)]
-        prev = out[i]
-    return out
+    return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)
+                                  for eta in etas])

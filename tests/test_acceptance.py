@@ -7,6 +7,9 @@ quoted reference values are rounded to the figures shown.
 """
 from __future__ import annotations
 
+import csv
+import gzip
+import io
 import math
 import time
 from pathlib import Path
@@ -235,8 +238,44 @@ def test_width_extraction_calibrated_on_lorentzian():
     assert rel < 1e-9
 
 
+#: committed reproduce outputs of the benchmark, and its tolerance on them
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "bench" / "reference"
+REFERENCE_RTOL = 1e-9
+
+
+def _reference_deviation(data: bytes, target: str) -> float:
+    """Largest relative deviation of a reproduce CSV from its reference.
+
+    Rows and text cells must match exactly and NaN only matches NaN;
+    any such mismatch reads as an infinite deviation.
+    """
+    with gzip.open(REFERENCE_DIR / f"{target}.csv.gz", "rt", newline="") as fh:
+        want = list(csv.reader(fh))
+    got = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    if len(got) != len(want):
+        return math.inf
+    worst = 0.0
+    for row, ref_row in zip(got, want):
+        if len(row) != len(ref_row):
+            return math.inf
+        for cell, ref in zip(row, ref_row):
+            try:
+                a, b = float(cell), float(ref)
+            except ValueError:
+                if cell != ref:
+                    return math.inf
+                continue
+            if math.isnan(a) or math.isnan(b):
+                if not (math.isnan(a) and math.isnan(b)):
+                    return math.inf
+            elif a != b:
+                worst = max(worst, abs(a - b) / abs(b) if b else math.inf)
+    return worst
+
+
 def test_reproduce_outputs_are_byte_identical(tmp_path):
     sizes = {}
+    deviations = {}
     for target in ("fig3", "fig4", "fig5"):
         first = tmp_path / f"{target}_a.csv"
         second = tmp_path / f"{target}_b.csv"
@@ -245,7 +284,14 @@ def test_reproduce_outputs_are_byte_identical(tmp_path):
         a, b = first.read_bytes(), second.read_bytes()
         assert a == b, f"{target} output differs between runs"
         sizes[target] = len(a)
+        deviations[target] = _reference_deviation(a, target)
+    ok = all(dev <= REFERENCE_RTOL for dev in deviations.values())
     record_acceptance(
-        "determinism", True,
+        "determinism", ok,
         "reproduce fig3/fig4/fig5 byte-identical across runs ("
-        + ", ".join(f"{k} {v} B" for k, v in sizes.items()) + ")")
+        + ", ".join(f"{k} {v} B" for k, v in sizes.items())
+        + "); max relative deviation from bench/reference "
+        + ", ".join(f"{k} {v:.1e}" for k, v in deviations.items())
+        + f" (tol {REFERENCE_RTOL:g})")
+    for target, dev in deviations.items():
+        assert dev <= REFERENCE_RTOL, f"{target} deviates {dev:.3e} from its reference"

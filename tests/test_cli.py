@@ -7,6 +7,7 @@ import pytest
 from bic_lab import __version__
 from bic_lab.cli import SWEEP_HEADER, main
 from bic_lab.recipes import fig3_params, fig4_params
+from bic_lab.spectrum import sweep_eta
 
 
 def write_cfg(tmp_path, name, payload):
@@ -158,6 +159,37 @@ def test_width_curve_eta_range(tmp_path):
     assert len(lines) == 4
     widths = [float(r.split(",")[3]) for r in lines[1:]]
     assert widths[0] > widths[1] > widths[2]
+
+
+def test_unknown_channel_is_a_config_error(tmp_path, capsys):
+    sweep = write_cfg(tmp_path, "sweep.json", {
+        "params": fig4_params().as_dict(),
+        "sweep": {"eta_list": [0.9], "channel": 3}})
+    spec = write_cfg(tmp_path, "spec.json", {
+        "params": fig4_params().as_dict(),
+        "grid": {"e_min": 6.0, "e_max": 7.5, "n_points": 11, "channel": 3}})
+    for argv in (["sweep-eta", "--config", sweep], ["spectrum", "--config", spec]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: channel must be 1 or 2")
+
+
+def test_validation_mode_covers_every_swept_eta(tmp_path, capsys):
+    # eta=5 > sqrt(gamma1*gamma2) turns E1 into a gain mode (Im E1 > 0)
+    payload = {"params": fig4_params().as_dict(),
+               "sweep": {"eta_list": [0.9, 5.0]}}
+    for command in ("sweep-eta", "width-curve"):
+        cfg = write_cfg(tmp_path, "phys.json",
+                        dict(payload, validation_mode="physical"))
+        assert main([command, "--config", cfg]) == 2
+        assert "eta=5.0 exceeds" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "perm.json", payload)
+    assert main(["sweep-eta", "--config", cfg]) == 0
+    rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.9, 5.0]
+    assert [float(r[3]) for r in rows] == sweep_eta(fig4_params(), [0.9, 5.0]).widths()
+    assert float(rows[1][5]) > 0.0
 
 
 def test_sweep_requires_eta_spec(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bic_lab.errors import MultiPeak, NoPeak, PoleHit
+from bic_lab.errors import MultiPeak, NoPeak, PoleHit, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
 from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig4_params, fig5_params
@@ -17,7 +17,6 @@ from bic_lab.spectrum import (
     _det_and_numerator,
     _spectrum_values,
     amplitude,
-    eigentrack,
     peak_metrics,
     refine_peak,
     spectrum_series,
@@ -255,35 +254,14 @@ def test_sweep_eta_order_and_error_capture():
     assert res.widths() == [None, None, None]
 
 
-def test_sweep_eta_threaded_matches_serial(monkeypatch):
-    etas = [1.0, 0.999, 0.99, 0.9]
-    monkeypatch.setenv("BIC_LAB_THREADS", "1")
-    serial = sweep_eta(fig4_params(), etas)
-    monkeypatch.setenv("BIC_LAB_THREADS", "4")
-    threaded = sweep_eta(fig4_params(), etas)
-    for a, b in zip(serial.points, threaded.points):
-        assert a.eta == b.eta
-        assert a.metrics.width_w == b.metrics.width_w
-        assert a.metrics.e_peak == b.metrics.e_peak
-
-
 def test_sweep_eta_empty_rejected(fig4):
     with pytest.raises(ValueError):
         sweep_eta(fig4, [])
 
 
-def test_eigentrack_continuity():
-    etas = np.linspace(0.9, 1.0, 21)
-    track = eigentrack(fig5_params(), etas)
-    assert track.shape == (21, 3)
-    steps = np.abs(np.diff(track, axis=0))
-    assert steps.max() < 0.1
-    # first row uses the canonical ordering
-    first = eigensystem(build(fig5_params(eta=0.9))).eigenvalues
-    np.testing.assert_array_equal(track[0], first)
-
-
-def test_eigentrack_constant_path(fig4):
-    track = eigentrack(fig4, [0.95, 0.95, 0.95])
-    np.testing.assert_array_equal(track[0], track[1])
-    np.testing.assert_array_equal(track[1], track[2])
+def test_sweep_eta_rejects_unknown_channel(fig4):
+    # channel 3 does not exist; it must not be computed as channel 2
+    with pytest.raises(ValidationError, match="channel"):
+        sweep_eta(fig4, [0.9], channel=3)
+    with pytest.raises(ValidationError, match="channel"):
+        peak_metrics(fig4, channel=3)
