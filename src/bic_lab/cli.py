@@ -126,15 +126,36 @@ def _params_from_config(cfg: dict) -> DimensionlessParams:
     return validate(params, mode=_validation_mode(cfg))
 
 
+def _float_value(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValidationError([f"{where}: not a number ({value!r})"])
+    if not math.isfinite(number):
+        raise ValidationError([f"{where}: must be finite ({value!r})"])
+    return number
+
+
 def _float_field(block: dict, section: str, key: str, default=None) -> float:
     if key not in block:
         if default is None:
             raise ValidationError([f"{section}.{key}: required"])
         return float(default)
-    try:
-        return float(block[key])
-    except (TypeError, ValueError):
-        raise ValidationError([f"{section}.{key}: not a number ({block[key]!r})"])
+    return _float_value(block[key], f"{section}.{key}")
+
+
+def _int_field(block: dict, section: str, key: str, default=None) -> int:
+    """A true integer: an int or an integral float, never a bool or a string."""
+    if key not in block:
+        if default is None:
+            raise ValidationError([f"{section}.{key}: required"])
+        return default
+    value = block[key]
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValidationError([f"{section}.{key}: not an integer ({value!r})"])
+    return int(value)
 
 
 _SHAPES = {
@@ -170,7 +191,8 @@ def _model_from_config(cfg: dict) -> tuple[CouplingModel, dict]:
         omega23=_float_field(block, "microscopic", "omega23"),
         e3=_float_field(block, "microscopic", "e3"),
         dipole_overlap=_float_field(block, "microscopic", "dipole_overlap"),
-        e_max=(float(block["e_max"]) if block.get("e_max") is not None else None),
+        e_max=(_float_value(block["e_max"], "microscopic.e_max")
+               if block.get("e_max") is not None else None),
     )
     return model, block
 
@@ -219,7 +241,7 @@ def _run_solve(args) -> int:
         delta=_float_field(p, "params", "delta"),
         gamma1=_float_field(p, "params", "gamma1"),
         gamma2=_float_field(p, "params", "gamma2"),
-        g12=(float(p["g12"]) if p.get("g12") is not None else None),
+        g12=(_float_value(p["g12"], "params.g12") if p.get("g12") is not None else None),
         inv_kca=_float_field(p, "params", "inv_kca", default=0.0),
     )
     record = {
@@ -240,7 +262,7 @@ def _run_solve(args) -> int:
 def _run_certify(args) -> int:
     cfg = _load_config(args)
     params = _params_from_config(cfg)
-    report = certify(params, tol_im=float(cfg.get("tol_im", 1e-9)))
+    report = certify(params, tol_im=_float_field(cfg, "config", "tol_im", default=1e-9))
     record = {
         "is_bic": report.is_bic,
         "min_abs_im": report.min_abs_im,
@@ -262,8 +284,8 @@ def _run_spectrum(args) -> int:
         params,
         e_min=_float_field(grid, "grid", "e_min"),
         e_max=_float_field(grid, "grid", "e_max"),
-        n_points=int(_float_field(grid, "grid", "n_points", default=601)),
-        channel=int(grid.get("channel", 1)),
+        n_points=_int_field(grid, "grid", "n_points", default=601),
+        channel=_int_field(grid, "grid", "channel", default=1),
     )
     if (args.format or "csv") == "json":
         emit_json({"E_tilde": list(series.grid), "S_n": list(series.values),
@@ -279,14 +301,14 @@ def _eta_list_from_config(block: dict, default=None) -> list[float]:
         lst = block["eta_list"]
         if not isinstance(lst, list) or not lst:
             raise ValidationError(["sweep.eta_list: must be a nonempty array"])
-        return [float(x) for x in lst]
+        return [_float_value(x, f"sweep.eta_list[{i}]") for i, x in enumerate(lst)]
     if "eta_range" in block:
         rng = block["eta_range"]
         if not isinstance(rng, dict):
             raise ValidationError(["sweep.eta_range: must be an object"])
         start = _float_field(rng, "sweep.eta_range", "start")
         stop = _float_field(rng, "sweep.eta_range", "stop")
-        n = int(_float_field(rng, "sweep.eta_range", "n"))
+        n = _int_field(rng, "sweep.eta_range", "n")
         if n < 2:
             raise ValidationError(["sweep.eta_range.n: must be >= 2"])
         return list(np.linspace(start, stop, n))
@@ -320,8 +342,12 @@ def _run_sweep(args, dense_default: bool) -> int:
         w = block["window"]
         if not (isinstance(w, list) and len(w) == 2):
             raise ValidationError(["sweep.window: must be [lo, hi]"])
-        window = (float(w[0]), float(w[1]))
-    result = sweep_eta(params, etas, channel=int(block.get("channel", 1)),
+        window = (_float_value(w[0], "sweep.window[0]"),
+                  _float_value(w[1], "sweep.window[1]"))
+        if not window[0] < window[1]:
+            raise ValidationError([f"sweep.window: needs lo < hi, got {w!r}"])
+    result = sweep_eta(params, etas,
+                       channel=_int_field(block, "sweep", "channel", default=1),
                        window=window)
     if (args.format or "csv") == "json":
         emit_json({"rows": [dict(zip(SWEEP_HEADER, row))
@@ -366,10 +392,10 @@ def _run_validate(args) -> int:
     grid = GridSpec(
         e_min=_float_field(block, "oracle", "e_min"),
         e_max=_float_field(block, "oracle", "e_max"),
-        n_e=int(_float_field(block, "oracle", "n_e")),
+        n_e=_int_field(block, "oracle", "n_e"),
         k_min=_float_field(block, "oracle", "k_min", default=0.0),
         k_max=_float_field(block, "oracle", "k_max", default=0.0),
-        n_k=int(_float_field(block, "oracle", "n_k", default=0.0)),
+        n_k=_int_field(block, "oracle", "n_k", default=0),
     )
     dm = discretize(model, grid,
                     e1_rot=_float_field(block, "oracle", "e1_rot", default=0.0),

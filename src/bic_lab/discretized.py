@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import FixedPointDivergence, GridCoverage, ProbeOnSpectrum
 from .hamiltonian import build, eigensystem
@@ -81,6 +80,7 @@ def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
 
 def _coverage_fraction(f, lo: float, hi: float) -> float:
     """Weight of f^2 outside [lo, hi] relative to its total on [0, inf)."""
+    from scipy.integrate import quad  # imported on use, see pv_integral
 
     def f2(e):
         return float(f(e)) ** 2

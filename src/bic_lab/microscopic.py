@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergentTail, SingularEndpoint, ZeroCross, ZeroWidth
 from .params import DimensionlessParams
@@ -171,6 +170,9 @@ def pv_integral(f: Callable[[float], float], e3: float,
                 f"pole E3={e3!r} must lie strictly inside (0, {upper!r})")
     elif e3 <= 0.0:
         raise SingularEndpoint(f"pole E3={e3!r} must be positive")
+    # imported here: scipy.integrate takes longer to import than the rest
+    # of the package, and only the quadratures need it
+    from scipy.integrate import quad
 
     f_e3 = float(f(e3))
     g = _difference_quotient(f, e3, f_e3)

@@ -249,19 +249,84 @@ class PeakMetrics:
                 f"{self.e_peak!r}, {self.right_cross!r}")
 
 
-def _merge_plateaus(xs: np.ndarray, ys: np.ndarray):
-    """Indices of strict local maxima, treating equal runs as one point."""
-    maxima = []
-    i = 1
-    n = len(xs)
-    while i < n - 1:
-        j = i
-        while j < n - 1 and ys[j + 1] == ys[j]:
-            j += 1
-        if ys[i] > ys[i - 1] and (j < n - 1 and ys[j] > ys[j + 1]):
-            maxima.append((i + j) // 2)
-        i = j + 1
-    return maxima
+def _merge_plateaus(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of strict local maxima, treating equal runs as one point.
+
+    A run of equal values counts when the point before it is lower and
+    the point after it is lower; its middle index is reported.  Runs
+    touching either end of the array never count.
+    """
+    # starts: first index of each run entered from below
+    starts = np.flatnonzero(ys[1:] > ys[:-1]) + 1
+    # last index of every run of equal values, the final index included
+    run_ends = np.append(np.flatnonzero(ys[1:] != ys[:-1]), len(ys) - 1)
+    ends = run_ends[np.searchsorted(run_ends, starts)]
+    inner = ends < len(ys) - 1
+    starts, ends = starts[inner], ends[inner]
+    falls = ys[ends] > ys[ends + 1]
+    return (starts[falls] + ends[falls]) // 2
+
+
+#: levels of a search tree that refine_peak evaluates per call of f
+_LOOKAHEAD = 5
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_tree(a, b, c, d, xtol: float) -> np.ndarray:
+    """Abscissae golden section may ask for next from bracket (a, b).
+
+    Both outcomes of each of the next _LOOKAHEAD steps are followed
+    with the loop's own float operations: the new c of a step to (a, d),
+    the new d of a step to (c, b), and the midpoint of every bracket at
+    which the search stops.
+    """
+    a, b, c, d = (np.array([v], dtype=float) for v in (a, b, c, d))
+    out = []
+    for level in range(_LOOKAHEAD + 1):
+        done = (b - a) <= xtol
+        if done.any():
+            out.append(0.5 * (a[done] + b[done]))
+            a, b, c, d = a[~done], b[~done], c[~done], d[~done]
+        if level == _LOOKAHEAD or not len(a):
+            break
+        new_c = d - _INVPHI * (d - a)
+        new_d = c + _INVPHI * (b - c)
+        out += [new_c, new_d]
+        # the left children (a, d, new_c, c), then the right ones (c, b, d, new_d)
+        a, b, c, d = np.concatenate((a, c, d, b, new_c, d, c, new_d)).reshape(4, -1)
+    return np.concatenate(out)
+
+
+def _bisection_tree(x_in, x_out, tol: float) -> np.ndarray:
+    """Midpoints bisection of (x_in, x_out) may visit in _LOOKAHEAD steps.
+
+    Both outcomes of each step are followed with the loop's own float
+    operations.  The loop's stop tests are applied last: every bracket
+    inside a stopped one fails them too, so this drops exactly the
+    points below a stop.
+    """
+    x_in, x_out = np.array([x_in], dtype=float), np.array([x_out], dtype=float)
+    ins, outs, mids = [], [], []
+    for _ in range(_LOOKAHEAD):
+        mid = 0.5 * (x_in + x_out)
+        ins.append(x_in)
+        outs.append(x_out)
+        mids.append(mid)
+        x_in, x_out = np.concatenate((mid, x_in)), np.concatenate((x_out, mid))
+    x_in, x_out, mid = np.concatenate(ins), np.concatenate(outs), np.concatenate(mids)
+    return mid[(np.abs(x_out - x_in) > tol) & (mid != x_in) & (mid != x_out)]
+
+
+def _ladder(e_peak, step, edge: float, direction: int) -> list:
+    """Abscissae of the expansion away from the peak, the window edge last."""
+    points = []
+    while True:
+        x = e_peak + direction * step
+        if (direction > 0 and x >= edge) or (direction < 0 and x <= edge):
+            points.append(edge)
+            return points
+        points.append(x)
+        step *= 1.7
 
 
 def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
@@ -274,9 +339,15 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     section to relative 1e-12 on the abscissa, then bisection for the
     two crossings at height/e to 1e-12*|window|.
 
-    f is called once on the numpy array of coarse abscissae, which it
-    must map elementwise (a constant return value is broadcast), and on
-    single float points during the refinement.
+    f must map a numpy array of abscissae elementwise (a constant return
+    value is broadcast).  It is called once on the coarse abscissae and
+    then on small arrays during the refinement: each call evaluates the
+    point a search step needs together with the points the next steps
+    of that search could need, whichever way they go, so a search takes
+    a few calls instead of one per step.  The steps themselves, and so
+    the result, are those of a point-by-point search, provided f gives
+    a point the same value inside any array.  If such an array call
+    raises, the needed point is evaluated alone, as a float.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -313,16 +384,11 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 
     im = int(np.argmax(ys))
     if ys[im] >= math.e ** 2 * floor(xs[im]):
-        work = f
         base = None
         work_ys = ys
     else:
         base = floor
         work_ys = ys - floor(xs)
-
-        def work(x: float) -> float:
-            return f(x) - base(x)
-
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
         raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
@@ -331,7 +397,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     if top <= 1e-12 * float(np.max(np.abs(ys))):
         raise NoPeak("window contains no feature above its local floor")
     locs = _merge_plateaus(xs, work_ys)
-    tall = [k for k in locs if work_ys[k] >= top * _INV_E]
+    tall = locs[work_ys[locs] >= top * _INV_E]
     for a in range(len(tall)):
         for b in range(a + 1, len(tall)):
             valley = work_ys[tall[a]:tall[b] + 1].min()
@@ -340,52 +406,69 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
                     f"two separated maxima near {xs[tall[a]]!r} and {xs[tall[b]]!r} "
                     "are within 1/e of each other; narrow the window")
 
+    # every refinement step asks work for one point; a miss evaluates the
+    # points the next steps could ask for along with it
+    memo: dict[float, float] = {}
+
+    def work(x, ahead: Callable[[], np.ndarray]) -> float:
+        """The feature at x; a miss evaluates x together with ahead()."""
+        if x not in memo:
+            pts = np.concatenate(([x], ahead()))
+            try:
+                vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
+            except Exception:
+                # f may fail at a point the search never visits, and such a
+                # point must not decide the outcome: evaluate x alone
+                memo[x] = f(x) if base is None else f(x) - base(x)
+            else:
+                if base is not None:
+                    vals = vals - base(pts)
+                memo.update(zip(pts.tolist(), vals.tolist()))
+        return memo[x]
+
     # golden-section refinement on the three-point bracket
     a, b = xs[im - 1], xs[im + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = work(c), work(d)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     xtol = 1e-12 * max(1.0, abs(xs[im]))
+    fc = work(c, lambda: np.append(d, _golden_tree(a, b, c, d, xtol)))
+    fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
     while (b - a) > xtol:
         if fc >= fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = work(c)
+            c = b - _INVPHI * (b - a)
+            fc = work(c, lambda: _golden_tree(a, b, c, d, xtol))
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = work(d)
+            d = a + _INVPHI * (b - a)
+            fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
     e_peak = 0.5 * (a + b)
-    height = work(e_peak)
+    # the expansions away from the peak on both sides
+    step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
+    ladders = {+1: _ladder(e_peak, step, hi, +1), -1: _ladder(e_peak, step, lo, -1)}
+    both_ladders = np.array(ladders[+1] + ladders[-1])
+    height = work(e_peak, lambda: both_ladders)
     if height <= 0.0:
         raise NoPeak("refined peak has no positive height")
     target = height * _INV_E
+    cross_tol = 1e-12 * (hi - lo)
 
     def _crossing(direction: int) -> float:
         # expand away from the peak until the feature drops below target
-        step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
-        edge = hi if direction > 0 else lo
         x_in = e_peak
-        while True:
-            x_out = e_peak + direction * step
-            if (direction > 0 and x_out >= edge) or (direction < 0 and x_out <= edge):
-                x_out = edge
-                if work(x_out) > target:
-                    raise NoPeak(
-                        f"spectrum never falls to 1/e of the peak before the window "
-                        f"edge at {edge!r}")
-                break
-            if work(x_out) <= target:
+        for x_out in ladders[direction]:
+            if work(x_out, lambda: both_ladders) <= target:
                 break
             x_in = x_out
-            step *= 1.7
-        cross_tol = 1e-12 * (hi - lo)
+        else:
+            raise NoPeak(
+                f"spectrum never falls to 1/e of the peak before the window "
+                f"edge at {x_out!r}")
         for _ in range(200):
             mid = 0.5 * (x_in + x_out)
             if abs(x_out - x_in) <= cross_tol or mid == x_in or mid == x_out:
                 break
-            if work(mid) > target:
+            if work(mid, lambda: _bisection_tree(x_in, x_out, cross_tol)) > target:
                 x_in = mid
             else:
                 x_out = mid

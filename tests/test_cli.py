@@ -263,3 +263,80 @@ def test_unknown_reproduce_target_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "fig9"])
     assert exc.value.code == 2
+
+
+def _spectrum_cfg(**grid):
+    return ("spectrum", {"params": fig4_params().as_dict(),
+                         "grid": dict({"e_min": 6.0, "e_max": 7.5, "n_points": 11}, **grid)})
+
+
+def _sweep_cfg(**sweep):
+    """A sweep-eta config; eta_list=None drops the default eta list."""
+    block = {k: v for k, v in dict({"eta_list": [0.9]}, **sweep).items() if v is not None}
+    return ("sweep-eta", {"params": fig4_params().as_dict(), "sweep": block})
+
+
+def _validate_cfg(**oracle):
+    cfg = gaussian_model_cfg()
+    cfg["oracle"] = dict({"e_min": 0.0, "e_max": 4.5, "n_e": 60}, **oracle)
+    return ("validate", cfg)
+
+
+@pytest.mark.parametrize("command,payload,where", [
+    (*_spectrum_cfg(channel="x"), "grid.channel"),
+    (*_spectrum_cfg(channel=1.5), "grid.channel"),
+    (*_spectrum_cfg(channel=True), "grid.channel"),
+    (*_spectrum_cfg(n_points=2.9), "grid.n_points"),
+    (*_spectrum_cfg(n_points="11"), "grid.n_points"),
+    (*_spectrum_cfg(n_points=False), "grid.n_points"),
+    (*_spectrum_cfg(n_points=float("inf")), "grid.n_points"),
+    (*_sweep_cfg(channel="x"), "sweep.channel"),
+    (*_sweep_cfg(channel=[1]), "sweep.channel"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 3.5}),
+     "sweep.eta_range.n"),
+    (*_validate_cfg(n_e=40.5), "oracle.n_e"),
+    (*_validate_cfg(n_k="30"), "oracle.n_k"),
+])
+def test_integer_fields_reject_non_integers(tmp_path, capsys, command, payload, where):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: not an integer")
+    assert "Traceback" not in err
+
+
+def test_integer_fields_accept_integral_floats(tmp_path, capsys):
+    command, payload = _spectrum_cfg(n_points=11.0, channel=2.0)
+    assert main([command, "--config", write_cfg(tmp_path, "a.json", payload)]) == 0
+    as_float = capsys.readouterr().out
+    command, payload = _spectrum_cfg(n_points=11, channel=2)
+    assert main([command, "--config", write_cfg(tmp_path, "b.json", payload)]) == 0
+    assert capsys.readouterr().out == as_float
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    (*_spectrum_cfg(e_min=float("nan")), "grid.e_min: must be finite"),
+    (*_spectrum_cfg(e_max=float("inf")), "grid.e_max: must be finite"),
+    (*_sweep_cfg(eta_list=["x"]), "sweep.eta_list[0]: not a number"),
+    (*_sweep_cfg(eta_list=[0.9, float("nan")]), "sweep.eta_list[1]: must be finite"),
+    (*_sweep_cfg(eta_list=[None]), "sweep.eta_list[0]: not a number"),
+    (*_sweep_cfg(window=["a", 7.0]), "sweep.window[0]: not a number"),
+    (*_sweep_cfg(window=[6.0, float("inf")]), "sweep.window[1]: must be finite"),
+    (*_sweep_cfg(window=[7.0, 6.0]), "sweep.window: needs lo < hi"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": float("nan"), "stop": 1.0, "n": 3}),
+     "sweep.eta_range.start: must be finite"),
+    ("certify", {"params": fig4_params().as_dict(), "tol_im": "x"},
+     "config.tol_im: not a number"),
+    ("solve", {"params": {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54, "delta": 0.1,
+                          "gamma1": 1.0, "gamma2": 1.0, "g12": "x"}},
+     "params.g12: not a number"),
+    ("derive", {"microscopic": dict(gaussian_model_cfg()["microscopic"], e_max=float("nan"))},
+     "microscopic.e_max: must be finite"),
+])
+def test_non_finite_or_non_numeric_floats_are_config_errors(tmp_path, capsys, command,
+                                                             payload, message):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err

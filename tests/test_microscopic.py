@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import bic_lab
 from bic_lab.errors import DivergentTail, SingularEndpoint, ZeroCross, ZeroWidth
 from bic_lab.microscopic import (
     CouplingModel,
@@ -271,3 +275,15 @@ def test_scattering_length():
         scattering_length(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         scattering_length(1.0, 1.0, -1.0)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the quadratures import scipy.integrate on first use, so the package
+    # and its CLI start without paying for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bic_lab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, bic_lab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -12,9 +12,13 @@ from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig4_params, f
 from bic_lab.spectrum import (
     LORENTZ_WIDTH_FACTOR,
     PeakMetrics,
+    _LOOKAHEAD,
     SpectrumSeries,
+    _bisection_tree,
     _coupling_vector,
     _det_and_numerator,
+    _golden_tree,
+    _merge_plateaus,
     _spectrum_values,
     amplitude,
     peak_metrics,
@@ -265,3 +269,269 @@ def test_sweep_eta_rejects_unknown_channel(fig4):
         sweep_eta(fig4, [0.9], channel=3)
     with pytest.raises(ValidationError, match="channel"):
         peak_metrics(fig4, channel=3)
+
+
+# ---------------------------------------------------------------------------
+# refine_peak evaluates several search steps per call of f; its result must
+# be that of the point-by-point search, kept here as the oracle
+
+
+def _oracle_maxima(ys):
+    """_merge_plateaus as a loop over the runs of equal values."""
+    maxima = []
+    i = 1
+    n = len(ys)
+    while i < n - 1:
+        j = i
+        while j < n - 1 and ys[j + 1] == ys[j]:
+            j += 1
+        if ys[i] > ys[i - 1] and (j < n - 1 and ys[j] > ys[j + 1]):
+            maxima.append((i + j) // 2)
+        i = j + 1
+    return maxima
+
+
+def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
+    """refine_peak as a sequential search calling f on one point per step."""
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError(f"empty window ({lo!r}, {hi!r})")
+    xs = np.linspace(lo, hi, n_coarse)
+    if len(seeds) > 0:
+        inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
+        if inside:
+            xs = np.unique(np.concatenate([xs, np.array(inside)]))
+    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    if not np.all(np.isfinite(ys)):
+        raise ValueError("spectrum evaluation returned non-finite values")
+    if ys.max() <= 0.0:
+        raise NoPeak("window contains no positive spectral weight")
+    margin = 0.05 * (hi - lo)
+    lmask = xs <= lo + margin
+    rmask = xs >= hi - margin
+    bx1, by1 = xs[lmask].mean(), ys[lmask].mean()
+    bx2, by2 = xs[rmask].mean(), ys[rmask].mean()
+    slope = (by2 - by1) / (bx2 - bx1)
+
+    def floor(x):
+        return by1 + slope * (x - bx1)
+
+    im = int(np.argmax(ys))
+    if ys[im] >= math.e ** 2 * floor(xs[im]):
+        work, base, work_ys = f, None, ys
+    else:
+        base = floor
+        work_ys = ys - floor(xs)
+
+        def work(x):
+            return f(x) - base(x)
+
+        im = int(np.argmax(work_ys))
+    if im == 0 or im == len(xs) - 1:
+        raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
+    top = work_ys[im]
+    if top <= 1e-12 * float(np.max(np.abs(ys))):
+        raise NoPeak("window contains no feature above its local floor")
+    tall = [k for k in _oracle_maxima(work_ys) if work_ys[k] >= top / math.e]
+    for a in range(len(tall)):
+        for b in range(a + 1, len(tall)):
+            valley = work_ys[tall[a]:tall[b] + 1].min()
+            if valley <= min(work_ys[tall[a]], work_ys[tall[b]]) * (1.0 - 1e-6):
+                raise MultiPeak(
+                    f"two separated maxima near {xs[tall[a]]!r} and {xs[tall[b]]!r} "
+                    "are within 1/e of each other; narrow the window")
+    a, b = xs[im - 1], xs[im + 1]
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = work(c), work(d)
+    xtol = 1e-12 * max(1.0, abs(xs[im]))
+    while (b - a) > xtol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = work(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = work(d)
+    e_peak = 0.5 * (a + b)
+    height = work(e_peak)
+    if height <= 0.0:
+        raise NoPeak("refined peak has no positive height")
+    target = height / math.e
+
+    def crossing(direction):
+        step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
+        edge = hi if direction > 0 else lo
+        x_in = e_peak
+        while True:
+            x_out = e_peak + direction * step
+            if (direction > 0 and x_out >= edge) or (direction < 0 and x_out <= edge):
+                x_out = edge
+                if work(x_out) > target:
+                    raise NoPeak(
+                        f"spectrum never falls to 1/e of the peak before the window "
+                        f"edge at {edge!r}")
+                break
+            if work(x_out) <= target:
+                break
+            x_in = x_out
+            step *= 1.7
+        cross_tol = 1e-12 * (hi - lo)
+        for _ in range(200):
+            mid = 0.5 * (x_in + x_out)
+            if abs(x_out - x_in) <= cross_tol or mid == x_in or mid == x_out:
+                break
+            if work(mid) > target:
+                x_in = mid
+            else:
+                x_out = mid
+        return 0.5 * (x_in + x_out)
+
+    right = crossing(+1)
+    left = crossing(-1)
+    return PeakMetrics(e_peak=float(e_peak), height=float(height),
+                       width_w=float(right - left), left_cross=float(left),
+                       right_cross=float(right), refined=True,
+                       baseline=float(base(e_peak)) if base is not None else 0.0)
+
+
+def test_merge_plateaus_matches_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        # few distinct levels, so runs of equal values are common
+        ys = rng.integers(0, 4, int(rng.integers(1, 40))).astype(float)
+        assert _merge_plateaus(np.arange(len(ys)), ys).tolist() == _oracle_maxima(ys)
+
+
+def _random_line(rng):
+    """A Lorentzian or Fano line, maybe on a sloped floor, with its window.
+
+    Only +, -, * and / act on x, so a point gets the same value as a
+    float and inside an array.
+    """
+    lo = rng.uniform(-5.0, 5.0)
+    hi = lo + rng.uniform(0.05, 3.0)
+    c = rng.uniform(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo))
+    h = (hi - lo) * 10.0 ** rng.uniform(-7.0, -0.5)
+    amp = 10.0 ** rng.uniform(-3.0, 3.0)
+    q = rng.uniform(-4.0, 4.0) if rng.uniform() < 0.5 else None
+    level = amp * 10.0 ** rng.uniform(-1.0, 2.0) if rng.uniform() < 0.4 else 0.0
+    slope = level * rng.uniform(-0.3, 0.3) / (hi - lo)
+    second = rng.uniform(lo, hi) if rng.uniform() < 0.1 else None
+
+    def f(x):
+        d = x - c
+        line = amp * h * h / (d * d + h * h)
+        if q is not None:
+            line = line * (q + d / h) * (q + d / h) / (1.0 + q * q)
+        if second is not None:
+            e = x - second
+            line = line + amp * h * h / (e * e + h * h)
+        return line + (level + slope * (x - lo))
+
+    seeds = (c,) if rng.uniform() < 0.3 else ()
+    return f, (lo, hi), seeds
+
+
+def _outcome(search, f, window, seeds):
+    try:
+        return search(f, window, seeds=seeds)
+    except (NoPeak, MultiPeak, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_refine_peak_matches_point_by_point_search():
+    rng = np.random.default_rng(7)
+    kinds = {"raw": 0, "baseline": 0, "error": 0}
+    for _ in range(200):
+        f, window, seeds = _random_line(rng)
+        want = _outcome(_oracle_refine_peak, f, window, seeds)
+        got = _outcome(refine_peak, f, window, seeds)
+        assert got == want
+        if isinstance(want, PeakMetrics):
+            kinds["baseline" if want.baseline != 0.0 else "raw"] += 1
+        else:
+            kinds["error"] += 1
+    # every branch of the search is exercised
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_refine_peak_ignores_failures_at_points_it_never_visits():
+    c, h = 0.3, 0.01
+
+    def line(x):
+        return 1.0 / ((x - c) * (x - c) + h * h)
+
+    def recorder(calls):
+        def recording(x):
+            calls.append(np.array(x, dtype=float, ndmin=1))
+            return line(x)
+        return recording
+
+    oracle_calls, calls = [], []
+    want = _oracle_refine_peak(recorder(oracle_calls), (0.2, 0.4))
+    assert refine_peak(recorder(calls), (0.2, 0.4)) == want
+    # a few calls do the work of the point-by-point steps
+    assert len(calls) < len(oracle_calls) / 5
+    visited = set(np.concatenate(oracle_calls).tolist())
+    never = sorted(set(np.concatenate(calls).tolist()) - visited)
+    poisoned = never[len(never) // 2]
+    shapes = []
+
+    def failing(x):
+        shapes.append(np.ndim(x))
+        if np.any(np.asarray(x) == poisoned):
+            raise PoleHit(f"determinant vanishes at E_tilde={poisoned!r}")
+        return line(x)
+
+    assert refine_peak(failing, (0.2, 0.4)) == want
+    # the failed batch was replaced by single points
+    assert 0 in shapes
+
+
+def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
+    # follow the loops of refine_peak along every sequence of outcomes
+    rng = np.random.default_rng(3)
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(40):
+        a = np.float64(rng.uniform(-5.0, 5.0))
+        xtol = 1e-12 * max(1.0, abs(a))
+        b = a + xtol * 10.0 ** rng.uniform(-0.5, 3.0)
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        steps = set()
+        for path in range(2 ** _LOOKAHEAD):
+            aa, bb, cc, dd = a, b, c, d
+            for k in range(_LOOKAHEAD + 1):
+                if not (bb - aa) > xtol:
+                    steps.add(float(0.5 * (aa + bb)))
+                    break
+                if k == _LOOKAHEAD:
+                    break
+                if path >> k & 1:
+                    bb, dd = dd, cc
+                    cc = bb - invphi * (bb - aa)
+                    steps.add(float(cc))
+                else:
+                    aa, cc = cc, dd
+                    dd = aa + invphi * (bb - aa)
+                    steps.add(float(dd))
+        assert set(_golden_tree(a, b, c, d, xtol).tolist()) == steps
+
+        x_in = np.float64(rng.uniform(-5.0, 5.0))
+        x_out = x_in + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, 0.0)
+        tol = abs(x_out - x_in) * 10.0 ** rng.uniform(-2.0, 0.0)
+        steps = set()
+        for path in range(2 ** _LOOKAHEAD):
+            lo_, hi_ = x_in, x_out
+            for k in range(_LOOKAHEAD):
+                mid = 0.5 * (lo_ + hi_)
+                if abs(hi_ - lo_) <= tol or mid == lo_ or mid == hi_:
+                    break
+                steps.add(float(mid))
+                if path >> k & 1:
+                    lo_ = mid
+                else:
+                    hi_ = mid
+        assert set(_bisection_tree(x_in, x_out, tol).tolist()) == steps
