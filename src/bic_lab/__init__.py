@@ -12,8 +12,8 @@ elimination against a brute-force discretized model.
 
 __version__ = "0.1.0"
 
-from .bic import (BicSolution, CertificationReport, bic_no_decay, bic_vector,
-                  certify, solve_bic, vic_residual)
+from .bic import (BicSolution, CertificationReport, bic_vector, certify,
+                  solve_bic, vic_residual)
 from .dressing import DressedPair, dress, dressed_splitting, mixing_angle, vic_feasibility
 from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           ResolventReport, compare_pole_approximation,
@@ -24,14 +24,12 @@ from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
                      SingularEndpoint, SingularSolve, ValidationError,
                      ZeroCross, ZeroLinewidth, ZeroWidth)
-from .hamiltonian import (ComplexEigenSet, EffectivePair, build, char_poly_b,
-                          char_poly_b_constant_general, eigensystem, null_space_b)
+from .hamiltonian import ComplexEigenSet, EffectivePair, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, ScatteringLength, WignerCoupling,
                           derive_couplings, pv_integral, reference_gaussian_model,
                           scattering_length, to_dimensionless)
-from .params import (DimensionlessParams, PhysicalScales, default_g12,
-                     from_dict, validate)
+from .params import DimensionlessParams, from_dict, validate
 from .spectrum import (EtaPoint, EtaSweepResult, PeakMetrics, SpectrumSeries,
                        amplitude, peak_metrics, refine_peak, spectrum_series,
                        sweep_eta)

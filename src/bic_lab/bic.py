@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, SingularSolve
-from .hamiltonian import EffectivePair, build, eigensystem, null_space_b
+from .errors import DegenerateVector, SingularSolve, ValidationError
+from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams
 
 
@@ -42,10 +42,10 @@ def bic_vector(g1: float, g2: float, gamma1: float, gamma2: float
     g1/g2 = gamma1/gamma2, where the direction is undefined.
     """
     if gamma1 <= 0.0 or gamma2 <= 0.0:
-        raise ValueError(
-            f"bic_vector needs gamma1, gamma2 > 0, got {gamma1!r}, {gamma2!r}")
+        raise ValidationError(
+            [f"bic_vector needs gamma1, gamma2 > 0, got {gamma1!r}, {gamma2!r}"])
     if g1 < 0.0 or g2 < 0.0:
-        raise ValueError(f"bic_vector needs g1, g2 >= 0, got {g1!r}, {g2!r}")
+        raise ValidationError([f"bic_vector needs g1, g2 >= 0, got {g1!r}, {g2!r}"])
     denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
     if abs(denom) < 1e-12:
         raise DegenerateVector(
@@ -80,10 +80,13 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     only case in which B can have the zero mode; eta is always set to
     sqrt(gamma1*gamma2).  Raises SingularSolve when
     g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
-    A X = lambda X insoluble; propagates DegenerateVector.
+    A X = lambda X insoluble, and ValidationError unless g1, g2 >= 0 and
+    gamma1, gamma2 > 0; propagates DegenerateVector.
     """
-    if gamma2 <= 0.0:
-        raise ValueError(f"solve_bic needs gamma2 > 0, got {gamma2!r}")
+    if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
+        raise ValidationError(
+            [f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
+             f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}"])
     if g12 is None:
         g12 = math.sqrt(g1 * g2)
     x, c = bic_vector(g1, g2, gamma1, gamma2)
@@ -155,31 +158,3 @@ def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationR
         residual_b=float(np.linalg.norm(pair.b @ v)),
         vic_residual=vic_residual(params),
     )
-
-
-def bic_no_decay(pair: EffectivePair, tol: float = 1e-9
-                 ) -> tuple[float, np.ndarray] | None:
-    """BIC search in the decay-free case gamma1 = gamma2 = eta = 0.
-
-    There B = -v v^T has a two-dimensional null space (for coherent
-    lasers), and a BIC exists iff A maps some null direction to itself.
-    Projects A onto the null space, diagonalizes the projection and
-    returns (lambda, X) for the best candidate, or None when no
-    candidate satisfies both eigen-equations within tol.
-    """
-    null = null_space_b(pair, tol=1e-10)
-    if not null:
-        return None
-    n = np.column_stack(null)
-    a_red = n.T @ pair.a @ n
-    w, u = np.linalg.eigh(a_red)
-    best = None
-    for k in range(len(w)):
-        x = n @ u[:, k]
-        x = x / np.linalg.norm(x)
-        res = np.linalg.norm(pair.a @ x - w[k] * x) + np.linalg.norm(pair.b @ x)
-        if res <= tol and (best is None or res < best[2]):
-            best = (float(w[k]), x, res)
-    if best is None:
-        return None
-    return best[0], best[1]

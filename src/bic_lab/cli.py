@@ -207,8 +207,10 @@ def _run_dress(args) -> int:
     pair = dress(
         omega_m=_float_field(block, "dressing", "omega_m"),
         delta_m=_float_field(block, "dressing", "delta_m"),
-        gamma1_bare=(float(block["gamma1_bare"]) if "gamma1_bare" in block else None),
-        gamma2_bare=(float(block["gamma2_bare"]) if "gamma2_bare" in block else None),
+        gamma1_bare=(_float_value(block["gamma1_bare"], "dressing.gamma1_bare")
+                     if "gamma1_bare" in block else None),
+        gamma2_bare=(_float_value(block["gamma2_bare"], "dressing.gamma2_bare")
+                     if "gamma2_bare" in block else None),
     )
     record = {
         "theta": pair.theta,
@@ -230,9 +232,15 @@ def _emit_record(record: dict, args) -> None:
                  args.out)
 
 
+_SOLVE_KEYS = ("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2", "g12", "inv_kca")
+
+
 def _run_solve(args) -> int:
     cfg = _load_config(args)
     p = _section(cfg, "params")
+    unknown = sorted(set(p) - set(_SOLVE_KEYS))
+    if unknown:
+        raise ValidationError([f"params: unknown keys for solve: {', '.join(unknown)}"])
     sol = solve_bic(
         g1=_float_field(p, "params", "g1"),
         g2=_float_field(p, "params", "g2"),
@@ -405,7 +413,12 @@ def _run_validate(args) -> int:
         raw = block["probes"]
         if not isinstance(raw, list):
             raise ValidationError(["oracle.probes: must be an array of [re, im]"])
-        probes = [complex(float(z[0]), float(z[1])) for z in raw]
+        probes = []
+        for i, z in enumerate(raw):
+            if not (isinstance(z, list) and len(z) == 2):
+                raise ValidationError([f"oracle.probes[{i}]: must be [re, im]"])
+            probes.append(complex(_float_value(z[0], f"oracle.probes[{i}][0]"),
+                                  _float_value(z[1], f"oracle.probes[{i}][1]")))
     report = resolvent_check(dm, probes)
     rows = [[z.real, z.imag, dev]
             for z, dev in zip(report.probes, report.deviations)]

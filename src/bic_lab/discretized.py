@@ -40,7 +40,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FixedPointDivergence, GridCoverage, ProbeOnSpectrum
+from .errors import (FixedPointDivergence, GridCoverage, ProbeOnSpectrum,
+                     ValidationError)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling
 from .params import DimensionlessParams
@@ -63,13 +64,13 @@ class GridSpec:
 
     def __post_init__(self):
         if not (self.e_min >= 0.0 and self.e_max > self.e_min):
-            raise ValueError(f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid")
+            raise ValidationError([f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid"])
         if self.n_e < 1:
-            raise ValueError(f"n_e must be >= 1, got {self.n_e!r}")
+            raise ValidationError([f"n_e must be >= 1, got {self.n_e!r}"])
         if self.n_k < 0:
-            raise ValueError(f"n_k must be >= 0, got {self.n_k!r}")
+            raise ValidationError([f"n_k must be >= 0, got {self.n_k!r}"])
         if self.n_k > 0 and not (self.k_min >= 0.0 and self.k_max > self.k_min):
-            raise ValueError(f"photon grid [{self.k_min!r}, {self.k_max!r}] invalid")
+            raise ValidationError([f"photon grid [{self.k_min!r}, {self.k_max!r}] invalid"])
 
 
 def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:

@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergentTail, SingularEndpoint, ZeroCross, ZeroWidth
+from .errors import (DivergentTail, SingularEndpoint, ValidationError, ZeroCross,
+                     ZeroWidth)
 from .params import DimensionlessParams
 
 VIC_CONVENTIONS = ("as_written", "max_interference")
@@ -56,7 +57,7 @@ class GaussianCoupling:
 
     def __post_init__(self):
         if self.width <= 0.0:
-            raise ValueError(f"width must be positive, got {self.width!r}")
+            raise ValidationError([f"width must be positive, got {self.width!r}"])
 
     def __call__(self, e):
         e = np.asarray(e, dtype=float)
@@ -73,7 +74,7 @@ class WignerCoupling:
 
     def __post_init__(self):
         if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
+            raise ValidationError([f"scale must be positive, got {self.scale!r}"])
 
     def __call__(self, e):
         e = np.asarray(e, dtype=float)
@@ -120,13 +121,13 @@ class CouplingModel:
 
     def __post_init__(self):
         if not -1.0 <= self.dipole_overlap <= 1.0:
-            raise ValueError(
-                f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}")
+            raise ValidationError(
+                [f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}"])
         if self.e3 <= 0.0:
-            raise ValueError(f"e3 must be positive, got {self.e3!r}")
+            raise ValidationError([f"e3 must be positive, got {self.e3!r}"])
         if self.e_max is not None and self.e_max <= self.e3:
-            raise ValueError(
-                f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)")
+            raise ValidationError(
+                [f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +257,8 @@ def derive_couplings(model: CouplingModel,
     widths and the VIC cross term survive.
     """
     if vic_convention not in VIC_CONVENTIONS:
-        raise ValueError(
-            f"vic_convention must be one of {VIC_CONVENTIONS}, got {vic_convention!r}")
+        raise ValidationError(
+            [f"vic_convention must be one of {VIC_CONVENTIONS}, got {vic_convention!r}"])
     l1, l2, v3 = model.lambda1, model.lambda2, model.v3
     e3, upper = model.e3, model.e_max
     e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper, rtol)

@@ -14,19 +14,14 @@ hbar*Gamma_F/2, which makes every quantity below dimensionless:
                  the maximal-interference value reached for parallel dipoles),
 * ``inv_kca``    1/(k_c * a_s), inverse scattering length at the collision
                  wave number.
-
-``PhysicalScales`` carries the few dimensionful constants needed to map
-dimensionless results back to laboratory units.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError
-
-HBAR = 1.054571817e-34  # J*s
 
 #: keys accepted by :func:`from_dict`, in canonical order
 PARAM_KEYS = (
@@ -40,16 +35,6 @@ VALIDATION_MODES = ("permissive", "physical", "strict")
 
 # absolute slack for the strict equalities and the physical inequalities
 _EQ_TOL = 1e-12
-
-
-def default_g12(g1: float, g2: float) -> float:
-    """Coherent laser-induced cross width for equal laser phases.
-
-    Requires g1, g2 >= 0.
-    """
-    if g1 < 0.0 or g2 < 0.0:
-        raise ValidationError([f"default_g12 needs g1, g2 >= 0, got g1={g1!r}, g2={g2!r}"])
-    return math.sqrt(g1 * g2)
 
 
 @dataclass(frozen=True)
@@ -193,43 +178,3 @@ def validate(params: DimensionlessParams, mode: str = "physical") -> Dimensionle
     if problems:
         raise ValidationError(problems)
     return params
-
-
-@dataclass(frozen=True)
-class PhysicalScales:
-    """Dimensionful constants fixing the unit system.
-
-    gamma_f  Feshbach width Gamma_F as an angular frequency (rad/s), > 0
-    mu       reduced mass of the colliding pair (kg), > 0
-    k_c      collision wave number (1/m), > 0
-    """
-
-    gamma_f: float
-    mu: float
-    k_c: float
-    hbar: float = field(default=HBAR)
-
-    def __post_init__(self):
-        problems = []
-        for name in ("gamma_f", "mu", "k_c", "hbar"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                problems.append(f"{name}={v!r} must be a positive finite number")
-        if problems:
-            raise ValidationError(problems)
-
-    @property
-    def energy_unit(self) -> float:
-        """hbar*Gamma_F/2 in joules; one dimensionless energy unit."""
-        return self.hbar * self.gamma_f / 2.0
-
-    @property
-    def collision_energy(self) -> float:
-        """hbar^2 k_c^2 / (2 mu) in joules."""
-        return (self.hbar * self.k_c) ** 2 / (2.0 * self.mu)
-
-    def to_joules(self, e_tilde: float) -> float:
-        return e_tilde * self.energy_unit
-
-    def from_joules(self, energy: float) -> float:
-        return energy / self.energy_unit

@@ -188,9 +188,9 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     (e_max - e_min)/1e8, so no narrower feature is silently skipped.
     """
     if not e_min < e_max:
-        raise ValueError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
+        raise ValidationError([f"need e_min < e_max, got {e_min!r} >= {e_max!r}"])
     if n_points < 2:
-        raise ValueError(f"need n_points >= 2, got {n_points!r}")
+        raise ValidationError([f"need n_points >= 2, got {n_points!r}"])
     span = e_max - e_min
     base = np.linspace(e_min, e_max, int(n_points))
     spacing = span / (int(n_points) - 1)

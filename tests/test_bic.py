@@ -7,7 +7,6 @@ import pytest
 
 from bic_lab.bic import (
     BicSolution,
-    bic_no_decay,
     bic_vector,
     certify,
     solve_bic,
@@ -111,24 +110,6 @@ def test_certify_frozen_deviated_fig3():
 def test_certify_tolerance_knob():
     rep_loose = certify(fig3_params(), tol_im=1e-3)
     assert rep_loose.is_bic
-
-
-def test_bic_no_decay_fig3_exact():
-    p = fig3_exact_bic_params()
-    hit = bic_no_decay(build(p))
-    assert hit is not None
-    lam, x = hit
-    pair = build(p)
-    assert np.linalg.norm(pair.a @ x - lam * x) < 1e-9
-    assert np.linalg.norm(pair.b @ x) < 1e-9
-    # cross-check against the dense diagnostic route
-    rep = certify(p)
-    assert rep.is_bic
-    assert rep.lambda_est == pytest.approx(lam, abs=1e-9)
-
-
-def test_bic_no_decay_deviated_returns_none():
-    assert bic_no_decay(build(fig3_params())) is None
 
 
 def test_imaginary_part_perturbation_slope():

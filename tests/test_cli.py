@@ -340,3 +340,47 @@ def test_non_finite_or_non_numeric_floats_are_config_errors(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
+
+
+def _solve_cfg(**params):
+    base = {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54, "delta": 0.1,
+            "gamma1": 1.0, "gamma2": 1.0}
+    return ("solve", {"params": dict(base, **params)})
+
+
+def _derive_cfg(**microscopic):
+    return ("derive", {"microscopic": dict(gaussian_model_cfg()["microscopic"],
+                                           **microscopic)})
+
+
+def _dress_cfg(**dressing):
+    return ("dress", {"dressing": dict({"omega_m": 50.0, "delta_m": 10.0,
+                                        "gamma1_bare": 6.0, "gamma2_bare": 4.0},
+                                       **dressing)})
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    (*_spectrum_cfg(e_min=7.5), "need e_min < e_max"),
+    (*_spectrum_cfg(n_points=1), "need n_points >= 2"),
+    (*_validate_cfg(n_e=0), "n_e must be >= 1"),
+    (*_derive_cfg(dipole_overlap=1.5), "dipole_overlap must lie in [-1, 1]"),
+    (*_derive_cfg(vic_convention="x"), "vic_convention must be one of"),
+    (*_derive_cfg(lambda1={"shape": "gaussian", "amplitude": 0.16, "center": 1.25,
+                           "width": -1.0}), "width must be positive"),
+    (*_solve_cfg(gamma2=0.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
+    (*_solve_cfg(gamma1=-1.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
+    (*_solve_cfg(g1=-3.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
+    (*_solve_cfg(gama1=1.0), "params: unknown keys for solve: gama1"),
+    (*_dress_cfg(gamma1_bare="x"), "dressing.gamma1_bare: not a number"),
+    (*_dress_cfg(gamma2_bare=float("nan")), "dressing.gamma2_bare: must be finite"),
+    (*_validate_cfg(probes=[["a", 1.0]]), "oracle.probes[0][0]: not a number"),
+    (*_validate_cfg(probes=[1.0]), "oracle.probes[0]: must be [re, im]"),
+])
+def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
+                                               message):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err

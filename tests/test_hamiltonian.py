@@ -9,15 +9,12 @@ from bic_lab.errors import ConvergenceFailure
 from bic_lab.hamiltonian import (
     RESIDUAL_RTOL,
     EffectivePair,
-    adjugate3,
     build,
     char_coeffs,
-    char_poly_b,
-    char_poly_b_constant_general,
     cubic_roots,
     eigensystem,
-    null_space_b,
 )
+from bic_lab.recipes import fig4_exact_bic_solution
 from conftest import random_params
 
 
@@ -56,55 +53,10 @@ def test_effective_pair_rejects_asymmetry():
         EffectivePair(a=a, b=b)
 
 
-def test_char_poly_b_matches_numpy(fig4):
-    g2c, g1c, g0c = char_poly_b(fig4)
-    # numpy convention: det(xI - B) = x^3 + cp[1] x^2 + cp[2] x + cp[3]
-    cp = np.poly(build(fig4).b)
-    assert g2c == pytest.approx(cp[1], rel=1e-13)
-    assert g1c == pytest.approx(cp[2], rel=1e-13)
-    assert g0c == pytest.approx(cp[3], abs=1e-13)
-
-
-def test_char_poly_b_random_coherent(rng):
-    for _ in range(50):
-        p = random_params(rng, coherent=True)
-        g2c, g1c, g0c = char_poly_b(p)
-        cp = np.poly(build(p).b)
-        scale = max(1.0, abs(cp[1]), abs(cp[2]))
-        assert abs(g2c - cp[1]) < 1e-12 * scale
-        assert abs(g1c - cp[2]) < 1e-12 * scale
-        assert abs(g0c - cp[3]) < 1e-12 * scale
-
-
-def test_char_poly_b_warns_on_incoherent_lasers(generic_params):
-    with pytest.warns(UserWarning, match="g12"):
-        char_poly_b(generic_params)
-
-
-def test_char_poly_constant_general(rng):
-    for _ in range(50):
-        p = random_params(rng, coherent=False)
-        c0 = char_poly_b_constant_general(p)
-        det_b = np.linalg.det(build(p).b)
-        # det(xI - B) constant term is -det(B)
-        assert c0 == pytest.approx(-det_b, rel=1e-10, abs=1e-12)
-
-
 def test_vic_kills_constant_term():
     # at eta = sqrt(gamma1*gamma2) and coherent lasers, det B = 0
     p_vic = random_params(np.random.default_rng(7), coherent=True)
-    _, _, g0c = char_poly_b(p_vic)
-    assert g0c == pytest.approx(0.0, abs=1e-15)
     assert np.linalg.det(build(p_vic).b) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_adjugate_identity(rng):
-    for _ in range(20):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        adj = adjugate3(m)
-        np.testing.assert_allclose(m @ adj, np.linalg.det(m) * np.eye(3),
-                                   rtol=0, atol=1e-12 * np.abs(np.linalg.det(m)) + 1e-13)
-        np.testing.assert_allclose(adj @ m, m @ adj, rtol=0, atol=1e-13 * np.linalg.norm(m) ** 2)
 
 
 def test_char_coeffs_convention(rng):
@@ -158,18 +110,31 @@ def test_eigensystem_matches_numpy(rng):
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-11)
 
 
-def test_eigensystem_residuals_and_vectors(fig4, generic_params):
-    for p in (fig4, generic_params):
+def test_eigensystem_residuals_and_vectors(fig4, fig5, generic_params):
+    rng = np.random.default_rng(5)
+    cases = [fig4, fig5, fig4_exact_bic_solution().params, generic_params]
+    cases += [random_params(rng, coherent=bool(i % 2)) for i in range(100)]
+    compared = 0
+    for p in cases:
         pair = build(p)
         m = pair.matrix()
         eig = eigensystem(pair)
         scale = max(1.0, float(np.linalg.norm(m)))
+        ref_vals, ref_vecs = np.linalg.eig(m)
+        gaps = [abs(eig.eigenvalues[i] - eig.eigenvalues[j])
+                for i, j in ((0, 1), (0, 2), (1, 2))]
+        separated = min(gaps) > 1e-3 * scale
         for k in range(3):
             v = eig.eigenvectors[:, k]
             lam = eig.eigenvalues[k]
             assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
             assert np.linalg.norm(m @ v - lam * v) <= RESIDUAL_RTOL * scale
             assert eig.residuals[k] <= RESIDUAL_RTOL * scale
+            if separated:
+                u = ref_vecs[:, np.argmin(np.abs(ref_vals - lam))]
+                assert abs(np.vdot(v, u)) == pytest.approx(1.0, abs=1e-9)
+                compared += 1
+    assert compared >= 3 * 90
 
 
 def test_eigensystem_ordering(rng):
@@ -220,27 +185,3 @@ def test_vieta_guard_catches_collapsed_roots(monkeypatch, fig4):
     monkeypatch.setattr(ham, "cubic_roots", collapsed)
     with pytest.raises(ConvergenceFailure, match="trace"):
         ham.eigensystem(build(fig4))
-
-
-def test_null_space_b_vic_coherent(fig5):
-    # coherent lasers + maximal vacuum coherence: exactly one zero mode
-    pair = build(fig5)
-    null = null_space_b(pair, tol=1e-10)
-    assert len(null) == 1
-    x = null[0]
-    assert np.linalg.norm(pair.b @ x) < 1e-12
-    # the zero mode is orthogonal to both rank-1 damping directions
-    u = np.array([math.sqrt(fig5.g1), math.sqrt(fig5.g2), 1.0])
-    w = np.array([math.sqrt(fig5.gamma1), math.sqrt(fig5.gamma2), 0.0])
-    assert abs(u @ x) < 1e-12
-    assert abs(w @ x) < 1e-12
-
-
-def test_null_space_b_no_decay_rank_one(fig3):
-    # gamma = 0 and coherent lasers: B = -u u^T has a 2-d null space
-    null = null_space_b(build(fig3), tol=1e-10)
-    assert len(null) == 2
-
-
-def test_null_space_b_generic_empty(generic_params):
-    assert null_space_b(build(generic_params), tol=1e-10) == []

@@ -6,11 +6,8 @@ import pytest
 
 from bic_lab.errors import ValidationError
 from bic_lab.params import (
-    HBAR,
     PARAM_KEYS,
     DimensionlessParams,
-    PhysicalScales,
-    default_g12,
     from_dict,
     validate,
 )
@@ -33,12 +30,6 @@ def test_explicit_coherences_kept():
     )
     assert p.g12 == 0.3
     assert p.eta == 0.0
-
-
-def test_default_g12_helper():
-    assert default_g12(9.0, 4.0) == pytest.approx(6.0)
-    with pytest.raises(ValidationError):
-        default_g12(-1.0, 4.0)
 
 
 def test_replace_rederives_g12_when_parent_changes():
@@ -161,12 +152,3 @@ def test_validate_unknown_mode():
     )
     with pytest.raises(ValidationError, match="mode"):
         validate(p, mode="sloppy")
-
-
-def test_physical_scales_units():
-    s = PhysicalScales(gamma_f=2.0e6, mu=1.6e-26, k_c=5.0e7)
-    assert s.energy_unit == pytest.approx(HBAR * 1.0e6)
-    assert s.collision_energy == pytest.approx((HBAR * 5.0e7) ** 2 / (2 * 1.6e-26))
-    assert s.from_joules(s.to_joules(3.25)) == pytest.approx(3.25, rel=1e-15)
-    with pytest.raises(ValidationError):
-        PhysicalScales(gamma_f=-1.0, mu=1.0, k_c=1.0)
