@@ -25,6 +25,8 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
 from .hamiltonian import build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           WignerCoupling, derive_couplings, to_dimensionless)
-from .params import DimensionlessParams, from_dict, validate
+from .params import from_dict, validate
 from .recipes import (FIG4_ETA_LIST, QUOTED, fig3_params, fig4_params,
                       fig5_eta_grid, fig5_params)
 from .spectrum import spectrum_series, sweep_eta
@@ -51,8 +53,7 @@ EXIT_NUMERICAL = 3
 EXIT_DEGENERATE = 4
 
 _EXIT_BY_ERROR = (
-    (ValidationError, EXIT_CONFIG),
-    (GridCoverage, EXIT_CONFIG),
+    ((ValidationError, GridCoverage), EXIT_CONFIG),
     ((ConvergenceFailure, FixedPointDivergence, DivergentTail), EXIT_NUMERICAL),
     ((SingularSolve, DegenerateVector, ZeroWidth, ZeroCross, ZeroLinewidth,
       DegenerateDressing, SingularEndpoint, NoPeak, MultiPeak, PoleHit,
@@ -70,28 +71,164 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(header: list[str], rows, path: str) -> None:
-    """Write rows as deterministic CSV (17 significant digits, \\n)."""
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(_fmt(v) for v in row) + "\n"
+def _write(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def emit_csv(header: list[str], rows, path: str) -> None:
+    """Write rows as deterministic CSV (17 significant digits, \\n)."""
+    _write("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]), path)
 
 
 def emit_json(obj, path: str) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+
+
+# ---------------------------------------------------------------------------
+# config schema
+#
+# A schema maps each key of a section to (kind, default); the default
+# `...` marks a required key, and a None default also accepts null. A
+# kind is a reader `(value, where) -> value`, a nested schema, or a
+# (tag, {tag value: (constructor, schema)}) pair for blocks whose keys
+# depend on one of their values. Unknown keys are rejected at every level.
+
+MAX_POINTS = 100_000   # grid.n_points
+MAX_ETAS = 10_000      # sweep.eta_range.n
+MAX_STATES = 2_000     # 3 + n_e + 2*n_k, the dense matrix of `validate`
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number; never a bool, a string or null."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError([f"{where}: not a number ({value!r})"])
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError([f"{where}: must be finite ({value!r})"])
+    return float(value)
+
+
+def _integer(value, where: str, least=None, most=None) -> int:
+    """A true integer: an int or an integral float, never a bool or a string."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValidationError([f"{where}: not an integer ({value!r})"])
+    if least is not None and value < least:
+        raise ValidationError([f"{where}: must be >= {least} ({value!r})"])
+    if most is not None and value > most:
+        raise ValidationError([f"{where}: must be <= {most} ({value!r})"])
+    return int(value)
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError([f"{where}: not a string ({value!r})"])
+    return value
+
+
+def _array(item):
+    def read(value, where: str) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValidationError([f"{where}: must be a nonempty array"])
+        return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
+    return read
+
+
+def _pair(value, where: str, names: str) -> list[float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValidationError([f"{where}: must be [{names}]"])
+    return [_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
+
+
+def _window(value, where: str) -> tuple[float, float]:
+    lo, hi = _pair(value, where, "lo, hi")
+    if not lo < hi:
+        raise ValidationError([f"{where}: needs lo < hi, got {value!r}"])
+    return lo, hi
+
+
+def _complex(value, where: str) -> complex:
+    return complex(*_pair(value, where, "re, im"))
+
+
+def _read(value, kind, where: str, command: str):
+    """Check one config value against its kind; return the checked value."""
+    if callable(kind):
+        return kind(value, where)
+    if isinstance(kind, tuple):
+        tag, variants = kind
+        choice = value.get(tag) if isinstance(value, dict) else None
+        if not isinstance(choice, str) or choice not in variants:
+            raise ValidationError([f"{where}.{tag}: must be one of "
+                                   f"{sorted(variants)} ({choice!r})"])
+        make, schema = variants[choice]
+        rest = {k: v for k, v in value.items() if k != tag}
+        return make(**_read(rest, schema, where, command))
+    # a section; top-level sections are named without the "config." prefix
+    where = where.removeprefix("config.")
+    if not isinstance(value, dict):
+        raise ValidationError([f"{where}: must be an object"])
+    unknown = sorted(set(value) - set(kind))
+    if unknown:
+        raise ValidationError([f"{where}: unknown keys for {command}: {', '.join(unknown)}"])
+    checked = {}
+    for key, (sub, default) in kind.items():
+        item = value.get(key, default)
+        if item is ...:
+            raise ValidationError([f"{where}.{key}: required"])
+        checked[key] = (None if item is None and default is None
+                        else _read(item, sub, f"{where}.{key}", command))
+    return checked
+
+
+_COUPLING = ("shape", {
+    "gaussian": (GaussianCoupling,
+                 dict.fromkeys(("amplitude", "center", "width"), (_number, ...))),
+    "wigner": (WignerCoupling, dict.fromkeys(("amplitude", "scale"), (_number, ...))),
+    "flat": (FlatCoupling, {"amplitude": (_number, ...)}),
+})
+_MICROSCOPIC = {
+    **dict.fromkeys(("lambda1", "lambda2", "v3"), (_COUPLING, ...)),
+    **dict.fromkeys(("v1f", "v2f", "omega13", "omega23", "e3", "dipole_overlap"),
+                    (_number, ...)),
+    "e_max": (_number, None),
+    **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0)),
+    "vic_convention": (_string, "as_written"),
+}
+_PARAMS = {"params": (lambda value, where: from_dict(value), ...),
+           "validation_mode": (_string, "permissive")}
+_SWEEP = {"eta_list": (_array(_number), None),
+          "eta_range": ({"start": (_number, ...), "stop": (_number, ...),
+                         "n": (partial(_integer, least=2, most=MAX_ETAS), ...)}, None),
+          "window": (_window, None), "channel": (_integer, 1)}
+_CONFIGS = {
+    "dress": {"dressing": ({"omega_m": (_number, ...), "delta_m": (_number, ...),
+                            "gamma1_bare": (_number, None),
+                            "gamma2_bare": (_number, None)}, ...)},
+    "solve": {"params": ({
+        **dict.fromkeys(("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2"),
+                        (_number, ...)),
+        "g12": (_number, None), "inv_kca": (_number, 0.0)}, ...)},
+    "certify": {**_PARAMS, "tol_im": (_number, 1e-9)},
+    "spectrum": {**_PARAMS, "grid": ({
+        "e_min": (_number, ...), "e_max": (_number, ...),
+        "n_points": (partial(_integer, most=MAX_POINTS), 601), "channel": (_integer, 1)}, ...)},
+    "sweep-eta": {**_PARAMS, "sweep": (_SWEEP, ...)},
+    "width-curve": {**_PARAMS, "sweep": (_SWEEP, {})},
+    "derive": {"microscopic": (_MICROSCOPIC, ...)},
+    "validate": {"microscopic": (_MICROSCOPIC, ...), "oracle": ({
+        "e_min": (_number, ...), "e_max": (_number, ...), "n_e": (_integer, ...),
+        **dict.fromkeys(("k_min", "k_max", "e1_rot", "e2_rot"), (_number, 0.0)),
+        "n_k": (_integer, 0), "probes": (_array(_complex), None)}, ...)},
+}
 
 
 def _load_config(args) -> dict:
+    """The --config file, checked against the subcommand's schema."""
     if not args.config:
         raise ValidationError([f"subcommand '{args.subcommand}' requires --config"])
     try:
@@ -99,285 +236,93 @@ def _load_config(args) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ValidationError([f"config file not found: {args.config}"])
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError([f"config is not valid JSON: {exc}"])
-    if not isinstance(cfg, dict):
-        raise ValidationError(["config root must be a JSON object"])
+    cfg = _read(cfg, _CONFIGS[args.subcommand], "config", args.subcommand)
+    if "validation_mode" in cfg:
+        cfg["params"] = validate(cfg["params"], mode=cfg["validation_mode"])
     return cfg
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    block = cfg.get(name)
-    if block is None:
-        if required:
-            raise ValidationError([f"config section '{name}' is required"])
-        return {}
-    if not isinstance(block, dict):
-        raise ValidationError([f"config section '{name}' must be an object"])
-    return block
-
-
-def _validation_mode(cfg: dict) -> str:
-    return cfg.get("validation_mode", "permissive")
-
-
-def _params_from_config(cfg: dict) -> DimensionlessParams:
-    params = from_dict(_section(cfg, "params"))
-    return validate(params, mode=_validation_mode(cfg))
-
-
-def _float_value(value, where: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValidationError([f"{where}: not a number ({value!r})"])
-    if not math.isfinite(number):
-        raise ValidationError([f"{where}: must be finite ({value!r})"])
-    return number
-
-
-def _float_field(block: dict, section: str, key: str, default=None) -> float:
-    if key not in block:
-        if default is None:
-            raise ValidationError([f"{section}.{key}: required"])
-        return float(default)
-    return _float_value(block[key], f"{section}.{key}")
-
-
-def _int_field(block: dict, section: str, key: str, default=None) -> int:
-    """A true integer: an int or an integral float, never a bool or a string."""
-    if key not in block:
-        if default is None:
-            raise ValidationError([f"{section}.{key}: required"])
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or (isinstance(value, float) and value.is_integer())):
-        raise ValidationError([f"{section}.{key}: not an integer ({value!r})"])
-    return int(value)
-
-
-_SHAPES = {
-    "gaussian": (GaussianCoupling, ("amplitude", "center", "width")),
-    "wigner": (WignerCoupling, ("amplitude", "scale")),
-    "flat": (FlatCoupling, ("amplitude",)),
-}
-
-
-def _coupling_from_config(block, label: str):
-    if not isinstance(block, dict) or "shape" not in block:
-        raise ValidationError(
-            [f"microscopic.{label}: expected an object with a 'shape' key"])
-    shape = block["shape"]
-    if shape not in _SHAPES:
-        raise ValidationError(
-            [f"microscopic.{label}.shape: unknown shape {shape!r}; "
-             f"expected one of {sorted(_SHAPES)}"])
-    cls, keys = _SHAPES[shape]
-    kwargs = {k: _float_field(block, f"microscopic.{label}", k) for k in keys}
-    return cls(**kwargs)
-
-
-def _model_from_config(cfg: dict) -> tuple[CouplingModel, dict]:
-    block = _section(cfg, "microscopic")
-    model = CouplingModel(
-        lambda1=_coupling_from_config(block.get("lambda1"), "lambda1"),
-        lambda2=_coupling_from_config(block.get("lambda2"), "lambda2"),
-        v3=_coupling_from_config(block.get("v3"), "v3"),
-        v1f=_float_field(block, "microscopic", "v1f"),
-        v2f=_float_field(block, "microscopic", "v2f"),
-        omega13=_float_field(block, "microscopic", "omega13"),
-        omega23=_float_field(block, "microscopic", "omega23"),
-        e3=_float_field(block, "microscopic", "e3"),
-        dipole_overlap=_float_field(block, "microscopic", "dipole_overlap"),
-        e_max=(_float_value(block["e_max"], "microscopic.e_max")
-               if block.get("e_max") is not None else None),
-    )
-    return model, block
+def _model(micro: dict) -> tuple[CouplingModel, dict]:
+    """The coupling model of a checked `microscopic` section, and its other keys."""
+    extra = {k: micro.pop(k) for k in ("vic_convention", "laser1_freq",
+                                       "laser2_freq", "e1", "e2")}
+    return CouplingModel(**micro), extra
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
-
-
-def _run_dress(args) -> int:
-    cfg = _load_config(args)
-    block = _section(cfg, "dressing")
-    pair = dress(
-        omega_m=_float_field(block, "dressing", "omega_m"),
-        delta_m=_float_field(block, "dressing", "delta_m"),
-        gamma1_bare=(_float_value(block["gamma1_bare"], "dressing.gamma1_bare")
-                     if "gamma1_bare" in block else None),
-        gamma2_bare=(_float_value(block["gamma2_bare"], "dressing.gamma2_bare")
-                     if "gamma2_bare" in block else None),
-    )
-    record = {
-        "theta": pair.theta,
-        "cos_theta": pair.cos_theta,
-        "sin_theta": pair.sin_theta,
-        "splitting": pair.splitting,
-        "feasibility": pair.feasibility,
-    }
-    _emit_record(record, args)
-    return EXIT_OK
+# subcommand handlers: each gets the checked config and the parsed arguments
 
 
 def _emit_record(record: dict, args) -> None:
     if (args.format or "json") == "json":
         emit_json(record, args.out)
     else:
-        keys = list(record.keys())
-        emit_csv(keys, [[("" if record[k] is None else record[k]) for k in keys]],
+        emit_csv(list(record), [["" if v is None else v for v in record.values()]],
                  args.out)
 
 
-_SOLVE_KEYS = ("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2", "g12", "inv_kca")
+def _run_dress(cfg: dict, args) -> None:
+    _emit_record(asdict(dress(**cfg["dressing"])), args)
 
 
-def _run_solve(args) -> int:
-    cfg = _load_config(args)
-    p = _section(cfg, "params")
-    unknown = sorted(set(p) - set(_SOLVE_KEYS))
-    if unknown:
-        raise ValidationError([f"params: unknown keys for solve: {', '.join(unknown)}"])
-    sol = solve_bic(
-        g1=_float_field(p, "params", "g1"),
-        g2=_float_field(p, "params", "g2"),
-        q1=_float_field(p, "params", "q1"),
-        q2=_float_field(p, "params", "q2"),
-        delta=_float_field(p, "params", "delta"),
-        gamma1=_float_field(p, "params", "gamma1"),
-        gamma2=_float_field(p, "params", "gamma2"),
-        g12=(_float_value(p["g12"], "params.g12") if p.get("g12") is not None else None),
-        inv_kca=_float_field(p, "params", "inv_kca", default=0.0),
-    )
-    record = {
-        "lambda": sol.lam,
-        "delta1": sol.delta1,
-        "delta2": sol.delta2,
-        "eta": sol.params.eta,
-        "x1": float(sol.x[0]),
-        "x2": float(sol.x[1]),
-        "c": sol.c,
-        "residual_a": sol.residual_a,
-        "residual_b": sol.residual_b,
-    }
-    _emit_record(record, args)
-    return EXIT_OK
+def _run_solve(cfg: dict, args) -> None:
+    sol = solve_bic(**cfg["params"])
+    _emit_record({"lambda": sol.lam, "delta1": sol.delta1, "delta2": sol.delta2,
+                  "eta": sol.params.eta, "x1": float(sol.x[0]),
+                  "x2": float(sol.x[1]), "c": sol.c,
+                  "residual_a": sol.residual_a, "residual_b": sol.residual_b}, args)
 
 
-def _run_certify(args) -> int:
-    cfg = _load_config(args)
-    params = _params_from_config(cfg)
-    report = certify(params, tol_im=_float_field(cfg, "config", "tol_im", default=1e-9))
-    record = {
-        "is_bic": report.is_bic,
-        "min_abs_im": report.min_abs_im,
-        "lambda_est": report.lambda_est,
-        "re_E1": report.eigenvalue.real,
-        "im_E1": report.eigenvalue.imag,
-        "residual_b": report.residual_b,
-        "vic_residual": report.vic_residual,
-    }
-    _emit_record(record, args)
-    return EXIT_OK
+def _run_certify(cfg: dict, args) -> None:
+    report = certify(cfg["params"], tol_im=cfg["tol_im"])
+    _emit_record({"is_bic": report.is_bic, "min_abs_im": report.min_abs_im,
+                  "lambda_est": report.lambda_est,
+                  "re_E1": report.eigenvalue.real, "im_E1": report.eigenvalue.imag,
+                  "residual_b": report.residual_b,
+                  "vic_residual": report.vic_residual}, args)
 
 
-def _run_spectrum(args) -> int:
-    cfg = _load_config(args)
-    params = _params_from_config(cfg)
-    grid = _section(cfg, "grid")
-    series = spectrum_series(
-        params,
-        e_min=_float_field(grid, "grid", "e_min"),
-        e_max=_float_field(grid, "grid", "e_max"),
-        n_points=_int_field(grid, "grid", "n_points", default=601),
-        channel=_int_field(grid, "grid", "channel", default=1),
-    )
+def _run_spectrum(cfg: dict, args) -> None:
+    series = spectrum_series(cfg["params"], **cfg["grid"])
     if (args.format or "csv") == "json":
         emit_json({"E_tilde": list(series.grid), "S_n": list(series.values),
                    "channel": series.channel}, args.out)
     else:
-        emit_csv(["E_tilde", "S_n"],
-                 zip(series.grid.tolist(), series.values.tolist()), args.out)
-    return EXIT_OK
-
-
-def _eta_list_from_config(block: dict, default=None) -> list[float]:
-    if "eta_list" in block:
-        lst = block["eta_list"]
-        if not isinstance(lst, list) or not lst:
-            raise ValidationError(["sweep.eta_list: must be a nonempty array"])
-        return [_float_value(x, f"sweep.eta_list[{i}]") for i, x in enumerate(lst)]
-    if "eta_range" in block:
-        rng = block["eta_range"]
-        if not isinstance(rng, dict):
-            raise ValidationError(["sweep.eta_range: must be an object"])
-        start = _float_field(rng, "sweep.eta_range", "start")
-        stop = _float_field(rng, "sweep.eta_range", "stop")
-        n = _int_field(rng, "sweep.eta_range", "n")
-        if n < 2:
-            raise ValidationError(["sweep.eta_range.n: must be >= 2"])
-        return list(np.linspace(start, stop, n))
-    if default is not None:
-        return list(default)
-    raise ValidationError(["sweep: needs 'eta_list' or 'eta_range'"])
+        emit_csv(["E_tilde", "S_n"], zip(series.grid.tolist(), series.values.tolist()), args.out)
 
 
 def _sweep_rows(result) -> list[list]:
-    rows = []
-    for pt in result.points:
-        if pt.metrics is None:
-            rows.append([pt.eta, math.nan, math.nan, math.nan, pt.re_e1, pt.im_e1])
-        else:
-            rows.append([pt.eta, pt.metrics.e_peak, pt.metrics.height,
-                         pt.metrics.width_w, pt.re_e1, pt.im_e1])
-    return rows
+    return [[pt.eta, *((pt.metrics.e_peak, pt.metrics.height, pt.metrics.width_w)
+                       if pt.metrics else (math.nan,) * 3), pt.re_e1, pt.im_e1]
+            for pt in result.points]
 
 
-def _run_sweep(args, dense_default: bool) -> int:
-    cfg = _load_config(args)
-    params = _params_from_config(cfg)
-    block = _section(cfg, "sweep", required=not dense_default)
-    default = fig5_eta_grid() if dense_default else None
-    etas = _eta_list_from_config(block, default=default)
+def _run_sweep(cfg: dict, args) -> None:
+    params, sweep = cfg["params"], cfg["sweep"]
+    etas, rng = sweep.pop("eta_list"), sweep.pop("eta_range")
+    if etas is None and rng is not None:
+        etas = list(np.linspace(rng["start"], rng["stop"], rng["n"]))
+    elif etas is None and args.subcommand == "width-curve":
+        etas = list(fig5_eta_grid())
+    elif etas is None:
+        raise ValidationError(["sweep: needs 'eta_list' or 'eta_range'"])
     # every swept set is computed, so every one meets the chosen mode
     for eta in etas:
-        validate(params.replace(eta=eta), mode=_validation_mode(cfg))
-    window = None
-    if "window" in block:
-        w = block["window"]
-        if not (isinstance(w, list) and len(w) == 2):
-            raise ValidationError(["sweep.window: must be [lo, hi]"])
-        window = (_float_value(w[0], "sweep.window[0]"),
-                  _float_value(w[1], "sweep.window[1]"))
-        if not window[0] < window[1]:
-            raise ValidationError([f"sweep.window: needs lo < hi, got {w!r}"])
-    result = sweep_eta(params, etas,
-                       channel=_int_field(block, "sweep", "channel", default=1),
-                       window=window)
+        validate(params.replace(eta=eta), mode=cfg["validation_mode"])
+    result = sweep_eta(params, etas, **sweep)
     if (args.format or "csv") == "json":
-        emit_json({"rows": [dict(zip(SWEEP_HEADER, row))
-                            for row in _sweep_rows(result)]}, args.out)
+        emit_json({"rows": [dict(zip(SWEEP_HEADER, r)) for r in _sweep_rows(result)]}, args.out)
     else:
         emit_csv(SWEEP_HEADER, _sweep_rows(result), args.out)
-    return EXIT_OK
 
 
-def _run_derive(args) -> int:
-    cfg = _load_config(args)
-    model, block = _model_from_config(cfg)
-    convention = block.get("vic_convention", "as_written")
-    res = derive_couplings(model, vic_convention=convention)
-    params = to_dimensionless(
-        res, model,
-        laser1_freq=_float_field(block, "microscopic", "laser1_freq", default=0.0),
-        laser2_freq=_float_field(block, "microscopic", "laser2_freq", default=0.0),
-        e1=_float_field(block, "microscopic", "e1", default=0.0),
-        e2=_float_field(block, "microscopic", "e2", default=0.0),
-    )
-    record = {
+def _run_derive(cfg: dict, args) -> None:
+    model, extra = _model(cfg["microscopic"])
+    res = derive_couplings(model, vic_convention=extra.pop("vic_convention"))
+    params = to_dimensionless(res, model, **extra)
+    _emit_record({
         "microscopic": {
             "E_sh_1": res.e_sh_1, "E_sh_2": res.e_sh_2, "E_sh_F": res.e_sh_f,
             "alpha": res.alpha, "beta1": res.beta1, "beta2": res.beta2,
@@ -388,53 +333,26 @@ def _run_derive(args) -> int:
             "vic_convention": res.vic_convention,
         },
         "params": params.as_dict(),
-    }
-    _emit_record(record, args)
-    return EXIT_OK
+    }, args)
 
 
-def _run_validate(args) -> int:
-    cfg = _load_config(args)
-    model, _ = _model_from_config(cfg)
-    block = _section(cfg, "oracle")
-    grid = GridSpec(
-        e_min=_float_field(block, "oracle", "e_min"),
-        e_max=_float_field(block, "oracle", "e_max"),
-        n_e=_int_field(block, "oracle", "n_e"),
-        k_min=_float_field(block, "oracle", "k_min", default=0.0),
-        k_max=_float_field(block, "oracle", "k_max", default=0.0),
-        n_k=_int_field(block, "oracle", "n_k", default=0),
-    )
-    dm = discretize(model, grid,
-                    e1_rot=_float_field(block, "oracle", "e1_rot", default=0.0),
-                    e2_rot=_float_field(block, "oracle", "e2_rot", default=0.0))
-    probes = None
-    if "probes" in block:
-        raw = block["probes"]
-        if not isinstance(raw, list):
-            raise ValidationError(["oracle.probes: must be an array of [re, im]"])
-        probes = []
-        for i, z in enumerate(raw):
-            if not (isinstance(z, list) and len(z) == 2):
-                raise ValidationError([f"oracle.probes[{i}]: must be [re, im]"])
-            probes.append(complex(_float_value(z[0], f"oracle.probes[{i}][0]"),
-                                  _float_value(z[1], f"oracle.probes[{i}][1]")))
-    report = resolvent_check(dm, probes)
-    rows = [[z.real, z.imag, dev]
-            for z, dev in zip(report.probes, report.deviations)]
+def _run_validate(cfg: dict, args) -> None:
+    model, _ = _model(cfg["microscopic"])
+    oracle = cfg["oracle"]
+    if 3 + oracle["n_e"] + 2 * oracle["n_k"] > MAX_STATES:
+        raise ValidationError([f"oracle: 3 + n_e + 2*n_k must be <= {MAX_STATES}"])
+    probes = oracle.pop("probes")
+    rotation = {k: oracle.pop(k) for k in ("e1_rot", "e2_rot")}
+    report = resolvent_check(discretize(model, GridSpec(**oracle), **rotation), probes)
+    rows = [[z.real, z.imag, dev] for z, dev in zip(report.probes, report.deviations)]
     emit_csv(["z_re", "z_im", "max_dev"], rows, args.out)
     if not args.quiet:
         print(f"max deviation over {len(rows)} probes: "
               f"{report.max_deviation:.3e}", file=sys.stderr)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # reproduce
-
-
-def _summary_out(args):
-    return sys.stderr if args.out == "-" else sys.stdout
 
 
 def _ratio_line(name: str, measured: float, quoted: float, factor: float) -> str:
@@ -452,7 +370,7 @@ def _abs_line(name: str, measured: float, quoted: float, tol: float) -> str:
             f"(|diff|={abs(measured - quoted):.3g}, tol {tol:g})")
 
 
-def _reproduce_fig3(args) -> int:
+def _reproduce_fig3(args) -> None:
     quoted = QUOTED["fig3"]
     gamma = quoted["vic_gamma"]
     cases = [
@@ -487,10 +405,9 @@ def _reproduce_fig3(args) -> int:
                  "vic_restored_eta_exact", "vic_off"):
         lines.append(f"INFO fig3 peak height[{name}] = {heights[name]:.6g}")
     _print_summary(lines, args)
-    return EXIT_OK
 
 
-def _reproduce_fig4(args) -> int:
+def _reproduce_fig4(args) -> None:
     quoted = QUOTED["fig4"]
     params = fig4_params()
     result = sweep_eta(params, FIG4_ETA_LIST)
@@ -534,10 +451,9 @@ def _reproduce_fig4(args) -> int:
         f"tr B = {tr_b:.6g}; computed triple {np.round(trio, 6)} satisfies it "
         "(report-only)")
     _print_summary(lines, args)
-    return EXIT_OK
 
 
-def _reproduce_fig5(args) -> int:
+def _reproduce_fig5(args) -> None:
     quoted = QUOTED["fig5"]
     etas = [float(x) for x in fig5_eta_grid()]
     result = sweep_eta(fig5_params(), etas)
@@ -565,23 +481,17 @@ def _reproduce_fig5(args) -> int:
     lines.append(("PASS" if decreasing else "FLAG")
                  + " fig5 W(eta) strictly decreasing toward eta=1 over [0.9, 1]")
     _print_summary(lines, args)
-    return EXIT_OK
 
 
 def _print_summary(lines: list[str], args) -> None:
-    if args.quiet:
-        return
-    out = _summary_out(args)
-    for line in lines:
-        print(line, file=out)
+    if not args.quiet:
+        out = sys.stderr if args.out == "-" else sys.stdout
+        for line in lines:
+            print(line, file=out)
 
 
 _REPRODUCERS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
                 "fig5": _reproduce_fig5}
-
-
-def _run_reproduce(args) -> int:
-    return _REPRODUCERS[args.target](args)
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("solve", _run_solve, "closed-form bound-state solve"),
             ("certify", _run_certify, "numerical BIC certification"),
             ("spectrum", _run_spectrum, "photoassociation spectrum series"),
-            ("sweep-eta", lambda a: _run_sweep(a, dense_default=False),
-             "peak metrics across an eta list"),
-            ("width-curve", lambda a: _run_sweep(a, dense_default=True),
-             "width-vs-eta curve across a dense range"),
+            ("sweep-eta", _run_sweep, "peak metrics across an eta list"),
+            ("width-curve", _run_sweep, "width-vs-eta curve across a dense range"),
             ("derive", _run_derive, "microscopic couplings to parameters"),
             ("validate", _run_validate, "discretized resolvent-identity check"),
     ):
@@ -623,20 +531,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", parents=[common],
                        help="run a bundled benchmark scenario")
     p.add_argument("target", choices=sorted(_REPRODUCERS))
-    p.set_defaults(handler=_run_reproduce)
+    p.set_defaults(handler=lambda cfg, args: _REPRODUCERS[args.target](args))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cfg = _load_config(args) if args.subcommand in _CONFIGS else None
+        args.handler(cfg, args)
+        return EXIT_OK
     except BicLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for types, code in _EXIT_BY_ERROR:
-            if isinstance(exc, types):
-                return code
-        return EXIT_NUMERICAL
+        return next((code for types, code in _EXIT_BY_ERROR
+                     if isinstance(exc, types)), EXIT_NUMERICAL)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -40,8 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (FixedPointDivergence, GridCoverage, ProbeOnSpectrum,
-                     ValidationError)
+from .errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
+                     ProbeOnSpectrum, ValidationError,
+                     _overflow_is_convergence_failure)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling
 from .params import DimensionlessParams
@@ -146,6 +147,7 @@ class DiscretizedModel:
         return weights @ self.coupling.T
 
 
+@_overflow_is_convergence_failure
 def discretize(model: CouplingModel, grid: GridSpec,
                e1_rot: float = 0.0, e2_rot: float = 0.0,
                check_coverage: bool = True) -> DiscretizedModel:
@@ -259,11 +261,17 @@ def resolvent_check(dm: DiscretizedModel,
     eye_p = np.zeros((n, 3))
     eye_p[:3, :3] = np.eye(3)
     deviations = []
-    for z in probes:
-        full = np.linalg.solve(z * np.eye(n) - h, eye_p)[:3, :]
-        reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
-        scale = max(np.max(np.abs(full)), 1e-300)
-        deviations.append(float(np.max(np.abs(full - reduced)) / scale))
+    try:
+        for z in probes:
+            full = np.linalg.solve(z * np.eye(n) - h, eye_p)[:3, :]
+            reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
+            scale = max(np.max(np.abs(full)), 1e-300)
+            deviations.append(float(np.max(np.abs(full - reduced)) / scale))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
+    # couplings near the overflow threshold turn the solves into NaN
+    if not np.all(np.isfinite(deviations)):
+        raise ConvergenceFailure(f"non-finite resolvent deviations {deviations!r}")
     return ResolventReport(probes=probes, deviations=deviations)
 
 

@@ -4,6 +4,8 @@ Every error raised on purpose by this package derives from BicLabError,
 so callers (and the CLI) can distinguish domain failures from bugs.
 """
 
+import functools
+
 
 class BicLabError(Exception):
     """Base class for all library-specific errors."""
@@ -79,3 +81,18 @@ class ProbeOnSpectrum(BicLabError):
 
 class FixedPointDivergence(BicLabError):
     """The self-consistent pole search left its basin or exceeded its budget."""
+
+
+def _overflow_is_convergence_failure(fn):
+    """Re-raise an OverflowError from fn as ConvergenceFailure.
+
+    Python float arithmetic (``x ** 2`` on a coupling value) raises where
+    numpy would return inf, so an overflow is still a numerical failure.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise ConvergenceFailure(f"{fn.__name__} overflowed: {exc}") from None
+    return wrapper

@@ -179,8 +179,9 @@ def eigensystem(pair: EffectivePair) -> ComplexEigenSet:
     norm_m = float(np.linalg.norm(m))
     scale = max(norm_m, 1.0)
     # Vieta guard: a collapsed root multiset passes per-pair residual
-    # checks (each pair is individually genuine), the trace sum does not
-    if abs(sum(roots) - c2) > 1e-8 * scale:
+    # checks (each pair is individually genuine), the trace sum does not;
+    # written so that overflowed (NaN) roots fail it too
+    if not abs(sum(roots) - c2) <= 1e-8 * scale:
         raise ConvergenceFailure(
             f"root sum {sum(roots)!r} deviates from trace {c2!r}")
     lams = np.array(roots, dtype=complex)

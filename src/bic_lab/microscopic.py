@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (DivergentTail, SingularEndpoint, ValidationError, ZeroCross,
-                     ZeroWidth)
+                     ZeroWidth, _overflow_is_convergence_failure)
 from .params import DimensionlessParams
 
 VIC_CONVENTIONS = ("as_written", "max_interference")
@@ -246,6 +246,7 @@ class MicroscopicResult:
     vic_convention: str
 
 
+@_overflow_is_convergence_failure
 def derive_couplings(model: CouplingModel,
                      vic_convention: str = "as_written",
                      rtol: float = 1e-10) -> MicroscopicResult:

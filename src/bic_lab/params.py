@@ -19,6 +19,8 @@ hbar*Gamma_F/2, which makes every quantity below dimensionless:
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError
@@ -62,16 +64,15 @@ class DimensionlessParams:
         problems = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if v is None:
+            if v is None and f.name in ("g12", "eta"):
                 continue
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
+            # float and int first: the numbers.Real check alone is slow
+            if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
                 problems.append(f"{f.name}={v!r} is not a real number")
-                continue
-            if not math.isfinite(v):
+            elif not abs(v) <= sys.float_info.max:
                 problems.append(f"{f.name}={v!r} is not finite")
-            object.__setattr__(self, f.name, v)
+            else:
+                object.__setattr__(self, f.name, float(v))
         if problems:
             raise ValidationError(problems)
         if self.g1 < 0.0 or self.g2 < 0.0:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MultiPeak, NoPeak, PoleHit, ValidationError
+from .errors import ConvergenceFailure, MultiPeak, NoPeak, PoleHit, ValidationError
 from .hamiltonian import EffectivePair, build, eigensystem
 from .params import DimensionlessParams
 
@@ -219,6 +219,8 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     else:
         grid = base
     values = _spectrum_values(pair.matrix(), _coupling_vector(params), grid, channel)
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     return SpectrumSeries(grid=grid, values=values, channel=channel)
 
 
@@ -367,7 +369,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
             xs = np.unique(np.concatenate([xs, np.array(inside)]))
     ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(ys)):
-        raise ValueError("spectrum evaluation returned non-finite values")
+        raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
         raise NoPeak("window contains no positive spectral weight")
 

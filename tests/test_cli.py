@@ -375,6 +375,40 @@ def _dress_cfg(**dressing):
     (*_dress_cfg(gamma2_bare=float("nan")), "dressing.gamma2_bare: must be finite"),
     (*_validate_cfg(probes=[["a", 1.0]]), "oracle.probes[0][0]: not a number"),
     (*_validate_cfg(probes=[1.0]), "oracle.probes[0]: must be [re, im]"),
+    # a bool or a null never stands in for a number
+    ("certify", {"params": dict(fig4_params().as_dict(), gamma1=True)},
+     "gamma1=True is not a real number"),
+    *[(command, dict(payload, params=dict(fig4_params().as_dict(), gamma2=None)),
+       "gamma2=None is not a real number")
+      for command, payload in (("certify", {}), _spectrum_cfg(), _sweep_cfg())],
+    (*_solve_cfg(gamma1=True), "params.gamma1: not a number (True)"),
+    (*_dress_cfg(omega_m=True), "dressing.omega_m: not a number (True)"),
+    (*_sweep_cfg(eta_list=[True]), "sweep.eta_list[0]: not a number (True)"),
+    ("certify", {"params": dict(fig4_params().as_dict(), g1=10 ** 400)}, "g1=1000"),
+    # a shape that is not a string
+    (*_derive_cfg(lambda1={"shape": [1], "amplitude": 0.16}),
+     "microscopic.lambda1.shape: must be one of"),
+    (*_derive_cfg(lambda1={"shape": {}, "amplitude": 0.16}),
+     "microscopic.lambda1.shape: must be one of"),
+    # sizes above their cap, rejected before anything is allocated
+    (*_spectrum_cfg(n_points=1e160), "grid.n_points: must be <= 100000"),
+    (*_validate_cfg(n_e=1e160), "oracle: 3 + n_e + 2*n_k must be <= 2000"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 1e160}),
+     "sweep.eta_range.n: must be <= 10000"),
+    (*_validate_cfg(probes=[]), "oracle.probes: must be a nonempty array"),
+    # unknown keys, at every level
+    (*_spectrum_cfg(typo=1), "grid: unknown keys for spectrum: typo"),
+    (*_sweep_cfg(bogus=1), "sweep: unknown keys for sweep-eta: bogus"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 3, "x": 1}),
+     "sweep.eta_range: unknown keys for sweep-eta: x"),
+    (*_validate_cfg(zz=1), "oracle: unknown keys for validate: zz"),
+    (*_derive_cfg(lambda1={"shape": "gaussian", "amplitude": 0.16, "center": 1.25,
+                           "width": 0.45, "extra": 1}),
+     "microscopic.lambda1: unknown keys for derive: extra"),
+    ("certify", {"params": fig4_params().as_dict(), "tol_imm": 1e-9},
+     "config: unknown keys for certify: tol_imm"),
+    ("validate", dict(_validate_cfg()[1], oracel={}),
+     "config: unknown keys for validate: oracel"),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):
@@ -384,3 +418,44 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("certify", {"params": dict(fig4_params().as_dict(), g1=1e200)}, "root sum"),
+    ("certify", {"params": dict(fig4_params().as_dict(), q2=1e160)}, "root sum"),
+    (*_spectrum_cfg(e_max=1e300), "spectrum evaluation returned non-finite values"),
+    (*_sweep_cfg(window=[6.0, 1e200]), "spectrum evaluation returned non-finite values"),
+    (*_derive_cfg(lambda1={"shape": "gaussian", "amplitude": 1e160, "center": 1.25,
+                           "width": 0.45}), "derive_couplings overflowed"),
+    ("validate", dict(_validate_cfg()[1], microscopic=dict(
+        gaussian_model_cfg()["microscopic"],
+        lambda1={"shape": "gaussian", "amplitude": 1e300, "center": 1.25, "width": 0.45})),
+     "discretize overflowed"),
+    ("validate", dict(_validate_cfg(k_max=3.0, n_k=10)[1], microscopic=dict(
+        gaussian_model_cfg()["microscopic"], v2f=1e160)),
+     "non-finite resolvent deviations"),
+    ("validate", dict(_validate_cfg(k_max=3.0, n_k=10, probes=[[1.0, 0.5]])[1],
+                      microscopic=dict(gaussian_model_cfg()["microscopic"], v2f=1e300,
+                                       omega23=-1.0)),
+     "resolvent solve failed"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflow_is_a_numerical_error(tmp_path, capsys, command, payload, message):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # numpy may warn about the overflow first; the error line comes last
+    assert captured.err.splitlines()[-1].startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,              # deeper than the parser recurses
+    '{"params": ' + "1" * 5000 + "}",           # longer than int() converts
+], ids=["deep_nesting", "long_integer"])
+def test_unparseable_json_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["certify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from bic_lab.discretized import (
     resolvent_check,
     smoothed_kernel_sum,
 )
-from bic_lab.errors import FixedPointDivergence, GridCoverage, ProbeOnSpectrum
+from bic_lab.errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
+                            ProbeOnSpectrum)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
+    GaussianCoupling,
     WignerCoupling,
     derive_couplings,
     pv_integral,
@@ -223,3 +226,16 @@ def test_narrow_gaussian_pole_accuracy_is_finite():
     dm = discretize(model, grid, e1_rot=0.9, e2_rot=1.1)
     cmp = compare_pole_approximation(dm, model, params)
     assert cmp.max_deviation < 0.2 * res.gamma_f
+
+
+def test_overflowing_couplings_are_convergence_failures():
+    # float ** 2 on a 1e300 coupling raises OverflowError inside the
+    # coverage quadrature; a 1e160 vacuum coupling turns every solve into NaN
+    base = reference_gaussian_model()
+    huge = replace(base, lambda1=GaussianCoupling(amplitude=1e300, center=1.25, width=0.45))
+    with pytest.raises(ConvergenceFailure, match="discretize overflowed"):
+        discretize(huge, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=10)
+    dm = discretize(replace(base, v2f=1e160), grid)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="non-finite"):
+        resolvent_check(dm)

@@ -185,3 +185,12 @@ def test_vieta_guard_catches_collapsed_roots(monkeypatch, fig4):
     monkeypatch.setattr(ham, "cubic_roots", collapsed)
     with pytest.raises(ConvergenceFailure, match="trace"):
         ham.eigensystem(build(fig4))
+
+
+@pytest.mark.parametrize("key,value", [("g1", 1e200), ("q2", 1e160)])
+def test_eigensystem_overflow_is_a_convergence_failure(key, value):
+    # the characteristic coefficients overflow to inf and the roots to NaN;
+    # the trace check must reject them before any LAPACK call
+    params = fig4_exact_bic_solution().params.replace(**{key: value})
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="root sum"):
+        eigensystem(build(params))

@@ -4,13 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import bic_lab
-from bic_lab.errors import DivergentTail, SingularEndpoint, ZeroCross, ZeroWidth
+from bic_lab.errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ZeroCross,
+                            ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -287,3 +289,11 @@ def test_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_derive_overflow_is_a_convergence_failure():
+    # l1(e) ** 2 on Python floats raises OverflowError where numpy gives inf
+    model = replace(reference_gaussian_model(),
+                    lambda1=GaussianCoupling(amplitude=1e160, center=1.25, width=0.45))
+    with pytest.raises(ConvergenceFailure, match="derive_couplings overflowed"):
+        derive_couplings(model)

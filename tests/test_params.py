@@ -152,3 +152,24 @@ def test_validate_unknown_mode():
     )
     with pytest.raises(ValidationError, match="mode"):
         validate(p, mode="sloppy")
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gamma1", True), ("g1", False), ("gamma2", None), ("inv_kca", None),
+    ("q1", "0.5"), ("delta", [1.0]), ("g2", 10 ** 400),
+])
+def test_constructor_rejects_bools_nulls_and_non_numbers(key, value):
+    # a JSON true is not 1.0, and only g12 and eta have a default for null
+    base = dict(g1=1.0, g2=1.0, q1=0.0, q2=0.0, delta1=0.0, delta2=0.0, delta=0.0,
+                gamma1=1.0, gamma2=1.0)
+    with pytest.raises(ValidationError, match=key):
+        DimensionlessParams(**dict(base, **{key: value}))
+    with pytest.raises(ValidationError, match=key):
+        from_dict(dict(base, **{key: value}))
+
+
+def test_null_coherences_take_their_defaults():
+    d = {k: 1.0 for k in PARAM_KEYS}
+    d["g12"] = d["eta"] = None
+    p = from_dict(d)
+    assert p.g12 == 1.0 and p.eta == 1.0

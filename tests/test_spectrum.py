@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bic_lab.errors import MultiPeak, NoPeak, PoleHit, ValidationError
+from bic_lab.errors import ConvergenceFailure, MultiPeak, NoPeak, PoleHit, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
 from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig4_params, fig5_params
@@ -303,7 +303,7 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
             xs = np.unique(np.concatenate([xs, np.array(inside)]))
     ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(ys)):
-        raise ValueError("spectrum evaluation returned non-finite values")
+        raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
         raise NoPeak("window contains no positive spectral weight")
     margin = 0.05 * (hi - lo)
@@ -438,7 +438,7 @@ def _random_line(rng):
 def _outcome(search, f, window, seeds):
     try:
         return search(f, window, seeds=seeds)
-    except (NoPeak, MultiPeak, ValueError) as exc:
+    except (NoPeak, MultiPeak, ConvergenceFailure, ValueError) as exc:
         return type(exc), str(exc)
 
 
@@ -535,3 +535,11 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
                 else:
                     hi_ = mid
         assert set(_bisection_tree(x_in, x_out, tol).tolist()) == steps
+
+
+def test_non_finite_spectrum_is_a_convergence_failure(fig4):
+    # an overflowing spectrum is a numerical failure, not a malformed series
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="non-finite"):
+        spectrum_series(fig4, 6.0, 1e300, 11)
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
+        refine_peak(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0))
