@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVector, SingularSolve, ValidationError
+from .errors import (ConvergenceFailure, DegenerateVector, SingularSolve,
+                     ValidationError)
 from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams
 
@@ -81,7 +82,10 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     sqrt(gamma1*gamma2).  Raises SingularSolve when
     g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
     A X = lambda X insoluble, and ValidationError unless g1, g2 >= 0 and
-    gamma1, gamma2 > 0; propagates DegenerateVector.
+    gamma1, gamma2 > 0; propagates DegenerateVector.  Raises
+    ConvergenceFailure when a residual is non-finite or exceeds
+    1e-12 * max(1, ||A||_F, ||B||_F), as it does once the inputs
+    overflow: the result would not be a solution.
     """
     if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
         raise ValidationError(
@@ -120,6 +124,12 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     unit = x / c
     residual_a = float(np.linalg.norm(pair.a @ unit - lam * unit))
     residual_b = float(np.linalg.norm(pair.b @ unit))
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(pair.a)), float(np.linalg.norm(pair.b)))
+    # an overflowed matrix has a non-finite norm and fails too
+    if not (residual_a <= tol and residual_b <= tol and math.isfinite(tol)):
+        raise ConvergenceFailure(
+            f"BIC residuals ||AX - lam X|| = {residual_a:.3e}, ||BX|| = {residual_b:.3e} "
+            f"exceed 1e-12 * max(1, ||A||_F, ||B||_F) = {tol:.3e}")
     return BicSolution(lam=float(lam), delta1=float(delta1), delta2=float(delta2),
                        x=x, c=c, residual_a=residual_a, residual_b=residual_b,
                        params=params)

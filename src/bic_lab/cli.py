@@ -84,8 +84,21 @@ def emit_csv(header: list[str], rows, path: str) -> None:
     _write("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]), path)
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def emit_json(obj, path: str) -> None:
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
+    """Write obj as strict JSON: non-finite floats become null."""
+    text = json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False)
+    _write(text + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +112,10 @@ def emit_json(obj, path: str) -> None:
 
 MAX_POINTS = 100_000   # grid.n_points
 MAX_ETAS = 10_000      # sweep.eta_range.n
-MAX_STATES = 2_000     # 3 + n_e + 2*n_k, the dense matrix of `validate`
+# 3 + n_e + 2*n_k: `validate` runs one real `np.linalg.eigh` of the dense
+# n x n matrix; at 2000 states that peaks about 160 MB above the
+# interpreter's own footprint
+MAX_STATES = 2_000
 
 
 def _number(value, where: str) -> float:
@@ -538,8 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args) if args.subcommand in _CONFIGS else None
-        args.handler(cfg, args)
+        # every overflow ends in a checked BicLabError, so numpy's floating
+        # point warnings would only put source lines before the error line
+        with np.errstate(all="ignore"):
+            cfg = _load_config(args) if args.subcommand in _CONFIGS else None
+            args.handler(cfg, args)
         return EXIT_OK
     except BicLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

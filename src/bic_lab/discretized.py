@@ -249,6 +249,13 @@ def resolvent_check(dm: DiscretizedModel,
 
     Both sides are computed on the same matrix, so this is an exact
     identity; deviations reflect linear-algebra conditioning only.
+
+    The full side comes from one eigendecomposition H = W diag(lam) W^T
+    of the real symmetric matrix, shared by all probes:
+    P (z-H)^-1 P = W_3 diag(1/(z - lam)) W_3^T, with W_3 the first three
+    rows of W.  The eigensolve sees H as a whole and never uses its
+    block structure, so the full side stays independent of the
+    Schur-complement side built from Sigma(z).
     """
     if probes is None:
         probes = default_probes(dm)
@@ -256,20 +263,18 @@ def resolvent_check(dm: DiscretizedModel,
     for z in probes:
         if abs(z.imag) < 1e-12:
             raise ProbeOnSpectrum(f"probe {z!r} sits on the real axis")
-    h = dm.matrix()
-    n = dm.size
-    eye_p = np.zeros((n, 3))
-    eye_p[:3, :3] = np.eye(3)
     deviations = []
     try:
+        lams, vecs = np.linalg.eigh(dm.matrix())
+        w3 = vecs[:3, :]
         for z in probes:
-            full = np.linalg.solve(z * np.eye(n) - h, eye_p)[:3, :]
+            full = (w3 / (z - lams)) @ w3.T
             reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
             scale = max(np.max(np.abs(full)), 1e-300)
             deviations.append(float(np.max(np.abs(full - reduced)) / scale))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
-    # couplings near the overflow threshold turn the solves into NaN
+    # couplings near the overflow threshold turn both sides into NaN
     if not np.all(np.isfinite(deviations)):
         raise ConvergenceFailure(f"non-finite resolvent deviations {deviations!r}")
     return ResolventReport(probes=probes, deviations=deviations)

@@ -183,7 +183,7 @@ def eigensystem(pair: EffectivePair) -> ComplexEigenSet:
     # written so that overflowed (NaN) roots fail it too
     if not abs(sum(roots) - c2) <= 1e-8 * scale:
         raise ConvergenceFailure(
-            f"root sum {sum(roots)!r} deviates from trace {c2!r}")
+            f"root sum {complex(sum(roots))} deviates from trace {complex(c2)}")
     lams = np.array(roots, dtype=complex)
     # the right singular vector of the smallest singular value of
     # M - lam I is the unit vector with the least residual

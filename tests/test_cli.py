@@ -6,7 +6,7 @@ import pytest
 
 from bic_lab import __version__
 from bic_lab.cli import SWEEP_HEADER, main
-from bic_lab.recipes import fig3_params, fig4_params
+from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 from bic_lab.spectrum import sweep_eta
 
 
@@ -147,6 +147,23 @@ def test_sweep_eta_json_format(tmp_path):
                  "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert set(rec["rows"][0]) == set(SWEEP_HEADER)
+
+
+def test_sweep_eta_json_is_strict(tmp_path):
+    # eta = 0.9675 of the fig5 set is a MultiPeak point: its metrics are null
+    cfg = write_cfg(tmp_path, "sweep.json", {
+        "params": fig5_params().as_dict(),
+        "sweep": {"eta_list": [0.9675, 1.0]}})
+    out = tmp_path / "sweep.json.out"
+    assert main(["sweep-eta", "--config", cfg, "--format", "json",
+                 "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    assert [rows[0][k] for k in ("E_peak", "height", "width")] == [None] * 3
+    assert all(isinstance(v, float) for v in rows[1].values())
 
 
 def test_width_curve_eta_range(tmp_path):
@@ -437,16 +454,19 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
     ("validate", dict(_validate_cfg(k_max=3.0, n_k=10, probes=[[1.0, 0.5]])[1],
                       microscopic=dict(gaussian_model_cfg()["microscopic"], v2f=1e300,
                                        omega23=-1.0)),
-     "resolvent solve failed"),
+     "non-finite resolvent deviations [nan]"),
+    (*_solve_cfg(delta=-1e300), "BIC residuals"),
+    (*_solve_cfg(g12=-1e300), "BIC residuals"),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflow_is_a_numerical_error(tmp_path, capsys, command, payload, message):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     assert main([command, "--config", cfg]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    # numpy may warn about the overflow first; the error line comes last
-    assert captured.err.splitlines()[-1].startswith(f"error: {message}")
+    # no warning escapes main: stderr is the error line alone
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
 
 

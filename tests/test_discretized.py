@@ -230,7 +230,7 @@ def test_narrow_gaussian_pole_accuracy_is_finite():
 
 def test_overflowing_couplings_are_convergence_failures():
     # float ** 2 on a 1e300 coupling raises OverflowError inside the
-    # coverage quadrature; a 1e160 vacuum coupling turns every solve into NaN
+    # coverage quadrature; a 1e160 vacuum coupling turns both sides into NaN
     base = reference_gaussian_model()
     huge = replace(base, lambda1=GaussianCoupling(amplitude=1e300, center=1.25, width=0.45))
     with pytest.raises(ConvergenceFailure, match="discretize overflowed"):
@@ -238,4 +238,48 @@ def test_overflowing_couplings_are_convergence_failures():
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=10)
     dm = discretize(replace(base, v2f=1e160), grid)
     with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="non-finite"):
+        resolvent_check(dm)
+
+
+def _dense_solve_deviations(dm, probes):
+    """The elimination check by one dense complex solve per probe: an
+    independent oracle for the eigendecomposition route."""
+    h = dm.matrix()
+    eye_p = np.zeros((dm.size, 3))
+    eye_p[:3, :3] = np.eye(3)
+    deviations = []
+    for z in probes:
+        full = np.linalg.solve(z * np.eye(dm.size) - h, eye_p)[:3, :]
+        reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
+        deviations.append(float(np.max(np.abs(full - reduced)) / np.max(np.abs(full))))
+    return deviations
+
+
+@pytest.mark.parametrize("n_e", [1, 10, 60])
+@pytest.mark.parametrize("photons", [False, True], ids=["collision", "photon_bins"])
+def test_resolvent_check_matches_dense_solves(n_e, photons):
+    # both routes compare against the same reduced side, where the dense
+    # solves deviate by ~1e-15; deviations that agree to 1e-12 therefore
+    # bound the gap between the two full sides by ~1e-12 relative
+    grid = (GridSpec(e_min=0.0, e_max=4.5, n_e=n_e, k_min=0.0, k_max=3.0,
+                     n_k=max(1, n_e // 2)) if photons
+            else GridSpec(e_min=0.0, e_max=4.5, n_e=n_e))
+    dm = discretize(reference_gaussian_model(), grid)
+    probes = default_probes(dm)
+    probes += [complex(z.real, math.copysign(im, z.imag))
+               for z in probes for im in (1e-6, 1e-3)]
+    rep = resolvent_check(dm, probes)
+    assert rep.probes == probes
+    oracle = _dense_solve_deviations(dm, probes)
+    np.testing.assert_allclose(rep.deviations, oracle, rtol=0.0, atol=1e-12)
+
+
+def test_resolvent_eigensolve_failure_is_convergence_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(ConvergenceFailure,
+                       match="resolvent solve failed: Eigenvalues did not converge"):
         resolvent_check(dm)
