@@ -21,9 +21,9 @@ from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           smoothed_kernel_sum)
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      DegenerateVector, DivergentTail, FixedPointDivergence,
-                     GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
-                     SingularEndpoint, SingularSolve, ValidationError,
-                     ZeroCross, ZeroLinewidth, ZeroWidth)
+                     GainMode, GridCoverage, MultiPeak, NoPeak, PoleHit,
+                     ProbeOnSpectrum, SingularEndpoint, SingularSolve,
+                     ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
 from .hamiltonian import ComplexEigenSet, EffectivePair, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, ScatteringLength, WignerCoupling,
@@ -31,7 +31,6 @@ from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           scattering_length, to_dimensionless)
 from .params import DimensionlessParams, from_dict, validate
 from .spectrum import (EtaPoint, EtaSweepResult, PeakMetrics, SpectrumSeries,
-                       amplitude, peak_metrics, refine_peak, spectrum_series,
-                       sweep_eta)
+                       peak_metrics, refine_peak, spectrum_series, sweep_eta)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -492,10 +492,14 @@ def _reproduce_fig5(args) -> None:
                                      pt.metrics.width_w, want, 3.0))
     widths = {pt.eta: (pt.metrics.width_w if pt.metrics else None)
               for pt in result.points}
+    missing = [e for e in sorted(widths) if widths[e] is None]
     seq = [w for w in (widths[e] for e in sorted(widths)) if w is not None]
-    decreasing = all(a > b for a, b in zip(seq, seq[1:]))
-    lines.append(("PASS" if decreasing else "FLAG")
-                 + " fig5 W(eta) strictly decreasing toward eta=1 over [0.9, 1]")
+    decreasing = not missing and all(a > b for a, b in zip(seq, seq[1:]))
+    line = (("PASS" if decreasing else "FLAG")
+            + " fig5 W(eta) strictly decreasing toward eta=1 over [0.9, 1]")
+    if missing:
+        line += "; no width at eta=" + ", ".join(f"{e:.6g}" for e in missing)
+    lines.append(line)
     _print_summary(lines, args)
 
 

@@ -48,6 +48,7 @@ from .microscopic import CouplingModel, FlatCoupling
 from .params import DimensionlessParams
 
 _TAIL_FRACTION = 1e-8
+_MAX_ITER = 500  # iteration budget of compare_pole_approximation's pole search
 
 
 @dataclass(frozen=True)
@@ -81,7 +82,9 @@ def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
 
 
 def _coverage_fraction(f, lo: float, hi: float) -> float:
-    """Weight of f^2 outside [lo, hi] relative to its total on [0, inf)."""
+    """Weight of f^2 outside [lo, hi] relative to its total on [0, inf), at
+    quad's default tolerances (1.49e-8 absolute and relative); the tail
+    past hi is one call of QUADPACK's infinite-range rule QAGI."""
     from scipy.integrate import quad  # imported on use, see pv_integral
 
     def f2(e):
@@ -89,15 +92,7 @@ def _coverage_fraction(f, lo: float, hi: float) -> float:
 
     inside, _ = quad(f2, lo, hi, limit=400)
     below, _ = quad(f2, 0.0, lo, limit=200) if lo > 0.0 else (0.0, 0.0)
-    above = 0.0
-    a, width = hi, max(hi - lo, 1.0)
-    for _ in range(60):
-        seg, _ = quad(f2, a, a + width, limit=200)
-        above += seg
-        if seg <= 1e-16 * (inside + below + above) + 1e-300:
-            break
-        a += width
-        width *= 2.0
+    above, _ = quad(f2, hi, math.inf, limit=200)
     total = inside + below + above
     if total <= 0.0:
         return 0.0
@@ -149,8 +144,7 @@ class DiscretizedModel:
 
 @_overflow_is_convergence_failure
 def discretize(model: CouplingModel, grid: GridSpec,
-               e1_rot: float = 0.0, e2_rot: float = 0.0,
-               check_coverage: bool = True) -> DiscretizedModel:
+               e1_rot: float = 0.0, e2_rot: float = 0.0) -> DiscretizedModel:
     """Assemble the discretized Hamiltonian for a coupling model.
 
     e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of
@@ -160,16 +154,15 @@ def discretize(model: CouplingModel, grid: GridSpec,
     carry no normalizable weight).
     """
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
-    if check_coverage:
-        for name, fn in (("lambda1", model.lambda1), ("lambda2", model.lambda2),
-                         ("v3", model.v3)):
-            if isinstance(fn, FlatCoupling):
-                continue
-            frac = _coverage_fraction(fn, grid.e_min, grid.e_max)
-            if frac > _TAIL_FRACTION:
-                raise GridCoverage(
-                    f"collision grid misses {frac:.3e} of |{name}|^2 "
-                    f"(tolerance {_TAIL_FRACTION:.1e})")
+    for name, fn in (("lambda1", model.lambda1), ("lambda2", model.lambda2),
+                     ("v3", model.v3)):
+        if isinstance(fn, FlatCoupling):
+            continue
+        frac = _coverage_fraction(fn, grid.e_min, grid.e_max)
+        if frac > _TAIL_FRACTION:
+            raise GridCoverage(
+                f"collision grid misses {frac:.3e} of |{name}|^2 "
+                f"(tolerance {_TAIL_FRACTION:.1e})")
 
     h_pp = np.array([
         [e1_rot, 0.0, model.omega13],
@@ -300,20 +293,18 @@ def _eig3_nearest(mat: np.ndarray, z0: complex) -> complex:
 
 
 def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
-                               params: DimensionlessParams,
-                               damping: float = 0.5,
-                               tol: float = 1e-10,
-                               max_iter: int = 500,
-                               smoothing: float | None = None) -> PoleComparison:
+                               params: DimensionlessParams) -> PoleComparison:
     """Locate discretized resonance poles and compare with constant H_eff.
 
     The reference is hbar*Gamma_F/2 * (A + iB) built from ``params``
     (which must come from the same model via the microscopic route, so
     both paths share detunings and shifts).  Poles solve
-    z = eig(H_PP + Sigma(z)) by a damped fixed point; Sigma is sampled
-    at Re(z) + i*eps with eps = 10 bin widths (per continuum), the
-    standard smoothing that turns the rational bin sum into the
-    half-plane limit of the continuum integral.
+    z = eig(H_PP + Sigma(z)) by a fixed point damped by 1/2; Sigma is
+    sampled at Re(z) + i*eps with eps = 10 bin widths (per continuum),
+    the standard smoothing that turns the rational bin sum into the
+    half-plane limit of the continuum integral.  A pole has settled when
+    a step is below 1e-10 * max(1, |z|); FixedPointDivergence is raised
+    when one has not within _MAX_ITER = 500 steps.
     """
     gamma_f = 2.0 * math.pi * float(model.v3(model.e3)) ** 2
     if gamma_f <= 0.0:
@@ -321,11 +312,9 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     ef = gamma_f / 2.0
     reference = eigensystem(build(params)).eigenvalues * ef
 
-    eps_e = (smoothing if smoothing is not None else 10.0 * dm.e_width)
+    eps_e = 10.0 * dm.e_width
     eps_bins = np.full(dm.n_q, eps_e)
-    if dm.k_centers.size:
-        eps_k = (smoothing if smoothing is not None else 10.0 * dm.k_width)
-        eps_bins[dm.e_centers.size:] = eps_k
+    eps_bins[dm.e_centers.size:] = 10.0 * dm.k_width
 
     def sigma_smoothed(z_re: float) -> np.ndarray:
         weights = dm.coupling / (z_re + 1j * eps_bins - dm.diag_q)
@@ -334,17 +323,15 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     poles = np.empty(3, dtype=complex)
     for k, z0 in enumerate(reference):
         z = complex(z0)
-        ok = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_ITER):
             target = _eig3_nearest(dm.h_pp + sigma_smoothed(z.real), z)
             step = target - z
-            z = z + damping * step
-            if abs(step) <= tol * max(1.0, abs(z)):
-                ok = True
+            z = z + 0.5 * step
+            if abs(step) <= 1e-10 * max(1.0, abs(z)) and cmath.isfinite(z):
                 break
-        if not ok or not (cmath.isfinite(z)):
+        else:
             raise FixedPointDivergence(
-                f"pole search from {z0!r} did not settle within {max_iter} iterations")
+                f"pole search from {z0!r} did not settle within {_MAX_ITER} iterations")
         poles[k] = z
     return PoleComparison(
         reference=reference,
@@ -354,16 +341,14 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     )
 
 
-def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int,
-                        eps: float | None = None) -> complex:
+def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> complex:
     """Discrete analogue of the PV kernel: sum f(E_j) dE / (E3 + i eps - E_j).
 
-    Its real part converges to pv_integral(f, E3, upper=hi) as the grid
-    refines with eps = 10 dE; used as the cross-check between the
-    quadrature and discretized routes.
+    With eps = 10 dE, its real part converges to
+    pv_integral(f, E3, upper=hi) as the grid refines; used as the
+    cross-check between the quadrature and discretized routes.
     """
     centers, width = _midpoint_grid(lo, hi, n_bins)
-    if eps is None:
-        eps = 10.0 * width
+    eps = 10.0 * width
     vals = np.asarray(f(centers), dtype=float)
     return complex(np.sum(vals * width / (e3 + 1j * eps - centers)))

@@ -3,9 +3,9 @@
 A resonant magnetic field of Rabi frequency Omega_m and detuning Delta_m
 mixes the bare excited levels into the dressed pair actually coupled by
 the photoassociation lasers.  The mixing angle controls how the bare
-spontaneous widths recombine, and a large Omega_m relative to the bare
-widths is what makes the vacuum-induced coherence between the dressed
-states effective.
+spontaneous widths recombine.  The vacuum-induced coherence between the
+dressed states is effective only when their splitting is comparable to
+or smaller than the geometric mean of the bare widths.
 """
 
 from __future__ import annotations
@@ -34,17 +34,21 @@ def dressed_splitting(omega_m: float, delta_m: float) -> float:
     return math.hypot(omega_m, delta_m)
 
 
-def vic_feasibility(omega_m: float, gamma1_bare: float, gamma2_bare: float) -> float:
-    """Figure of merit Omega_m / sqrt(gamma1_bare * gamma2_bare).
+def vic_feasibility(omega_m: float, delta_m: float,
+                    gamma1_bare: float, gamma2_bare: float) -> float:
+    """Figure of merit splitting / sqrt(gamma1_bare * gamma2_bare), with
+    splitting = dressed_splitting(Omega_m, Delta_m).
 
-    Values >> 1 mean the dressed states are split by much more than the
-    geometric mean of the bare widths, so the cross damping between them
-    survives the secular approximation.
+    Values of about 1 or below are favourable: the vacuum-induced cross
+    damping between the two dressed states survives only when their
+    spacing is comparable to or smaller than the geometric mean of the
+    widths.  At values >> 1 the cross terms oscillate faster than they
+    decay and the secular approximation drops them.
     """
     if gamma1_bare <= 0.0 or gamma2_bare <= 0.0:
         raise ZeroLinewidth(
             f"bare widths must be positive, got {gamma1_bare!r}, {gamma2_bare!r}")
-    return omega_m / math.sqrt(gamma1_bare * gamma2_bare)
+    return dressed_splitting(omega_m, delta_m) / math.sqrt(gamma1_bare * gamma2_bare)
 
 
 @dataclass(frozen=True)
@@ -63,13 +67,14 @@ def dress(omega_m: float, delta_m: float,
           gamma2_bare: float | None = None) -> DressedPair:
     """Full dressing summary for one magnetic-field working point.
 
-    The feasibility ratio is only computed when both bare widths are
-    supplied (it needs them to be positive).
+    The feasibility ratio (see vic_feasibility; about 1 or below is
+    favourable) is only computed when both bare widths are supplied
+    (it needs them to be positive).
     """
     theta = mixing_angle(omega_m, delta_m)
     feas = None
     if gamma1_bare is not None and gamma2_bare is not None:
-        feas = vic_feasibility(omega_m, gamma1_bare, gamma2_bare)
+        feas = vic_feasibility(omega_m, delta_m, gamma1_bare, gamma2_bare)
     return DressedPair(
         theta=theta,
         cos_theta=math.cos(theta),

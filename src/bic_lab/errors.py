@@ -51,6 +51,10 @@ class MultiPeak(BicLabError):
     """More than one comparable spectral maximum exists in the window."""
 
 
+class GainMode(BicLabError):
+    """An eigenvalue grows (Im E > 0): an unphysical regime, not a line."""
+
+
 class PoleHit(BicLabError):
     """A spectrum was requested exactly at a non-removable real pole."""
 

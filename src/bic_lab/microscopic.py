@@ -41,6 +41,7 @@ from .errors import (DivergentTail, SingularEndpoint, ValidationError, ZeroCross
 from .params import DimensionlessParams
 
 VIC_CONVENTIONS = ("as_written", "max_interference")
+_RTOL = 1e-10  # relative tolerance of every principal-value quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,7 @@ def _difference_quotient(f, e3: float, f_e3: float):
 
 
 def pv_integral(f: Callable[[float], float], e3: float,
-                upper: float | None = None, rtol: float = 1e-10,
-                return_error: bool = False):
+                upper: float | None = None) -> float:
     """Cauchy principal value of int_0^upper f(E)/(E3 - E) dE.
 
     Computed by singularity subtraction:
@@ -162,8 +162,10 @@ def pv_integral(f: Callable[[float], float], e3: float,
     remainder (for f == 1, E3=1, upper=3 this correctly gives -ln 2).
     upper=None integrates to infinity: the subtraction runs over the
     pole-symmetric interval [0, 2*E3] (log term zero) and the plain tail
-    is accumulated over geometrically growing segments; DivergentTail is
-    raised when the segments stop shrinking.
+    f/(E3 - E) beyond it is one call of QUADPACK's infinite-range rule
+    QAGI, and DivergentTail is raised when QUADPACK reports no
+    convergence.  Fixed tolerances: relative 1e-10 (_RTOL) on every
+    piece, absolute 1e-14 on the subtracted pieces and 1e-16 on the tail.
     """
     if upper is not None and not math.isinf(upper):
         if e3 <= 0.0 or e3 >= upper:
@@ -177,43 +179,20 @@ def pv_integral(f: Callable[[float], float], e3: float,
 
     f_e3 = float(f(e3))
     g = _difference_quotient(f, e3, f_e3)
-    total = 0.0
-    err = 0.0
     infinite = upper is None or math.isinf(upper)
     sub_upper = 2.0 * e3 if infinite else upper
-    for a, b in ((0.0, e3), (e3, sub_upper)):
-        val, ee = quad(g, a, b, epsabs=1e-14, epsrel=rtol, limit=400)
-        total += val
-        err += ee
-    if infinite:
-        # plain tail of f/(E3 - E) beyond the symmetric interval
-        a = sub_upper
-        width = max(e3, 1.0)
-        converged = 0
-        floor = max(rtol * abs(total), 1e-15 * (1.0 + abs(total)))
-        for _ in range(80):
-            b = a + width
-            val, ee = quad(lambda e: f(e) / (e3 - e), a, b,
-                           epsabs=1e-16, epsrel=rtol, limit=200)
-            total += val
-            err += ee
-            floor = max(rtol * abs(total), 1e-15 * (1.0 + abs(total)))
-            if abs(val) <= floor:
-                converged += 1
-                if converged >= 2:
-                    break
-            else:
-                converged = 0
-            a = b
-            width *= 2.0
-        else:
-            raise DivergentTail(
-                f"tail segments of the PV integral past E={a:.3e} keep contributing")
-    else:
-        total += f_e3 * math.log(e3 / (upper - e3))
-    if return_error:
-        return total, err
-    return total
+    total = sum(quad(g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)[0]
+                for a, b in ((0.0, e3), (e3, sub_upper)))
+    if not infinite:
+        return total + f_e3 * math.log(e3 / (upper - e3))
+    # full_output: a failure comes back as a message, not a warning
+    tail, _, _, *failure = quad(lambda e: f(e) / (e3 - e), sub_upper, math.inf,
+                                epsabs=1e-16, epsrel=_RTOL, limit=200, full_output=1)
+    if failure:
+        raise DivergentTail(
+            f"tail of the PV integral past E={sub_upper:.3e} did not converge: "
+            f"{failure[0].splitlines()[0]}")
+    return total + tail
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +227,7 @@ class MicroscopicResult:
 
 @_overflow_is_convergence_failure
 def derive_couplings(model: CouplingModel,
-                     vic_convention: str = "as_written",
-                     rtol: float = 1e-10) -> MicroscopicResult:
+                     vic_convention: str = "as_written") -> MicroscopicResult:
     """Evaluate every shift, width and coherence of the elimination.
 
     PV integrals use the pole approximation (all evaluated at E3), and
@@ -262,12 +240,12 @@ def derive_couplings(model: CouplingModel,
             [f"vic_convention must be one of {VIC_CONVENTIONS}, got {vic_convention!r}"])
     l1, l2, v3 = model.lambda1, model.lambda2, model.v3
     e3, upper = model.e3, model.e_max
-    e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper, rtol)
-    e_sh_2 = pv_integral(lambda e: l2(e) ** 2, e3, upper, rtol)
-    e_sh_f = pv_integral(lambda e: v3(e) ** 2, e3, upper, rtol)
-    alpha = pv_integral(lambda e: l1(e) * l2(e), e3, upper, rtol)
-    beta1 = pv_integral(lambda e: l1(e) * v3(e), e3, upper, rtol)
-    beta2 = pv_integral(lambda e: l2(e) * v3(e), e3, upper, rtol)
+    e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper)
+    e_sh_2 = pv_integral(lambda e: l2(e) ** 2, e3, upper)
+    e_sh_f = pv_integral(lambda e: v3(e) ** 2, e3, upper)
+    alpha = pv_integral(lambda e: l1(e) * l2(e), e3, upper)
+    beta1 = pv_integral(lambda e: l1(e) * v3(e), e3, upper)
+    beta2 = pv_integral(lambda e: l2(e) * v3(e), e3, upper)
     l1f, l2f, v3f = float(l1(e3)), float(l2(e3)), float(v3(e3))
     two_pi = 2.0 * math.pi
     vic_factor = two_pi if vic_convention == "as_written" else 2.0 * two_pi

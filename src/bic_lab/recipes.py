@@ -114,5 +114,6 @@ QUOTED = {
 }
 
 
-def fig5_eta_grid(n: int = 41) -> np.ndarray:
-    return np.linspace(0.9, 1.0, n)
+def fig5_eta_grid() -> np.ndarray:
+    """The 41 etas of the fig5 width curve, evenly spaced over [0.9, 1]."""
+    return np.linspace(0.9, 1.0, 41)

@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceFailure, MultiPeak, NoPeak, PoleHit, ValidationError
+from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
+                     ValidationError)
 from .hamiltonian import EffectivePair, build, eigensystem
 from .params import DimensionlessParams
 
@@ -107,10 +108,16 @@ def _det_and_numerator(mat: np.ndarray, v: np.ndarray, e, channel: int):
 
 def _amplitudes(mat: np.ndarray, v: np.ndarray, grid: np.ndarray,
                 channel: int) -> np.ndarray:
-    """amplitude() at every point of a 1-d grid, for every spectrum caller.
+    """Complex photoassociation amplitude of channel 1 or 2 at every point
+    of a 1-d grid, for every spectrum caller.
 
     The channel is checked here, so no caller computes a channel that
-    does not exist.
+    does not exist.  At an exact bound state in the continuum the real
+    eigenvalue is a removable singularity (numerator and determinant
+    share the root); points where det sits at its float rounding level
+    are evaluated at a one-sided offset instead of returning a ratio of
+    rounding residues.  A rounding-level determinant with a surviving
+    numerator is a true real pole and raises PoleHit.
     """
     if channel not in (1, 2):
         raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
@@ -127,21 +134,6 @@ def _amplitudes(mat: np.ndarray, v: np.ndarray, grid: np.ndarray,
                                              complex(num[i]), float(floor_d[i]),
                                              float(floor_n[i]))
     return amps
-
-
-def amplitude(params: DimensionlessParams, e_tilde: float, channel: int = 1) -> complex:
-    """Complex photoassociation amplitude of channel 1 or 2 at E_tilde.
-
-    At an exact bound state in the continuum the real eigenvalue is a
-    removable singularity (numerator and determinant share the root);
-    points where det sits at its float rounding level are evaluated at
-    a one-sided offset instead of returning a ratio of rounding
-    residues.  A rounding-level determinant with a surviving numerator
-    is a true real pole and raises PoleHit.
-    """
-    mat = build(params).matrix()
-    grid = np.array([float(e_tilde)])
-    return complex(_amplitudes(mat, _coupling_vector(params), grid, channel)[0])
 
 
 def _spectrum_values(mat: np.ndarray, v: np.ndarray, grid: np.ndarray | float,
@@ -269,6 +261,8 @@ def _merge_plateaus(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return (starts[falls] + ends[falls]) // 2
 
 
+#: abscissae of refine_peak's coarse scan
+_N_COARSE = 801
 #: levels of a search tree that refine_peak evaluates per call of f
 _LOOKAHEAD = 5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -333,7 +327,7 @@ def _ladder(e_peak, step, edge: float, direction: int) -> list:
 
 def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
                 window: tuple[float, float],
-                seeds: Sequence[float] = (), n_coarse: int = 801) -> PeakMetrics:
+                seeds: Sequence[float] = ()) -> PeakMetrics:
     """Locate the dominant maximum of f in window and its 1/e crossings.
 
     The engine is physics-agnostic (used as-is for the synthetic
@@ -362,7 +356,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError(f"empty window ({lo!r}, {hi!r})")
-    xs = np.linspace(lo, hi, n_coarse)
+    xs = np.linspace(lo, hi, _N_COARSE)
     if len(seeds) > 0:
         inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
         if inside:
@@ -488,28 +482,31 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 LORENTZ_WIDTH_FACTOR = 2.0 * math.sqrt(math.e - 1.0)
 
 
-def peak_metrics(params: DimensionlessParams, channel: int = 1,
-                 search_window: tuple[float, float] | None = None) -> PeakMetrics:
-    """Peak metrics of the resonance dominating the (narrowed) window.
+def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
+    """Peak metrics of the resonance of the least-damped eigenvalue E1.
 
-    Without an explicit window, one is centered on the least-damped
-    eigenvalue and kept clear of the other resonances.  A pole too
-    narrow for float abscissae (|Im E1| below 1e-10 of scale) is
-    reported analytically from the Lorentzian limit with refined=False
-    instead of chasing sub-ulp crossings.
+    The window is centered on E1 and kept clear of the other
+    resonances.  A pole too narrow for float abscissae (|Im E1| below
+    1e-10 of scale) is reported analytically from the Lorentzian limit
+    with refined=False instead of chasing sub-ulp crossings.  A gain
+    mode (Im E1 above the rounding allowance 1e-12 * max(1, ||M||_F))
+    is no resonance and raises GainMode.
     """
     pair = build(params)
-    return _peak_metrics(params, pair, eigensystem(pair).eigenvalues, channel,
-                         search_window)
+    return _peak_metrics(params, pair, eigensystem(pair).eigenvalues, channel, None)
 
 
 def _peak_metrics(params: DimensionlessParams, pair: EffectivePair,
                   eigenvalues: np.ndarray, channel: int,
                   search_window: tuple[float, float] | None) -> PeakMetrics:
-    """peak_metrics for a parameter set whose matrix is already solved."""
+    """peak_metrics for a parameter set whose matrix is already solved,
+    in search_window when one is given."""
     e1 = eigenvalues[0]
-    f = functools.partial(_spectrum_values, pair.matrix(),
-                          _coupling_vector(params), channel=channel)
+    mat = pair.matrix()
+    if e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
+        raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
+    f = functools.partial(_spectrum_values, mat, _coupling_vector(params),
+                          channel=channel)
     scale = max(1.0, abs(e1.real))
     in_window = search_window is None or (search_window[0] < e1.real < search_window[1])
     if 0.0 < abs(e1.imag) < 1e-10 * scale and in_window:
@@ -590,7 +587,7 @@ def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
     try:
         metrics = _peak_metrics(p, pair, eig.eigenvalues, channel, window)
         err = None
-    except (NoPeak, MultiPeak, PoleHit) as exc:
+    except (NoPeak, MultiPeak, PoleHit, GainMode) as exc:
         metrics, err = None, f"{type(exc).__name__}: {exc}"
     return EtaPoint(eta=float(eta), metrics=metrics,
                     eigenvalues=eig.eigenvalues.copy(),
@@ -602,8 +599,8 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
               window: tuple[float, float] | None = None) -> EtaSweepResult:
     """Peak metrics and least-damped eigenvalue per eta, in input order.
 
-    Per-eta spectral failures (NoPeak, MultiPeak, PoleHit) are recorded
-    on the point instead of aborting the sweep.
+    Per-eta spectral failures (NoPeak, MultiPeak, PoleHit, GainMode) are
+    recorded on the point instead of aborting the sweep.
     """
     etas = [float(x) for x in eta_list]
     if not etas:

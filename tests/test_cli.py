@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -45,7 +46,8 @@ def test_dress_json_and_csv(tmp_path):
     rec = json.loads(out.read_text())
     assert rec["theta"] == pytest.approx(0.686700383472508)
     assert rec["splitting"] == pytest.approx(50.99019513592785)
-    assert rec["feasibility"] == pytest.approx(10.206207261596576)
+    # splitting / sqrt(gamma1_bare * gamma2_bare) = 50.990 / sqrt(24)
+    assert rec["feasibility"] == pytest.approx(10.408329997330664)
 
     out_csv = tmp_path / "dress.csv"
     assert main(["dress", "--config", cfg, "--format", "csv",
@@ -193,7 +195,8 @@ def test_unknown_channel_is_a_config_error(tmp_path, capsys):
 
 
 def test_validation_mode_covers_every_swept_eta(tmp_path, capsys):
-    # eta=5 > sqrt(gamma1*gamma2) turns E1 into a gain mode (Im E1 > 0)
+    # eta=5 > sqrt(gamma1*gamma2) turns E1 into a gain mode (Im E1 > 0),
+    # which the permissive mode computes but records as a per-point error
     payload = {"params": fig4_params().as_dict(),
                "sweep": {"eta_list": [0.9, 5.0]}}
     for command in ("sweep-eta", "width-curve"):
@@ -205,7 +208,9 @@ def test_validation_mode_covers_every_swept_eta(tmp_path, capsys):
     assert main(["sweep-eta", "--config", cfg]) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
     assert [float(r[0]) for r in rows] == [0.9, 5.0]
-    assert [float(r[3]) for r in rows] == sweep_eta(fig4_params(), [0.9, 5.0]).widths()
+    widths = sweep_eta(fig4_params(), [0.9, 5.0]).widths()
+    assert float(rows[0][3]) == widths[0]
+    assert widths[1] is None and math.isnan(float(rows[1][3]))
     assert float(rows[1][5]) > 0.0
 
 
@@ -274,6 +279,15 @@ def test_dress_degenerate_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "deg.json", {
         "dressing": {"omega_m": 0.0, "delta_m": 0.0}})
     assert main(["dress", "--config", cfg]) == 4
+
+
+def test_reproduce_fig5_flags_rows_without_width(tmp_path, capsys):
+    # eta = 0.9675 is a MultiPeak row: monotonicity cannot pass over a gap
+    assert main(["reproduce", "fig5", "--out", str(tmp_path / "fig5.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    line = next(s for s in summary if "strictly decreasing" in s)
+    assert line.startswith("FLAG fig5 W(eta) strictly decreasing")
+    assert line.endswith("; no width at eta=0.9675")
 
 
 def test_unknown_reproduce_target_rejected():

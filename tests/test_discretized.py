@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bic_lab import discretized
 from bic_lab.discretized import (
     DiscretizedModel,
     GridSpec,
@@ -109,11 +110,30 @@ def test_grid_coverage_guard():
     model = reference_gaussian_model()
     with pytest.raises(GridCoverage):
         discretize(model, GridSpec(e_min=0.0, e_max=2.0, n_e=50))
-    dm = discretize(model, GridSpec(e_min=0.0, e_max=2.0, n_e=50),
-                    check_coverage=False)
-    assert dm.n_q == 50
     # a wide enough window passes
     discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=50))
+
+
+def test_coverage_fraction_vs_erfc(rng):
+    # Gaussian couplings have a closed-form weight outside [lo, hi]:
+    # int exp(-(E-c)^2/w^2) over [x, inf) is (w sqrt(pi)/2) erfc((x-c)/w).
+    # lo is either 0 or at least one width above it, so the erfc
+    # difference of the lower tail does not cancel.
+    checked = 0
+    for _ in range(300):
+        c, w, amp = rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.8), rng.uniform(0.05, 0.3)
+        hi = c + w * rng.uniform(1.0, 6.5)
+        lo = c - w * rng.uniform(1.0, 6.0)
+        if lo < w:
+            lo = 0.0
+        got = discretized._coverage_fraction(GaussianCoupling(amp, c, w), lo, hi)
+        below = math.erfc((c - lo) / w) - math.erfc(c / w) if lo > 0.0 else 0.0
+        want = (math.erfc((hi - c) / w) + below) / math.erfc(-c / w)
+        if want > 1e-12:
+            checked += 1
+            assert got == pytest.approx(want, rel=1e-6)
+        assert (got > discretized._TAIL_FRACTION) == (want > discretized._TAIL_FRACTION)
+    assert checked > 200
 
 
 def test_sigma_single_bin_closed_form():
@@ -206,14 +226,15 @@ def test_zero_laser_spontaneous_rates():
     assert by_re[1.2].imag == pytest.approx(-gamma2_sp / 2.0, rel=1e-2)
 
 
-def test_fixed_point_divergence_guard():
+def test_fixed_point_divergence_guard(monkeypatch):
+    monkeypatch.setattr(discretized, "_MAX_ITER", 1)
     model = flat_model()
     res = derive_couplings(model)
     params = to_dimensionless(res, model, e1=4.99, e2=5.01)
     dm = discretize(model, GridSpec(e_min=0.0, e_max=10.0, n_e=200),
                     e1_rot=4.99, e2_rot=5.01)
     with pytest.raises(FixedPointDivergence):
-        compare_pole_approximation(dm, model, params, max_iter=1)
+        compare_pole_approximation(dm, model, params)
 
 
 def test_narrow_gaussian_pole_accuracy_is_finite():

@@ -36,16 +36,19 @@ def test_splitting_is_hypot():
 
 
 def test_feasibility_value_and_guard():
-    assert vic_feasibility(10.0, 4.0, 1.0) == pytest.approx(5.0)
+    # dressed splitting hypot(3, 4) = 5 over sqrt(4 * 1) = 2
+    assert vic_feasibility(3.0, 4.0, 4.0, 1.0) == pytest.approx(2.5)
+    # favourable working point: splitting below the mean bare width
+    assert vic_feasibility(3.0, 1.0, 6.0, 4.0) == pytest.approx(math.sqrt(10.0 / 24.0))
     with pytest.raises(ZeroLinewidth):
-        vic_feasibility(10.0, 0.0, 1.0)
+        vic_feasibility(10.0, 0.0, 0.0, 1.0)
 
 
 def test_dress_frozen_example():
     pair = dress(50.0, 10.0, 6.0, 4.0)
     assert pair.theta == pytest.approx(0.686700383472508, rel=1e-14)
     assert pair.splitting == pytest.approx(50.99019513592785, rel=1e-14)
-    assert pair.feasibility == pytest.approx(10.206207261596576, rel=1e-14)
+    assert pair.feasibility == pytest.approx(10.408329997330664, rel=1e-14)
     assert pair.cos_theta == pytest.approx(math.cos(pair.theta))
     assert pair.sin_theta == pytest.approx(math.sin(pair.theta))
     assert pair.cos_theta ** 2 + pair.sin_theta ** 2 == pytest.approx(1.0, rel=1e-15)

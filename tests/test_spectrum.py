@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bic_lab.errors import ConvergenceFailure, MultiPeak, NoPeak, PoleHit, ValidationError
+from bic_lab.errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
+                            ValidationError)
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
 from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig4_params, fig5_params
@@ -14,19 +15,26 @@ from bic_lab.spectrum import (
     PeakMetrics,
     _LOOKAHEAD,
     SpectrumSeries,
+    _amplitudes,
     _bisection_tree,
     _coupling_vector,
     _det_and_numerator,
     _golden_tree,
     _merge_plateaus,
     _spectrum_values,
-    amplitude,
     peak_metrics,
     refine_peak,
     spectrum_series,
     sweep_eta,
 )
 from conftest import random_params
+
+
+def amplitude(params, e_tilde, channel=1):
+    """The complex amplitude at one point: _amplitudes on a one-point grid."""
+    grid = np.array([float(e_tilde)])
+    return complex(_amplitudes(build(params).matrix(), _coupling_vector(params),
+                               grid, channel)[0])
 
 
 def test_amplitude_channel_validation(fig4):
@@ -269,6 +277,34 @@ def test_sweep_eta_rejects_unknown_channel(fig4):
         sweep_eta(fig4, [0.9], channel=3)
     with pytest.raises(ValidationError, match="channel"):
         peak_metrics(fig4, channel=3)
+
+
+def test_gain_mode_is_an_error_not_a_line():
+    # eta above sqrt(gamma1*gamma2) = 1 makes E1 grow: no line to measure
+    res = sweep_eta(fig4_params(), [3.0, 1.5, 0.9])
+    for pt in res.points[:2]:
+        assert pt.im_e1 > 0.0 and pt.metrics is None
+        assert pt.error.startswith("GainMode: ")
+    assert res.points[2].error is None and res.points[2].metrics is not None
+    with pytest.raises(GainMode):
+        peak_metrics(fig4_params(eta=3.0))
+
+
+def test_coherent_sets_never_read_as_gain_modes(rng):
+    # with g12 = sqrt(g1*g2) and |eta| <= sqrt(gamma1*gamma2), B is negative
+    # semidefinite: Im E1 stays inside the rounding allowance, the exact
+    # bound state of fig4 included
+    sets = [fig4_exact_bic_solution().params]
+    for k in range(100):
+        p = random_params(rng, coherent=True)
+        if k % 2:
+            p = p.replace(eta=rng.uniform(-1.0, 1.0) * math.sqrt(p.gamma1 * p.gamma2))
+        sets.append(p)
+    for p in sets:
+        try:
+            peak_metrics(p)
+        except (NoPeak, MultiPeak, PoleHit):
+            pass
 
 
 # ---------------------------------------------------------------------------
