@@ -16,7 +16,7 @@ separators and `\n` newlines, so identical inputs give byte-identical
 files.
 
 Exit codes: 0 success; 2 config or validation error; 3 numerical or IO
-failure; 4 degenerate parameter manifold.
+failure; 4 degenerate parameter manifold or gain mode.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .bic import certify, solve_bic
 from .discretized import GridSpec, discretize, resolvent_check
 from .dressing import dress
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
-                     DegenerateVector, DivergentTail, FixedPointDivergence,
+                     DegenerateVector, DivergentTail, FixedPointDivergence, GainMode,
                      GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
                      SingularEndpoint, SingularSolve, ValidationError,
                      ZeroCross, ZeroLinewidth, ZeroWidth)
@@ -56,7 +56,7 @@ _EXIT_BY_ERROR = (
     ((ValidationError, GridCoverage), EXIT_CONFIG),
     ((ConvergenceFailure, FixedPointDivergence, DivergentTail), EXIT_NUMERICAL),
     ((SingularSolve, DegenerateVector, ZeroWidth, ZeroCross, ZeroLinewidth,
-      DegenerateDressing, SingularEndpoint, NoPeak, MultiPeak, PoleHit,
+      DegenerateDressing, SingularEndpoint, NoPeak, MultiPeak, PoleHit, GainMode,
       ProbeOnSpectrum), EXIT_DEGENERATE),
 )
 

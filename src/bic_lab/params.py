@@ -129,12 +129,22 @@ def from_dict(data: dict) -> DimensionlessParams:
     return DimensionlessParams(**kwargs)
 
 
+def _passive(params: DimensionlessParams) -> bool:
+    """Whether B is negative semidefinite, so that no mode can grow: its
+    Schur complement on the Feshbach entry is -[[gamma1, c], [c, gamma2]]
+    with c = g12 + eta - sqrt(g1*g2), so exactly when |c| <= sqrt(gamma1*gamma2)
+    (up to _EQ_TOL, which absorbs the rounding of a coherent set)."""
+    return (abs(params.g12 + params.eta - math.sqrt(params.g1 * params.g2))
+            <= math.sqrt(params.gamma1 * params.gamma2) + _EQ_TOL)
+
+
 def validate(params: DimensionlessParams, mode: str = "physical") -> DimensionlessParams:
     """Check a parameter set against one of three strictness levels.
 
     permissive  finiteness and g, gamma >= 0 (already enforced on build).
     physical    additionally the Cauchy-Schwarz bounds
-                |eta| <= sqrt(gamma1*gamma2) and |g12| <= sqrt(g1*g2).
+                |eta| <= sqrt(gamma1*gamma2) and |g12| <= sqrt(g1*g2),
+                and passivity: B negative semidefinite, so no mode grows.
     strict      additionally the coherent equalities
                 eta = sqrt(gamma1*gamma2) and g12 = sqrt(g1*g2).
 
@@ -169,6 +179,10 @@ def validate(params: DimensionlessParams, mode: str = "physical") -> Dimensionle
         if abs(params.g12) > g12_max + _EQ_TOL:
             problems.append(
                 f"g12={params.g12} exceeds sqrt(g1*g2)={g12_max}")
+        if not _passive(params):
+            problems.append(
+                f"g12={params.g12} and eta={params.eta} make a growing mode possible: "
+                f"|g12 + eta - sqrt(g1*g2)| exceeds sqrt(gamma1*gamma2)={eta_max}")
         if mode == "strict":
             if abs(params.eta - eta_max) > _EQ_TOL:
                 problems.append(

@@ -18,7 +18,6 @@ unequal distances from the peak, so both are reported.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,124 +27,105 @@ import numpy as np
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                      ValidationError)
 from .hamiltonian import EffectivePair, build, eigensystem
-from .params import DimensionlessParams
+from .params import DimensionlessParams, _passive
 
 _INV_E = 1.0 / math.e
 _EPS = float(np.finfo(float).eps)
 
 
-def _coupling_vector(params: DimensionlessParams) -> np.ndarray:
-    return np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0])
+def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
+    """The complex amplitude of channel 1 or 2 as a function of a 1-d
+    float array of abscissae, and (det(eI - M), [adj(eI - M) v]_channel)
+    as a function of any complex e.
 
-
-def _det_floor(mat: np.ndarray, e_abs) -> np.ndarray | float:
-    """Rounding level of the cubic determinant at abscissa magnitude e_abs.
-
-    det is a degree-3 polynomial of the point and the matrix entries, so
-    its float evaluation carries an absolute error of a few eps * s^3
-    with s the dominant magnitude; 8x covers the operation count.
-    """
-    s = np.maximum(1.0, np.maximum(e_abs, float(np.max(np.abs(mat)))))
-    return 8.0 * _EPS * s ** 3
-
-
-def _num_floor(mat: np.ndarray, v: np.ndarray, e_abs) -> np.ndarray | float:
-    s = np.maximum(1.0, np.maximum(e_abs, float(np.max(np.abs(mat)))))
-    return 8.0 * _EPS * s ** 2 * float(np.max(np.abs(v)))
-
-
-def _resolve_rounding_zero(mat: np.ndarray, v: np.ndarray, e: float,
-                           channel: int, num: complex, floor_d: float,
-                           floor_n: float) -> complex:
-    """Amplitude at a point where det sits below its rounding floor.
-
-    A numerator above its own rounding floor means the pole does not
-    cancel: a true real pole.  Otherwise the point is removable (the
-    bound state in the continuum shares the root) and the limit is read
-    off at a one-sided offset, escalated until det clears its rounding
-    floor by 1e5 so the ratio is dominated by the limit rather than by
-    the residues (relative accuracy ~1e-5, better when the amplitude is
-    locally flat).
-    """
-    if abs(num) >= floor_n:
-        raise PoleHit(
-            f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
-    h = 1e-9 * max(1.0, abs(e))
-    for _ in range(6):
-        det_off, num_off = _det_and_numerator(mat, v, complex(e + h), channel)
-        if abs(complex(det_off)) >= 1e5 * floor_d:
-            return complex(num_off) / complex(det_off)
-        h *= 32.0
-    raise PoleHit(f"determinant stays at rounding level near E_tilde={e!r}")
-
-
-def _det_and_numerator(mat: np.ndarray, v: np.ndarray, e, channel: int):
-    """det(eI - M) and [adj(eI - M) v]_channel, vectorized over e.
-
-    Only the needed adjugate row is formed: adj[n, j] is the (j, n)
-    cofactor of N = eI - M, so three cofactors suffice per channel.
-    """
-    e = np.asarray(e, dtype=complex)
-    n00 = e - mat[0, 0]
-    n11 = e - mat[1, 1]
-    n22 = e - mat[2, 2]
-    n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
-    n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
-    det = (n00 * (n11 * n22 - n12 * n21)
-           - n01 * (n10 * n22 - n12 * n20)
-           + n02 * (n10 * n21 - n11 * n20))
-    if channel == 1:
-        c0 = n11 * n22 - n12 * n21          # cof(0,0)
-        c1 = -(n01 * n22 - n02 * n21)       # cof(1,0)
-        c2 = n01 * n12 - n02 * n11          # cof(2,0)
-    else:
-        c0 = -(n10 * n22 - n12 * n20)       # cof(0,1)
-        c1 = n00 * n22 - n02 * n20          # cof(1,1)
-        c2 = -(n00 * n12 - n02 * n10)       # cof(2,1)
-    num = c0 * v[0] + c1 * v[1] + c2 * v[2]
-    return det, num
-
-
-def _amplitudes(mat: np.ndarray, v: np.ndarray, grid: np.ndarray,
-                channel: int) -> np.ndarray:
-    """Complex photoassociation amplitude of channel 1 or 2 at every point
-    of a 1-d grid, for every spectrum caller.
-
-    The channel is checked here, so no caller computes a channel that
-    does not exist.  At an exact bound state in the continuum the real
+    The channel check, the entries of M and the floor scales are taken
+    once per matrix.  At an exact bound state in the continuum the real
     eigenvalue is a removable singularity (numerator and determinant
-    share the root); points where det sits at its float rounding level
+    share the root): points where det sits at its float rounding level
     are evaluated at a one-sided offset instead of returning a ratio of
     rounding residues.  A rounding-level determinant with a surviving
     numerator is a true real pole and raises PoleHit.
     """
     if channel not in (1, 2):
         raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
-    det, num = _det_and_numerator(mat, v, grid, channel)
-    amps = np.empty(grid.shape, dtype=complex)
-    floor_d = _det_floor(mat, np.abs(grid))
-    tiny = np.abs(det) < floor_d
-    ok = ~tiny
-    amps[ok] = num[ok] / det[ok]
-    if np.any(tiny):
-        floor_n = _num_floor(mat, v, np.abs(grid))
+    m00, m11, m22 = mat[0, 0], mat[1, 1], mat[2, 2]
+    n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
+    n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
+    v0, v1, v2 = v[0], v[1], v[2]
+    # det and the numerator are cubic and quadratic in the point and the
+    # entries: their float errors are a few eps * s^3 and eps * s^2 * max|v|
+    # with s the dominant magnitude; 8x covers the operation count
+    s_mat = max(1.0, float(np.max(np.abs(mat))))
+    v_max = float(np.max(np.abs(v)))
+
+    def det_and_numerator(e):
+        # only the needed adjugate row: adj[n, j] is the (j, n) cofactor of eI - M
+        e = np.asarray(e, dtype=complex)
+        n00, n11, n22 = e - m00, e - m11, e - m22
+        det = (n00 * (n11 * n22 - n12 * n21)
+               - n01 * (n10 * n22 - n12 * n20)
+               + n02 * (n10 * n21 - n11 * n20))
+        if channel == 1:
+            c0 = n11 * n22 - n12 * n21          # cof(0,0)
+            c1 = -(n01 * n22 - n02 * n21)       # cof(1,0)
+            c2 = n01 * n12 - n02 * n11          # cof(2,0)
+        else:
+            c0 = -(n10 * n22 - n12 * n20)       # cof(0,1)
+            c1 = n00 * n22 - n02 * n20          # cof(1,1)
+            c2 = -(n00 * n12 - n02 * n10)       # cof(2,1)
+        return det, c0 * v0 + c1 * v1 + c2 * v2
+
+    def resolve_rounding_zero(e: float, num: complex, floor_d: float) -> complex:
+        """The amplitude where det sits below its rounding floor: a pole
+        unless the numerator does too; else the limit at a one-sided
+        offset, escalated until det clears its floor by 1e5 (relative
+        accuracy ~1e-5, better where the amplitude is locally flat)."""
+        s = max(s_mat, abs(e))
+        if abs(num) >= 8.0 * _EPS * (s * s) * v_max:
+            raise PoleHit(
+                f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
+        h = 1e-9 * max(1.0, abs(e))
+        for _ in range(6):
+            det_off, num_off = det_and_numerator(complex(e + h))
+            if abs(complex(det_off)) >= 1e5 * floor_d:
+                return complex(num_off) / complex(det_off)
+            h *= 32.0
+        raise PoleHit(f"determinant stays at rounding level near E_tilde={e!r}")
+
+    def amplitude(x: np.ndarray) -> np.ndarray:
+        det, num = det_and_numerator(x)
+        floor_d = 8.0 * _EPS * np.maximum(s_mat, np.abs(x)) ** 3
+        # a NaN det is not tiny: its ratio is reported as non-finite, not as a pole
+        tiny = np.abs(det) < floor_d
+        amps = num / np.where(tiny, 1.0, det)
         for i in np.flatnonzero(tiny):
-            amps[i] = _resolve_rounding_zero(mat, v, float(grid[i]), channel,
-                                             complex(num[i]), float(floor_d[i]),
-                                             float(floor_n[i]))
-    return amps
+            amps[i] = resolve_rounding_zero(float(x[i]), complex(num[i]), float(floor_d[i]))
+        return amps
+
+    return amplitude, det_and_numerator
 
 
-def _spectrum_values(mat: np.ndarray, v: np.ndarray, grid: np.ndarray | float,
-                     channel: int) -> np.ndarray | float:
-    """S_n at the points of grid: an array for an array, a float for a scalar.
-
-    A scalar is evaluated as a one-point array, so it takes the same
+def _spectrum(params: DimensionlessParams, pair: EffectivePair, e1: complex,
+              channel: int) -> Callable[[np.ndarray | float], np.ndarray | float]:
+    """S_n of a solved parameter set: an array for an array, a float for a
+    scalar, which is evaluated as a one-point array and so takes the same
     arithmetic as the same point inside a larger grid.
+
+    A gain mode raises GainMode: B is not negative semidefinite and the
+    least-damped e1 grows beyond the rounding allowance 1e-12*max(1, ||M||_F).
     """
-    x = np.atleast_1d(np.asarray(grid, dtype=float))
-    vals = np.abs(_amplitudes(mat, v, x, channel)) ** 2 / math.pi
-    return vals if np.ndim(grid) else float(vals[0])
+    mat = pair.matrix()
+    amplitude, _ = _amplitude(
+        mat, np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0]), channel)
+    if not _passive(params) and e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
+        raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
+
+    def f(grid):
+        x = np.atleast_1d(np.asarray(grid, dtype=float))
+        vals = np.abs(amplitude(x)) ** 2 / math.pi
+        return vals if np.ndim(grid) else float(vals[0])
+
+    return f
 
 
 @dataclass(frozen=True)
@@ -188,6 +168,7 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     spacing = span / (int(n_points) - 1)
     pair = build(params)
     eig = eigensystem(pair)
+    f = _spectrum(params, pair, eig.eigenvalues[0], channel)
     extras = []
     for lam in eig.eigenvalues:
         re, im = float(lam.real), abs(float(lam.imag))
@@ -210,7 +191,7 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
         grid = np.unique(grid)
     else:
         grid = base
-    values = _spectrum_values(pair.matrix(), _coupling_vector(params), grid, channel)
+    values = f(grid)
     if not np.all(np.isfinite(values)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     return SpectrumSeries(grid=grid, values=values, channel=channel)
@@ -268,49 +249,29 @@ _LOOKAHEAD = 5
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_tree(a, b, c, d, xtol: float) -> np.ndarray:
-    """Abscissae golden section may ask for next from bracket (a, b).
-
-    Both outcomes of each of the next _LOOKAHEAD steps are followed
-    with the loop's own float operations: the new c of a step to (a, d),
-    the new d of a step to (c, b), and the midpoint of every bracket at
-    which the search stops.
-    """
-    a, b, c, d = (np.array([v], dtype=float) for v in (a, b, c, d))
-    out = []
-    for level in range(_LOOKAHEAD + 1):
-        done = (b - a) <= xtol
-        if done.any():
-            out.append(0.5 * (a[done] + b[done]))
-            a, b, c, d = a[~done], b[~done], c[~done], d[~done]
-        if level == _LOOKAHEAD or not len(a):
-            break
-        new_c = d - _INVPHI * (d - a)
-        new_d = c + _INVPHI * (b - c)
-        out += [new_c, new_d]
-        # the left children (a, d, new_c, c), then the right ones (c, b, d, new_d)
-        a, b, c, d = np.concatenate((a, c, d, b, new_c, d, c, new_d)).reshape(4, -1)
-    return np.concatenate(out)
+def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
+    """Abscissae golden section may ask for in its next depth steps from
+    bracket (a, b), both outcomes followed with the loop's own float
+    operations: the new c of a step to (a, d), the new d of a step to
+    (c, b), and the midpoint of a bracket at which the search stops."""
+    if (b - a) <= xtol:
+        return [0.5 * (a + b)]
+    if not depth:
+        return []
+    new_c = d - _INVPHI * (d - a)
+    new_d = c + _INVPHI * (b - c)
+    return ([new_c, new_d] + _golden_tree(a, d, new_c, c, xtol, depth - 1)
+            + _golden_tree(c, b, d, new_d, xtol, depth - 1))
 
 
-def _bisection_tree(x_in, x_out, tol: float) -> np.ndarray:
-    """Midpoints bisection of (x_in, x_out) may visit in _LOOKAHEAD steps.
-
-    Both outcomes of each step are followed with the loop's own float
-    operations.  The loop's stop tests are applied last: every bracket
-    inside a stopped one fails them too, so this drops exactly the
-    points below a stop.
-    """
-    x_in, x_out = np.array([x_in], dtype=float), np.array([x_out], dtype=float)
-    ins, outs, mids = [], [], []
-    for _ in range(_LOOKAHEAD):
-        mid = 0.5 * (x_in + x_out)
-        ins.append(x_in)
-        outs.append(x_out)
-        mids.append(mid)
-        x_in, x_out = np.concatenate((mid, x_in)), np.concatenate((x_out, mid))
-    x_in, x_out, mid = np.concatenate(ins), np.concatenate(outs), np.concatenate(mids)
-    return mid[(np.abs(x_out - x_in) > tol) & (mid != x_in) & (mid != x_out)]
+def _bisection_tree(x_in, x_out, tol: float, depth: int = _LOOKAHEAD) -> list:
+    """Midpoints bisection of (x_in, x_out) may visit in depth steps, both
+    outcomes followed with the loop's own float operations and stop tests."""
+    mid = 0.5 * (x_in + x_out)
+    if not depth or abs(x_out - x_in) <= tol or mid == x_in or mid == x_out:
+        return []
+    return ([mid] + _bisection_tree(mid, x_out, tol, depth - 1)
+            + _bisection_tree(x_in, mid, tol, depth - 1))
 
 
 def _ladder(e_peak, step, edge: float, direction: int) -> list:
@@ -336,14 +297,12 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     two crossings at height/e to 1e-12*|window|.
 
     f must map a numpy array of abscissae elementwise (a constant return
-    value is broadcast).  It is called once on the coarse abscissae and
-    then on small arrays during the refinement: each call evaluates the
+    value is broadcast).  After the coarse scan, each call evaluates the
     point a search step needs together with the points the next steps
-    of that search could need, whichever way they go, so a search takes
-    a few calls instead of one per step.  The steps themselves, and so
-    the result, are those of a point-by-point search, provided f gives
-    a point the same value inside any array.  If such an array call
-    raises, the needed point is evaluated alone, as a float.
+    could need, whichever way they go: a search takes a few calls instead
+    of one per step, and its result is that of a point-by-point search
+    provided f gives a point the same value inside any array.  If such
+    an array call raises, the needed point is evaluated alone, as a float.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -380,11 +339,9 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 
     im = int(np.argmax(ys))
     if ys[im] >= math.e ** 2 * floor(xs[im]):
-        base = None
-        work_ys = ys
+        base, work_ys = None, ys
     else:
-        base = floor
-        work_ys = ys - floor(xs)
+        base, work_ys = floor, ys - floor(xs)
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
         raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
@@ -406,10 +363,10 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     # points the next steps could ask for along with it
     memo: dict[float, float] = {}
 
-    def work(x, ahead: Callable[[], np.ndarray]) -> float:
+    def work(x, ahead: Callable[[], list]) -> float:
         """The feature at x; a miss evaluates x together with ahead()."""
         if x not in memo:
-            pts = np.concatenate(([x], ahead()))
+            pts = np.array([x] + ahead(), dtype=float)
             try:
                 vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
             except Exception:
@@ -423,11 +380,11 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
         return memo[x]
 
     # golden-section refinement on the three-point bracket
-    a, b = xs[im - 1], xs[im + 1]
+    a, b = float(xs[im - 1]), float(xs[im + 1])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    xtol = 1e-12 * max(1.0, abs(xs[im]))
-    fc = work(c, lambda: np.append(d, _golden_tree(a, b, c, d, xtol)))
+    xtol = 1e-12 * max(1.0, abs(float(xs[im])))
+    fc = work(c, lambda: [d] + _golden_tree(a, b, c, d, xtol))
     fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
     while (b - a) > xtol:
         if fc >= fd:
@@ -442,7 +399,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     # the expansions away from the peak on both sides
     step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
     ladders = {+1: _ladder(e_peak, step, hi, +1), -1: _ladder(e_peak, step, lo, -1)}
-    both_ladders = np.array(ladders[+1] + ladders[-1])
+    both_ladders = ladders[+1] + ladders[-1]
     height = work(e_peak, lambda: both_ladders)
     if height <= 0.0:
         raise NoPeak("refined peak has no positive height")
@@ -457,9 +414,8 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
                 break
             x_in = x_out
         else:
-            raise NoPeak(
-                f"spectrum never falls to 1/e of the peak before the window "
-                f"edge at {x_out!r}")
+            raise NoPeak(f"spectrum never falls to 1/e of the peak before the "
+                         f"window edge at {x_out!r}")
         for _ in range(200):
             mid = 0.5 * (x_in + x_out)
             if abs(x_out - x_in) <= cross_tol or mid == x_in or mid == x_out:
@@ -489,7 +445,7 @@ def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
     resonances.  A pole too narrow for float abscissae (|Im E1| below
     1e-10 of scale) is reported analytically from the Lorentzian limit
     with refined=False instead of chasing sub-ulp crossings.  A gain
-    mode (Im E1 above the rounding allowance 1e-12 * max(1, ||M||_F))
+    mode (B not negative semidefinite and Im E1 above 1e-12*max(1, ||M||_F))
     is no resonance and raises GainMode.
     """
     pair = build(params)
@@ -502,14 +458,9 @@ def _peak_metrics(params: DimensionlessParams, pair: EffectivePair,
     """peak_metrics for a parameter set whose matrix is already solved,
     in search_window when one is given."""
     e1 = eigenvalues[0]
-    mat = pair.matrix()
-    if e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
-        raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
-    f = functools.partial(_spectrum_values, mat, _coupling_vector(params),
-                          channel=channel)
-    scale = max(1.0, abs(e1.real))
+    f = _spectrum(params, pair, e1, channel)
     in_window = search_window is None or (search_window[0] < e1.real < search_window[1])
-    if 0.0 < abs(e1.imag) < 1e-10 * scale and in_window:
+    if 0.0 < abs(e1.imag) < 1e-10 * max(1.0, abs(e1.real)) and in_window:
         c = float(e1.real)
         half = 0.5 * LORENTZ_WIDTH_FACTOR * abs(float(e1.imag))
         left = min(float(np.nextafter(c, -np.inf)), c - half)
@@ -518,8 +469,7 @@ def _peak_metrics(params: DimensionlessParams, pair: EffectivePair,
                            left_cross=left, right_cross=right, refined=False)
     if search_window is None:
         search_window = _auto_window(eigenvalues)
-    seeds = _pole_seeds(eigenvalues, search_window)
-    return refine_peak(f, search_window, seeds=seeds)
+    return refine_peak(f, search_window, seeds=_pole_seeds(eigenvalues, search_window))
 
 
 def _auto_window(eigenvalues: np.ndarray) -> tuple[float, float]:

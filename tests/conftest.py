@@ -54,7 +54,8 @@ def generic_params():
 
 
 def random_params(rng, coherent=False):
-    """Random physically valid parameter set for property tests."""
+    """Random valid parameter set for property tests (most incoherent
+    draws leave B indefinite and fail the physical validation mode)."""
     g1, g2 = rng.uniform(0.2, 4.0, 2)
     gamma1, gamma2 = rng.uniform(0.0, 1.5, 2)
     if coherent:

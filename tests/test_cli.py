@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from bic_lab import __version__
-from bic_lab.cli import SWEEP_HEADER, main
+from bic_lab import __version__, errors
+from bic_lab.cli import _EXIT_BY_ERROR, SWEEP_HEADER, main
 from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 from bic_lab.spectrum import sweep_eta
 
@@ -299,6 +299,26 @@ def test_unknown_reproduce_target_rejected():
 def _spectrum_cfg(**grid):
     return ("spectrum", {"params": fig4_params().as_dict(),
                          "grid": dict({"e_min": 6.0, "e_max": 7.5, "n_points": 11}, **grid)})
+
+
+def test_gain_mode_spectrum_exits_4(tmp_path, capsys):
+    # eta = 3 > sqrt(gamma1*gamma2) = 1 passes the permissive mode, and the
+    # least-damped mode of the set grows: no spectrum to sample
+    command, payload = _spectrum_cfg()
+    payload = dict(payload, params=dict(payload["params"], eta=3.0),
+                   validation_mode="permissive")
+    assert main([command, "--config", write_cfg(tmp_path, "gain.json", payload)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: least-damped eigenvalue")
+    assert captured.err.count("\n") == 1
+
+
+def test_every_library_error_has_an_exit_code():
+    listed = {t for types, _ in _EXIT_BY_ERROR for t in types}
+    defined = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.BicLabError)}
+    assert defined - {errors.BicLabError} <= listed
 
 
 def _sweep_cfg(**sweep):

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from bic_lab.errors import ValidationError
+from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import (
     PARAM_KEYS,
     DimensionlessParams,
     from_dict,
     validate,
 )
+from conftest import random_params
 
 
 def test_coherent_defaults_fill_in():
@@ -173,3 +176,24 @@ def test_null_coherences_take_their_defaults():
     d["g12"] = d["eta"] = None
     p = from_dict(d)
     assert p.g12 == 1.0 and p.eta == 1.0
+
+
+def test_physical_mode_rejects_sets_that_can_grow(rng):
+    # every draw keeps |g12| <= sqrt(g1*g2) and |eta| <= sqrt(gamma1*gamma2),
+    # yet B is indefinite for most; the physical mode must follow B's
+    # spectrum, and so reject each set whose least-damped mode grows
+    growing = 0
+    for _ in range(200):
+        p = random_params(rng)
+        pair = build(p)
+        if np.linalg.eigvalsh(pair.b).max() <= 1e-12:
+            validate(p, mode="physical")
+            continue
+        with pytest.raises(ValidationError, match=r"g12=.* and eta=.*growing mode"):
+            validate(p, mode="physical")
+        growing += eigensystem(pair).eigenvalues[0].imag > 0.0
+    assert growing >= 30
+    for _ in range(100):
+        p = random_params(rng, coherent=True)
+        eta = rng.uniform(-1.0, 1.0) * math.sqrt(p.gamma1 * p.gamma2)
+        validate(p.replace(eta=eta), mode="physical")

@@ -5,23 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from bic_lab.bic import solve_bic
 from bic_lab.errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                             ValidationError)
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
-from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig4_params, fig5_params
+from bic_lab.recipes import (FIG4_ETA_LIST, fig3_params, fig4_exact_bic_solution,
+                             fig4_params, fig5_params)
 from bic_lab.spectrum import (
     LORENTZ_WIDTH_FACTOR,
     PeakMetrics,
     _LOOKAHEAD,
     SpectrumSeries,
-    _amplitudes,
+    _amplitude,
+    _auto_window,
     _bisection_tree,
-    _coupling_vector,
-    _det_and_numerator,
     _golden_tree,
     _merge_plateaus,
-    _spectrum_values,
+    _pole_seeds,
+    _spectrum,
     peak_metrics,
     refine_peak,
     spectrum_series,
@@ -30,11 +32,14 @@ from bic_lab.spectrum import (
 from conftest import random_params
 
 
+def coupling_vector(params):
+    return np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0])
+
+
 def amplitude(params, e_tilde, channel=1):
-    """The complex amplitude at one point: _amplitudes on a one-point grid."""
-    grid = np.array([float(e_tilde)])
-    return complex(_amplitudes(build(params).matrix(), _coupling_vector(params),
-                               grid, channel)[0])
+    """The complex amplitude at one point, evaluated as a one-point grid."""
+    amp, _ = _amplitude(build(params).matrix(), coupling_vector(params), channel)
+    return complex(amp(np.array([float(e_tilde)]))[0])
 
 
 def test_amplitude_channel_validation(fig4):
@@ -48,7 +53,7 @@ def test_amplitude_matches_direct_linear_solve(rng):
     for _ in range(20):
         p = random_params(rng)
         m = build(p).matrix()
-        v = _coupling_vector(p)
+        v = coupling_vector(p)
         e = rng.uniform(-3.0, 10.0)
         direct = np.linalg.solve(e * np.eye(3) - m, v)
         for ch in (1, 2):
@@ -56,11 +61,10 @@ def test_amplitude_matches_direct_linear_solve(rng):
 
 
 def test_det_factorizes_over_eigenvalues(fig4):
-    m = build(fig4).matrix()
-    v = _coupling_vector(fig4)
+    _, det_and_numerator = _amplitude(build(fig4).matrix(), coupling_vector(fig4), 1)
     eig = eigensystem(build(fig4))
     for e in (0.0, 3.7, 6.76, 12.0):
-        det, _ = _det_and_numerator(m, v, complex(e), 1)
+        det, _ = det_and_numerator(complex(e))
         ref = np.prod([e - lam for lam in eig.eigenvalues])
         assert complex(det) == pytest.approx(ref, rel=1e-9)
 
@@ -86,8 +90,9 @@ def test_true_real_pole_raises():
     # synthetic: diag matrix has a real spectrum but no amplitude zero
     m = np.diag([1.0, 2.0, 3.0]).astype(complex)
     v = np.array([1.0, 1.0, 1.0])
+    amp, _ = _amplitude(m, v, 1)
     with pytest.raises(PoleHit):
-        _spectrum_values(m, v, np.array([1.0]), 1)
+        amp(np.array([1.0]))
 
 
 def test_no_lasers_no_signal():
@@ -307,6 +312,75 @@ def test_coherent_sets_never_read_as_gain_modes(rng):
             pass
 
 
+#: solve_bic designs whose exact bound state sits far out (|lambda| ~ 2e4), so
+#: the rounding of Im E1 alone passes the 1e-12 * ||M||_F allowance
+_FAR_OUT_BIC_DESIGNS = [
+    dict(g1=3.8098570107774425, g2=1.3110049681910283, q1=-1.511295583285707,
+         q2=0.9445739729640383, delta=0.43165684894646206, gamma1=0.640043266760635,
+         gamma2=0.22028851176770584),
+    dict(g1=1.2498426840684649, g2=1.4565890761395468, q1=0.035230650896993954,
+         q2=1.70944523332482, delta=0.2635717738653557, gamma1=0.6871509990789362,
+         gamma2=0.8009782679166884),
+    dict(g1=0.5963554733759776, g2=0.5058913280223203, q1=-0.07638732610408461,
+         q2=-1.758940016716152, delta=0.15327239488427669, gamma1=0.5941260835031067,
+         gamma2=0.5041009305181097),
+    dict(g1=0.41600754571319315, g2=0.5767637774849621, q1=1.2308742389356744,
+         q2=-1.563776790258618, delta=-0.16056166293977847, gamma1=0.8755917481677924,
+         gamma2=1.2141861761495358),
+]
+
+
+def test_far_out_exact_bics_never_read_as_gain_modes():
+    # B is negative semidefinite, so no mode grows, whatever the rounding
+    # of Im E1 says
+    for design in _FAR_OUT_BIC_DESIGNS:
+        p = solve_bic(**design).params
+        assert eigensystem(build(p)).eigenvalues[0].imag > 0.0
+        try:
+            peak_metrics(p)
+        except (NoPeak, MultiPeak, PoleHit):
+            pass
+
+
+def test_spectrum_series_rejects_gain_modes(fig4):
+    with pytest.raises(GainMode):
+        spectrum_series(fig4.replace(eta=3.0), 6.0, 7.5, 11)
+
+
+def _evaluator(params, channel=1):
+    pair = build(params)
+    return _spectrum(params, pair, eigensystem(pair).eigenvalues[0], channel)
+
+
+def test_nan_determinant_is_a_non_finite_value_not_a_pole(fig4):
+    # near |E| = 1e308 the cofactor arithmetic overflows into a NaN det,
+    # which must read as a numerical failure, not as a pole
+    with np.errstate(all="ignore"):
+        assert math.isnan(_evaluator(fig4)(1e308))
+        with pytest.raises(ConvergenceFailure, match="non-finite"):
+            spectrum_series(fig4, 1e307, 1e308, 11)
+
+
+def test_a_point_has_one_value_in_every_batch():
+    # refine_peak's lookahead relies on this: a point evaluated alone, in
+    # the full grid or in a shuffled subset gets the same bits
+    rng = np.random.default_rng(5)
+    sol = fig4_exact_bic_solution()
+    cases = [(p, float(eigensystem(build(p)).eigenvalues[0].real), ())
+             for p in (fig3_params(), fig4_params(), fig5_params())]
+    # the exact bound state: E = lambda takes the rounding-zero path
+    cases.append((sol.params, sol.lam, (sol.lam,)))
+    for params, center, extra in cases:
+        grid = np.unique(np.concatenate([np.linspace(center - 2.0, center + 2.0, 301),
+                                         extra]))
+        for channel in (1, 2):
+            f = _evaluator(params, channel)
+            full = f(grid)
+            assert [f(x) for x in grid] == full.tolist()
+            subset = rng.permutation(len(grid))[:97]
+            assert f(grid[subset]).tolist() == full[subset].tolist()
+
+
 # ---------------------------------------------------------------------------
 # refine_peak evaluates several search steps per call of f; its result must
 # be that of the point-by-point search, kept here as the oracle
@@ -478,11 +552,20 @@ def _outcome(search, f, window, seeds):
         return type(exc), str(exc)
 
 
+def _real_line(params):
+    """A parameter set's spectrum with the window and seeds of peak_metrics."""
+    eigenvalues = eigensystem(build(params)).eigenvalues
+    window = _auto_window(eigenvalues)
+    return _evaluator(params), window, _pole_seeds(eigenvalues, window)
+
+
 def test_refine_peak_matches_point_by_point_search():
     rng = np.random.default_rng(7)
     kinds = {"raw": 0, "baseline": 0, "error": 0}
-    for _ in range(200):
-        f, window, seeds = _random_line(rng)
+    lines = [_random_line(rng) for _ in range(200)]
+    lines += [_real_line(fig4_params(eta=eta)) for eta in FIG4_ETA_LIST]
+    lines += [_real_line(random_params(rng, coherent=True)) for _ in range(20)]
+    for f, window, seeds in lines:
         want = _outcome(_oracle_refine_peak, f, window, seeds)
         got = _outcome(refine_peak, f, window, seeds)
         assert got == want
@@ -553,7 +636,7 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
                     aa, cc = cc, dd
                     dd = aa + invphi * (bb - aa)
                     steps.add(float(dd))
-        assert set(_golden_tree(a, b, c, d, xtol).tolist()) == steps
+        assert set(_golden_tree(a, b, c, d, xtol)) == steps
 
         x_in = np.float64(rng.uniform(-5.0, 5.0))
         x_out = x_in + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, 0.0)
@@ -570,7 +653,7 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
                     lo_ = mid
                 else:
                     hi_ = mid
-        assert set(_bisection_tree(x_in, x_out, tol).tolist()) == steps
+        assert set(_bisection_tree(x_in, x_out, tol)) == steps
 
 
 def test_non_finite_spectrum_is_a_convergence_failure(fig4):
