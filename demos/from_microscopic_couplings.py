@@ -13,7 +13,6 @@ from bic_lab import (
     certify,
     derive_couplings,
     reference_gaussian_model,
-    scattering_length,
     solve_bic,
     to_dimensionless,
 )
@@ -42,8 +41,7 @@ def main() -> None:
     print("dimensionless parameters (energies in units of hbar*Gamma_F/2)")
     for key, value in params.as_dict().items():
         print(f"  {key:>7} = {value:+.6f}")
-    sl = scattering_length(model.e3 + res.e_sh_f, res.gamma_f, k_c=1.0)
-    print(f"  shifted Feshbach level => 1/(k_c a_s) = {sl.inv_kca:+.4f}")
+    print(f"  shifted Feshbach level => 1/(k_c a_s) = {params.inv_kca:+.4f}")
     print()
 
     # the derived geometry is generic; solving for the detunings that

@@ -26,10 +26,9 @@ from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
 from .hamiltonian import ComplexEigenSet, EffectivePair, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
-                          MicroscopicResult, ScatteringLength, WignerCoupling,
-                          derive_couplings, pv_integral, reference_gaussian_model,
-                          scattering_length, to_dimensionless)
-from .params import DimensionlessParams, from_dict, validate
+                          MicroscopicResult, WignerCoupling, derive_couplings,
+                          pv_integral, reference_gaussian_model, to_dimensionless)
+from .params import DimensionlessParams, validate
 from .spectrum import (EtaPoint, EtaSweepResult, PeakMetrics, SpectrumSeries,
                        peak_metrics, refine_peak, spectrum_series, sweep_eta)
 

@@ -42,7 +42,7 @@ from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
 from .hamiltonian import build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           WignerCoupling, derive_couplings, to_dimensionless)
-from .params import from_dict, validate
+from .params import DimensionlessParams, validate
 from .recipes import (FIG4_ETA_LIST, QUOTED, fig3_params, fig4_params,
                       fig5_eta_grid, fig5_params)
 from .spectrum import spectrum_series, sweep_eta
@@ -207,15 +207,18 @@ _COUPLING = ("shape", {
     "wigner": (WignerCoupling, dict.fromkeys(("amplitude", "scale"), (_number, ...))),
     "flat": (FlatCoupling, {"amplitude": (_number, ...)}),
 })
-_MICROSCOPIC = {
+# the couplings and scalars of a CouplingModel, without its PV cutoff e_max
+_MODEL = {
     **dict.fromkeys(("lambda1", "lambda2", "v3"), (_COUPLING, ...)),
     **dict.fromkeys(("v1f", "v2f", "omega13", "omega23", "e3", "dipole_overlap"),
                     (_number, ...)),
-    "e_max": (_number, None),
-    **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0)),
-    "vic_convention": (_string, "as_written"),
 }
-_PARAMS = {"params": (lambda value, where: from_dict(value), ...),
+_SOLVE_PARAMS = {
+    **dict.fromkeys(("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2"), (_number, ...)),
+    "g12": (_number, None), "inv_kca": (_number, 0.0)}
+# a full DimensionlessParams: solve's inputs plus the detunings and eta
+_PARAMS = {"params": ({**_SOLVE_PARAMS, **dict.fromkeys(("delta1", "delta2"), (_number, ...)),
+                       "eta": (_number, None)}, ...),
            "validation_mode": (_string, "permissive")}
 _SWEEP = {"eta_list": (_array(_number), None),
           "eta_range": ({"start": (_number, ...), "stop": (_number, ...),
@@ -225,18 +228,18 @@ _CONFIGS = {
     "dress": {"dressing": ({"omega_m": (_number, ...), "delta_m": (_number, ...),
                             "gamma1_bare": (_number, None),
                             "gamma2_bare": (_number, None)}, ...)},
-    "solve": {"params": ({
-        **dict.fromkeys(("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2"),
-                        (_number, ...)),
-        "g12": (_number, None), "inv_kca": (_number, 0.0)}, ...)},
+    "solve": {"params": (_SOLVE_PARAMS, ...)},
     "certify": {**_PARAMS, "tol_im": (_number, 1e-9)},
     "spectrum": {**_PARAMS, "grid": ({
         "e_min": (_number, ...), "e_max": (_number, ...),
         "n_points": (partial(_integer, most=MAX_POINTS), 601), "channel": (_integer, 1)}, ...)},
     "sweep-eta": {**_PARAMS, "sweep": (_SWEEP, ...)},
     "width-curve": {**_PARAMS, "sweep": (_SWEEP, {})},
-    "derive": {"microscopic": (_MICROSCOPIC, ...)},
-    "validate": {"microscopic": (_MICROSCOPIC, ...), "oracle": ({
+    "derive": {"microscopic": ({
+        **_MODEL, "e_max": (_number, None),
+        **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0)),
+        "vic_convention": (_string, "as_written")}, ...)},
+    "validate": {"microscopic": (_MODEL, ...), "oracle": ({
         "e_min": (_number, ...), "e_max": (_number, ...), "n_e": (_integer, ...),
         **dict.fromkeys(("k_min", "k_max", "e1_rot", "e2_rot"), (_number, 0.0)),
         "n_k": (_integer, 0), "probes": (_array(_complex), None)}, ...)},
@@ -256,15 +259,9 @@ def _load_config(args) -> dict:
         raise ValidationError([f"config is not valid JSON: {exc}"])
     cfg = _read(cfg, _CONFIGS[args.subcommand], "config", args.subcommand)
     if "validation_mode" in cfg:
-        cfg["params"] = validate(cfg["params"], mode=cfg["validation_mode"])
+        cfg["params"] = validate(DimensionlessParams(**cfg["params"]),
+                                 mode=cfg["validation_mode"])
     return cfg
-
-
-def _model(micro: dict) -> tuple[CouplingModel, dict]:
-    """The coupling model of a checked `microscopic` section, and its other keys."""
-    extra = {k: micro.pop(k) for k in ("vic_convention", "laser1_freq",
-                                       "laser2_freq", "e1", "e2")}
-    return CouplingModel(**micro), extra
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +269,18 @@ def _model(micro: dict) -> tuple[CouplingModel, dict]:
 
 
 def _emit_record(record: dict, args) -> None:
+    """One record as JSON, or as a one-row CSV whose nested sections
+    become `section.key` columns."""
     if (args.format or "json") == "json":
         emit_json(record, args.out)
-    else:
-        emit_csv(list(record), [["" if v is None else v for v in record.values()]],
-                 args.out)
+        return
+    flat = {}
+    for key, value in record.items():
+        if isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    emit_csv(list(flat), [["" if v is None else v for v in flat.values()]], args.out)
 
 
 def _run_dress(cfg: dict, args) -> None:
@@ -335,9 +339,11 @@ def _run_sweep(cfg: dict, args) -> None:
 
 
 def _run_derive(cfg: dict, args) -> None:
-    model, extra = _model(cfg["microscopic"])
-    res = derive_couplings(model, vic_convention=extra.pop("vic_convention"))
-    params = to_dimensionless(res, model, **extra)
+    micro = cfg["microscopic"]
+    model = CouplingModel(e_max=micro.pop("e_max"), **{k: micro.pop(k) for k in _MODEL})
+    res = derive_couplings(model, vic_convention=micro.pop("vic_convention"))
+    # what is left are the four rotating-frame keys
+    params = to_dimensionless(res, model, **micro)
     _emit_record({
         "microscopic": {
             "E_sh_1": res.e_sh_1, "E_sh_2": res.e_sh_2, "E_sh_F": res.e_sh_f,
@@ -353,7 +359,7 @@ def _run_derive(cfg: dict, args) -> None:
 
 
 def _run_validate(cfg: dict, args) -> None:
-    model, _ = _model(cfg["microscopic"])
+    model = CouplingModel(**cfg["microscopic"])
     oracle = cfg["oracle"]
     if 3 + oracle["n_e"] + 2 * oracle["n_k"] > MAX_STATES:
         raise ValidationError([f"oracle: 3 + n_e + 2*n_k must be <= {MAX_STATES}"])

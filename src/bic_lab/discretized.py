@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
-                     ProbeOnSpectrum, ValidationError,
+                     ProbeOnSpectrum, ValidationError, ZeroWidth,
                      _overflow_is_convergence_failure)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling
@@ -117,7 +117,6 @@ class DiscretizedModel:
     diag_q: np.ndarray
     e_centers: np.ndarray
     e_width: float
-    k_centers: np.ndarray = field(default_factory=lambda: np.empty(0))
     k_width: float = 0.0
 
     @property
@@ -136,8 +135,10 @@ class DiscretizedModel:
         h[3:, 3:] = np.diag(self.diag_q)
         return h
 
-    def sigma(self, z: complex) -> np.ndarray:
-        """Level-shift matrix Sigma(z) = C (z - D)^-1 C^T (3x3 complex)."""
+    def sigma(self, z) -> np.ndarray:
+        """Level-shift matrix Sigma(z) = C (z - D)^-1 C^T (3x3 complex).
+
+        z is one complex value, or one value per bin (n_q of them)."""
         weights = self.coupling / (z - self.diag_q)
         return weights @ self.coupling.T
 
@@ -176,7 +177,6 @@ def discretize(model: CouplingModel, grid: GridSpec,
         np.asarray(model.v3(e_centers), dtype=float) * root_de,
     ])]
     diag = [e_centers]
-    k_centers = np.empty(0)
     k_width = 0.0
     if grid.n_k > 0:
         k_centers, k_width = _midpoint_grid(grid.k_min, grid.k_max, grid.n_k)
@@ -205,7 +205,6 @@ def discretize(model: CouplingModel, grid: GridSpec,
         diag_q=np.concatenate(diag),
         e_centers=e_centers,
         e_width=e_width,
-        k_centers=k_centers,
         k_width=k_width,
     )
 
@@ -304,11 +303,12 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     the standard smoothing that turns the rational bin sum into the
     half-plane limit of the continuum integral.  A pole has settled when
     a step is below 1e-10 * max(1, |z|); FixedPointDivergence is raised
-    when one has not within _MAX_ITER = 500 steps.
+    when one has not within _MAX_ITER = 500 steps, and ZeroWidth when the
+    model's Gamma_F vanishes.
     """
     gamma_f = 2.0 * math.pi * float(model.v3(model.e3)) ** 2
     if gamma_f <= 0.0:
-        raise ValueError("model has vanishing Feshbach width at e3")
+        raise ZeroWidth(f"Gamma_F={gamma_f!r} must be positive")
     ef = gamma_f / 2.0
     reference = eigensystem(build(params)).eigenvalues * ef
 
@@ -316,15 +316,11 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     eps_bins = np.full(dm.n_q, eps_e)
     eps_bins[dm.e_centers.size:] = 10.0 * dm.k_width
 
-    def sigma_smoothed(z_re: float) -> np.ndarray:
-        weights = dm.coupling / (z_re + 1j * eps_bins - dm.diag_q)
-        return weights @ dm.coupling.T
-
     poles = np.empty(3, dtype=complex)
     for k, z0 in enumerate(reference):
         z = complex(z0)
         for _ in range(_MAX_ITER):
-            target = _eig3_nearest(dm.h_pp + sigma_smoothed(z.real), z)
+            target = _eig3_nearest(dm.h_pp + dm.sigma(z.real + 1j * eps_bins), z)
             step = target - z
             z = z + 0.5 * step
             if abs(step) <= 1e-10 * max(1.0, abs(z)) and cmath.isfinite(z):

@@ -306,31 +306,6 @@ def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
     )
 
 
-@dataclass(frozen=True)
-class ScatteringLength:
-    """Inverse product 1/(k_c a_s) and the scattering length itself.
-
-    ``infinite`` flags the on-resonance case E3 + E_sh_F = 0, where
-    inv_kca = 0 is the valid output and a_s diverges.
-    """
-
-    inv_kca: float
-    a_s: float
-    infinite: bool
-
-
-def scattering_length(e3_plus_shift: float, gamma_f: float, k_c: float) -> ScatteringLength:
-    """inv_kca = -2 (E3 + E_sh_F) / Gamma_F and a_s = 1/(k_c * inv_kca)."""
-    if gamma_f <= 0.0:
-        raise ZeroWidth(f"Gamma_F={gamma_f!r} must be positive")
-    if k_c <= 0.0:
-        raise ValueError(f"k_c={k_c!r} must be positive")
-    inv_kca = -2.0 * e3_plus_shift / gamma_f
-    if inv_kca == 0.0:
-        return ScatteringLength(inv_kca=0.0, a_s=math.inf, infinite=True)
-    return ScatteringLength(inv_kca=inv_kca, a_s=1.0 / (k_c * inv_kca), infinite=False)
-
-
 def reference_gaussian_model() -> CouplingModel:
     """The bundled Gaussian fixture used across tests and demos.
 

@@ -25,13 +25,12 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ValidationError
 
-#: keys accepted by :func:`from_dict`, in canonical order
+#: the parameter names in canonical order (the order of as_dict)
 PARAM_KEYS = (
     "g1", "g2", "g12", "q1", "q2",
     "delta1", "delta2", "delta",
     "gamma1", "gamma2", "eta", "inv_kca",
 )
-_OPTIONAL_KEYS = frozenset({"g12", "eta", "inv_kca"})
 
 VALIDATION_MODES = ("permissive", "physical", "strict")
 
@@ -106,29 +105,6 @@ class DimensionlessParams:
         return {k: float(getattr(self, k)) for k in PARAM_KEYS}
 
 
-def from_dict(data: dict) -> DimensionlessParams:
-    """Build a parameter set from a plain mapping (the on-disk schema).
-
-    Required keys: g1, g2, q1, q2, delta1, delta2, delta, gamma1, gamma2.
-    Optional: g12, eta (coherent defaults), inv_kca (default 0).
-    Unknown keys are rejected so config typos fail loudly.
-    """
-    if not isinstance(data, dict):
-        raise ValidationError([f"parameter block must be a mapping, got {type(data).__name__}"])
-    problems = []
-    unknown = sorted(set(data) - set(PARAM_KEYS))
-    if unknown:
-        problems.append(f"unknown parameter keys: {', '.join(unknown)}")
-    missing = [k for k in PARAM_KEYS
-               if k not in _OPTIONAL_KEYS and k not in data]
-    if missing:
-        problems.append(f"missing required parameter keys: {', '.join(missing)}")
-    if problems:
-        raise ValidationError(problems)
-    kwargs = {k: data[k] for k in PARAM_KEYS if k in data}
-    return DimensionlessParams(**kwargs)
-
-
 def _passive(params: DimensionlessParams) -> bool:
     """Whether B is negative semidefinite, so that no mode can grow: its
     Schur complement on the Feshbach entry is -[[gamma1, c], [c, gamma2]]
@@ -141,7 +117,7 @@ def _passive(params: DimensionlessParams) -> bool:
 def validate(params: DimensionlessParams, mode: str = "physical") -> DimensionlessParams:
     """Check a parameter set against one of three strictness levels.
 
-    permissive  finiteness and g, gamma >= 0 (already enforced on build).
+    permissive  only the constructor's finiteness and g, gamma >= 0.
     physical    additionally the Cauchy-Schwarz bounds
                 |eta| <= sqrt(gamma1*gamma2) and |g12| <= sqrt(g1*g2),
                 and passivity: B negative semidefinite, so no mode grows.
@@ -155,22 +131,7 @@ def validate(params: DimensionlessParams, mode: str = "physical") -> Dimensionle
         raise ValidationError(
             [f"unknown validation mode {mode!r}; expected one of {VALIDATION_MODES}"])
     problems = []
-    # permissive-level checks are structural and re-run here so that a
-    # hand-mutated object cannot sneak through
-    for k in PARAM_KEYS:
-        v = getattr(params, k)
-        if not isinstance(v, float) or not math.isfinite(v):
-            problems.append(f"{k}={v!r} is not a finite float")
-    if not problems:
-        if params.g1 < 0.0:
-            problems.append(f"g1={params.g1} must be >= 0")
-        if params.g2 < 0.0:
-            problems.append(f"g2={params.g2} must be >= 0")
-        if params.gamma1 < 0.0:
-            problems.append(f"gamma1={params.gamma1} must be >= 0")
-        if params.gamma2 < 0.0:
-            problems.append(f"gamma2={params.gamma2} must be >= 0")
-    if not problems and mode in ("physical", "strict"):
+    if mode in ("physical", "strict"):
         eta_max = math.sqrt(params.gamma1 * params.gamma2)
         g12_max = math.sqrt(params.g1 * params.g2)
         if abs(params.eta) > eta_max + _EQ_TOL:

@@ -20,8 +20,6 @@ identity sum(Im) = tr B and are therefore report-only, never targets.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bic import solve_bic
@@ -50,26 +48,6 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
         raise ValueError(f"deviate must be 'g1', 'g2' or 'none', got {deviate!r}")
     return DimensionlessParams(g1=g1, g2=g2, gamma1=gamma, gamma2=gamma,
                                eta=eta, **FIG3_SHARED)
-
-
-def fig3_exact_bic_params() -> DimensionlessParams:
-    """fig3 geometry with detunings solved exactly (no decay).
-
-    In the no-decay limit the decay-free direction of the equal-width
-    construction tends to x1 = 1/(sqrt(g2) - sqrt(g1)), x2 = -x1; the
-    caption's rounded 0.45/1.88 are this solution to 2-3 figures.
-    """
-    g1, g2 = 4.0, 2.0
-    q1, q2, delta = FIG3_SHARED["q1"], FIG3_SHARED["q2"], FIG3_SHARED["delta"]
-    x1 = 1.0 / (math.sqrt(g2) - math.sqrt(g1))
-    x2 = -x1
-    s1, s2 = math.sqrt(g1), math.sqrt(g2)
-    lam = q1 * s1 * x1 + q2 * s2 * x2
-    delta1 = lam - (delta * x2 + q1 * s1) / x1
-    delta2 = lam - (delta * x1 + q2 * s2) / x2
-    return DimensionlessParams(g1=g1, g2=g2, q1=q1, q2=q2, delta=delta,
-                               delta1=delta1, delta2=delta2,
-                               gamma1=0.0, gamma2=0.0, eta=0.0)
 
 
 def fig4_params(eta: float = 1.0, deviated: bool = True) -> DimensionlessParams:

@@ -14,7 +14,7 @@ from bic_lab.bic import (
 )
 from bic_lab.errors import DegenerateVector, SingularSolve
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.recipes import fig3_exact_bic_params, fig3_params, fig4_exact_bic_solution, fig5_params
+from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig5_params
 
 
 def test_vic_residual_zero_at_coherence():

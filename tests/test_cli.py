@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -428,14 +429,15 @@ def _dress_cfg(**dressing):
     (*_validate_cfg(probes=[1.0]), "oracle.probes[0]: must be [re, im]"),
     # a bool or a null never stands in for a number
     ("certify", {"params": dict(fig4_params().as_dict(), gamma1=True)},
-     "gamma1=True is not a real number"),
+     "params.gamma1: not a number (True)"),
     *[(command, dict(payload, params=dict(fig4_params().as_dict(), gamma2=None)),
-       "gamma2=None is not a real number")
+       "params.gamma2: not a number (None)")
       for command, payload in (("certify", {}), _spectrum_cfg(), _sweep_cfg())],
     (*_solve_cfg(gamma1=True), "params.gamma1: not a number (True)"),
     (*_dress_cfg(omega_m=True), "dressing.omega_m: not a number (True)"),
     (*_sweep_cfg(eta_list=[True]), "sweep.eta_list[0]: not a number (True)"),
-    ("certify", {"params": dict(fig4_params().as_dict(), g1=10 ** 400)}, "g1=1000"),
+    ("certify", {"params": dict(fig4_params().as_dict(), g1=10 ** 400)},
+     "params.g1: must be finite (1000"),
     # a shape that is not a string
     (*_derive_cfg(lambda1={"shape": [1], "amplitude": 0.16}),
      "microscopic.lambda1.shape: must be one of"),
@@ -460,6 +462,18 @@ def _dress_cfg(**dressing):
      "config: unknown keys for certify: tol_imm"),
     ("validate", dict(_validate_cfg()[1], oracel={}),
      "config: unknown keys for validate: oracel"),
+    # a parameter set is read by the schema alone
+    ("certify", {"params": dict(fig4_params().as_dict(), bogus=1.0)},
+     "params: unknown keys for certify: bogus"),
+    ("certify", {"params": {k: v for k, v in fig4_params().as_dict().items() if k != "delta2"}},
+     "params.delta2: required"),
+    # the rotating frame, the VIC convention and the PV cutoff enter derive only
+    *[("validate", dict(_validate_cfg()[1], microscopic=dict(
+        gaussian_model_cfg()["microscopic"], **{key: value})),
+       f"microscopic: unknown keys for validate: {key}")
+      for key, value in (("e1", 5.0), ("e2", 1.0), ("laser1_freq", -3.0),
+                         ("laser2_freq", 1.0), ("vic_convention", "max_interference"),
+                         ("e_max", 50.0))],
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):
@@ -513,3 +527,32 @@ def test_unparseable_json_is_a_config_error(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["certify", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: config is not valid JSON")
+
+
+def test_certify_coherent_defaults_match_written_values(tmp_path, capsys):
+    # absent or null g12 and eta take sqrt(g1*g2) and sqrt(gamma1*gamma2),
+    # and an absent inv_kca is 0
+    written = fig4_params(eta=None).as_dict()
+    implicit = {k: v for k, v in written.items() if k not in ("g12", "eta", "inv_kca")}
+    outputs = []
+    for params in (written, implicit, dict(implicit, g12=None, eta=None)):
+        cfg = write_cfg(tmp_path, "cert.json", {"params": params})
+        assert main(["certify", "--config", cfg]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_derive_csv_flattens_sections(tmp_path):
+    cfg = write_cfg(tmp_path, "derive.json", gaussian_model_cfg())
+    as_json, as_csv = tmp_path / "derive.json.out", tmp_path / "derive.csv"
+    assert main(["derive", "--config", cfg, "--out", str(as_json)]) == 0
+    assert main(["derive", "--config", cfg, "--format", "csv", "--out", str(as_csv)]) == 0
+    with open(as_csv, newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 28
+    rec = json.loads(as_json.read_text())
+    for column, cell in zip(header, row):
+        section, key = column.split(".")
+        want = rec[section][key]
+        assert (cell if isinstance(want, str) else float(cell)) == want

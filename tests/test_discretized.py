@@ -17,7 +17,7 @@ from bic_lab.discretized import (
     smoothed_kernel_sum,
 )
 from bic_lab.errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
-                            ProbeOnSpectrum)
+                            ProbeOnSpectrum, ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -304,3 +304,13 @@ def test_resolvent_eigensolve_failure_is_convergence_failure(monkeypatch):
     with pytest.raises(ConvergenceFailure,
                        match="resolvent solve failed: Eigenvalues did not converge"):
         resolvent_check(dm)
+
+
+def test_pole_comparison_needs_a_feshbach_width():
+    # the same condition to_dimensionless reports as ZeroWidth
+    model = flat_model()
+    params = to_dimensionless(derive_couplings(model), model)
+    dead = replace(model, v3=FlatCoupling(0.0))
+    dm = discretize(dead, GridSpec(e_min=0.0, e_max=10.0, n_e=8))
+    with pytest.raises(ZeroWidth, match="Gamma_F"):
+        compare_pole_approximation(dm, dead, params)

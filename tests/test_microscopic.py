@@ -21,7 +21,6 @@ from bic_lab.microscopic import (
     derive_couplings,
     pv_integral,
     reference_gaussian_model,
-    scattering_length,
     to_dimensionless,
 )
 
@@ -267,19 +266,6 @@ def test_to_dimensionless_requires_feshbach_width():
         omega13=0.0, omega23=0.0, e3=1.0, dipole_overlap=0.0, e_max=2.0)
     with pytest.raises(ZeroWidth):
         to_dimensionless(derive_couplings(dead), dead)
-
-
-def test_scattering_length():
-    s = scattering_length(0.5, 2.0, 4.0)
-    assert s.inv_kca == pytest.approx(-0.5)
-    assert s.a_s == pytest.approx(1.0 / (4.0 * -0.5))
-    assert not s.infinite
-    on_res = scattering_length(0.0, 2.0, 4.0)
-    assert on_res.infinite and math.isinf(on_res.a_s) and on_res.inv_kca == 0.0
-    with pytest.raises(ZeroWidth):
-        scattering_length(1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        scattering_length(1.0, 1.0, -1.0)
 
 
 def test_import_does_not_load_scipy_integrate():

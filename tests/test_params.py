@@ -10,7 +10,6 @@ from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import (
     PARAM_KEYS,
     DimensionlessParams,
-    from_dict,
     validate,
 )
 from conftest import random_params
@@ -24,6 +23,7 @@ def test_coherent_defaults_fill_in():
     )
     assert p.g12 == pytest.approx(2.0, abs=0)
     assert p.eta == pytest.approx(0.06, abs=0)
+    assert DimensionlessParams(**p.as_dict()) == p
 
 
 def test_explicit_coherences_kept():
@@ -73,35 +73,6 @@ def test_replace_explicit_wins_over_rederive():
     )
     q = p.replace(g1=9.0, g12=1.0)
     assert q.g12 == 1.0
-
-
-def test_from_dict_roundtrip(generic_params):
-    d = generic_params.as_dict()
-    assert set(d) == set(PARAM_KEYS)
-    assert from_dict(d) == generic_params
-
-
-def test_from_dict_rejects_unknown_key():
-    d = {k: 0.0 for k in PARAM_KEYS}
-    d["g1"] = d["g2"] = 1.0
-    d["bogus"] = 1.0
-    with pytest.raises(ValidationError, match="bogus"):
-        from_dict(d)
-
-
-def test_from_dict_rejects_missing_key():
-    d = {k: 1.0 for k in PARAM_KEYS}
-    del d["delta2"]
-    with pytest.raises(ValidationError, match="delta2"):
-        from_dict(d)
-
-
-def test_from_dict_optional_keys_may_be_absent():
-    d = {k: 1.0 for k in PARAM_KEYS}
-    for k in ("g12", "eta", "inv_kca"):
-        del d[k]
-    p = from_dict(d)
-    assert p.g12 == 1.0 and p.eta == 1.0 and p.inv_kca == 0.0
 
 
 def test_constructor_rejects_negative_widths():
@@ -167,14 +138,12 @@ def test_constructor_rejects_bools_nulls_and_non_numbers(key, value):
                 gamma1=1.0, gamma2=1.0)
     with pytest.raises(ValidationError, match=key):
         DimensionlessParams(**dict(base, **{key: value}))
-    with pytest.raises(ValidationError, match=key):
-        from_dict(dict(base, **{key: value}))
 
 
 def test_null_coherences_take_their_defaults():
     d = {k: 1.0 for k in PARAM_KEYS}
     d["g12"] = d["eta"] = None
-    p = from_dict(d)
+    p = DimensionlessParams(**d)
     assert p.g12 == 1.0 and p.eta == 1.0
 
 
