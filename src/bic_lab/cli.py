@@ -64,6 +64,8 @@ SWEEP_HEADER = ["eta", "E_peak", "height", "width", "re_E1", "im_E1"]
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
@@ -112,8 +114,8 @@ def emit_json(obj, path: str) -> None:
 
 MAX_POINTS = 100_000   # grid.n_points
 MAX_ETAS = 10_000      # sweep.eta_range.n
-# 3 + n_e + 2*n_k: `validate` runs one real `np.linalg.eigh` of the dense
-# n x n matrix; at 2000 states that peaks about 160 MB above the
+# 3 + n_e + 2*n_k: `validate` reduces the dense real n x n matrix to
+# tridiagonal form; at 2000 states that peaks about 64 MB above the
 # interpreter's own footprint
 MAX_STATES = 2_000
 

@@ -13,7 +13,9 @@ Two kinds of validation live here:
   P (z - H)^-1 P = (z - H_PP - Sigma(z))^-1 with
   Sigma(z) = C (z - D)^-1 C^T on the same discretized matrix.  This
   holds to machine precision at any grid size: it validates the
-  projection algebra, independent of any pole approximation.
+  projection algebra, independent of any pole approximation.  The left
+  side comes from one tridiagonal reduction of the whole dense matrix,
+  which never looks at its blocks, so it does not reuse Sigma.
 
 * ``compare_pole_approximation`` locates the true resonance poles of
   the discretized model by a damped fixed point on the energy-dependent
@@ -132,7 +134,7 @@ class DiscretizedModel:
         h[:3, :3] = self.h_pp
         h[:3, 3:] = self.coupling
         h[3:, :3] = self.coupling.T
-        h[3:, 3:] = np.diag(self.diag_q)
+        np.fill_diagonal(h[3:, 3:], self.diag_q)
         return h
 
     def sigma(self, z) -> np.ndarray:
@@ -242,12 +244,16 @@ def resolvent_check(dm: DiscretizedModel,
     Both sides are computed on the same matrix, so this is an exact
     identity; deviations reflect linear-algebra conditioning only.
 
-    The full side comes from one eigendecomposition H = W diag(lam) W^T
-    of the real symmetric matrix, shared by all probes:
-    P (z-H)^-1 P = W_3 diag(1/(z - lam)) W_3^T, with W_3 the first three
-    rows of W.  The eigensolve sees H as a whole and never uses its
-    block structure, so the full side stays independent of the
-    Schur-complement side built from Sigma(z).
+    The full side comes from one Householder tridiagonalization
+    H = Q T Q^T of the real symmetric matrix (LAPACK dsytrd, lower
+    storage), shared by all probes: with X = Q^T P (n x 3),
+    P (z-H)^-1 P = X^T (z - T)^-1 X, one complex tridiagonal solve
+    (zgtsv) per probe.  Lower storage leaves the first coordinate alone
+    (Q e_0 = e_0), and the other two columns of X come from one dormqr
+    on the stored reflectors.  The reduction sees H as a whole and never
+    uses its block structure, so the full side stays independent of the
+    Schur-complement side built from Sigma(z).  A nonzero LAPACK info
+    is a ConvergenceFailure.
     """
     if probes is None:
         probes = default_probes(dm)
@@ -255,17 +261,32 @@ def resolvent_check(dm: DiscretizedModel,
     for z in probes:
         if abs(z.imag) < 1e-12:
             raise ProbeOnSpectrum(f"probe {z!r} sits on the real axis")
+    from scipy.linalg import lapack  # imported on use, see pv_integral
+
+    def call(name, *args, **kwargs):
+        *out, info = getattr(lapack, name)(*args, **kwargs)
+        if info != 0:
+            raise ConvergenceFailure(f"resolvent solve failed: {name} returned info {info}")
+        return out
+
+    n = dm.size
+    (lwork,) = call("dsytrd_lwork", n, lower=1)
+    c, diag, off, tau = call("dsytrd", dm.matrix(), lower=1, lwork=int(lwork))
+    x = np.zeros((n, 3))
+    x[0, 0] = 1.0
+    # dormtr's step: the reflectors act on rows 1..n-1 (minimal lwork, unblocked)
+    x[1:, 1:], _ = call("dormqr", "L", "T", c[1:, :-1], tau, np.eye(n - 1, 2), 2)
+    neg_off = -off.astype(complex)
     deviations = []
-    try:
-        lams, vecs = np.linalg.eigh(dm.matrix())
-        w3 = vecs[:3, :]
-        for z in probes:
-            full = (w3 / (z - lams)) @ w3.T
+    for z in probes:
+        _, _, _, y = call("zgtsv", neg_off, z - diag, neg_off, x)
+        full = x.T @ y
+        try:
             reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
-            scale = max(np.max(np.abs(full)), 1e-300)
-            deviations.append(float(np.max(np.abs(full - reduced)) / scale))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
+        scale = max(np.max(np.abs(full)), 1e-300)
+        deviations.append(float(np.max(np.abs(full - reduced)) / scale))
     # couplings near the overflow threshold turn both sides into NaN
     if not np.all(np.isfinite(deviations)):
         raise ConvergenceFailure(f"non-finite resolvent deviations {deviations!r}")

@@ -33,6 +33,13 @@ _INV_E = 1.0 / math.e
 _EPS = float(np.finfo(float).eps)
 
 
+#: decorates the public entry points, so it is entered once per call: far
+#: out on the real axis the evaluator's products overflow to inf/NaN, which
+#: the callers report as ConvergenceFailure, and numpy's RuntimeWarnings
+#: would only repeat that
+_quiet = np.errstate(all="ignore")
+
+
 def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     """The complex amplitude of channel 1 or 2 as a function of a 1-d
     float array of abscissae, and (det(eI - M), [adj(eI - M) v]_channel)
@@ -149,6 +156,7 @@ class SpectrumSeries:
         object.__setattr__(self, "values", vals)
 
 
+@_quiet
 def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
                     n_points: int, channel: int = 1) -> SpectrumSeries:
     """Spectrum on a uniform grid with pole-aware local refinement.
@@ -438,6 +446,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 LORENTZ_WIDTH_FACTOR = 2.0 * math.sqrt(math.e - 1.0)
 
 
+@_quiet
 def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
     """Peak metrics of the resonance of the least-damped eigenvalue E1.
 
@@ -544,6 +553,7 @@ def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                     re_e1=float(e1.real), im_e1=float(e1.imag), error=err)
 
 
+@_quiet
 def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
               channel: int = 1,
               window: tuple[float, float] | None = None) -> EtaSweepResult:

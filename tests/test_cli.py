@@ -91,6 +91,17 @@ def test_certify_deviated_reference(tmp_path):
     assert rec["lambda_est"] == pytest.approx(1.2944198519681624, rel=1e-10)
 
 
+def test_certify_csv_writes_bools_as_json_does(tmp_path):
+    cfg = write_cfg(tmp_path, "cert.json", {"params": fig3_params().as_dict()})
+    as_json, as_csv = tmp_path / "cert.json.out", tmp_path / "cert.csv"
+    assert main(["certify", "--config", cfg, "--out", str(as_json)]) == 0
+    assert main(["certify", "--config", cfg, "--format", "csv", "--out", str(as_csv)]) == 0
+    with open(as_csv, newline="") as fh:
+        header, row = csv.reader(fh)
+    cell = row[header.index("is_bic")]
+    assert cell == json.dumps(json.loads(as_json.read_text())["is_bic"]) == "false"
+
+
 def test_certify_validation_mode_rejects(tmp_path):
     bad = fig3_params(gamma=0.01, eta=0.02).as_dict()  # eta above bound
     cfg = write_cfg(tmp_path, "cert2.json",

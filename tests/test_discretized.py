@@ -264,7 +264,7 @@ def test_overflowing_couplings_are_convergence_failures():
 
 def _dense_solve_deviations(dm, probes):
     """The elimination check by one dense complex solve per probe: an
-    independent oracle for the eigendecomposition route."""
+    independent oracle for the tridiagonal route."""
     h = dm.matrix()
     eye_p = np.zeros((dm.size, 3))
     eye_p[:3, :3] = np.eye(3)
@@ -276,7 +276,7 @@ def _dense_solve_deviations(dm, probes):
     return deviations
 
 
-@pytest.mark.parametrize("n_e", [1, 10, 60])
+@pytest.mark.parametrize("n_e", [1, 10, 60, 200])
 @pytest.mark.parametrize("photons", [False, True], ids=["collision", "photon_bins"])
 def test_resolvent_check_matches_dense_solves(n_e, photons):
     # both routes compare against the same reduced side, where the dense
@@ -295,15 +295,38 @@ def test_resolvent_check_matches_dense_solves(n_e, photons):
     np.testing.assert_allclose(rep.deviations, oracle, rtol=0.0, atol=1e-12)
 
 
-def test_resolvent_eigensolve_failure_is_convergence_failure(monkeypatch):
-    def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+def test_resolvent_lapack_failure_is_convergence_failure(monkeypatch):
+    from scipy.linalg import lapack
+
+    zgtsv = lapack.zgtsv
+
+    def singular(*args):
+        *out, _ = zgtsv(*args)
+        return (*out, 2)  # info > 0: U(2,2) is exactly zero
 
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(lapack, "zgtsv", singular)
     with pytest.raises(ConvergenceFailure,
-                       match="resolvent solve failed: Eigenvalues did not converge"):
+                       match="resolvent solve failed: zgtsv returned info 2"):
         resolvent_check(dm)
+
+
+def test_resolvent_check_does_not_reuse_sigma(monkeypatch):
+    # the full side is built from H alone: a Sigma that leaves out the
+    # bin coupled most strongly to |c> breaks the identity, and the check
+    # must see it
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
+    dm = discretize(reference_gaussian_model(), grid)
+    assert resolvent_check(dm).max_deviation < 1e-12
+    j = int(np.argmax(np.abs(dm.coupling[2])))
+    sigma = DiscretizedModel.sigma
+
+    def sigma_without_bin_j(self, z):
+        return sigma(replace(self, coupling=np.delete(self.coupling, j, axis=1),
+                             diag_q=np.delete(self.diag_q, j)), z)
+
+    monkeypatch.setattr(DiscretizedModel, "sigma", sigma_without_bin_j)
+    assert resolvent_check(dm).max_deviation > 1e-6
 
 
 def test_pole_comparison_needs_a_feshbach_width():

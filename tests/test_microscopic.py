@@ -268,16 +268,17 @@ def test_to_dimensionless_requires_feshbach_width():
         to_dimensionless(derive_couplings(dead), dead)
 
 
-def test_import_does_not_load_scipy_integrate():
-    # the quadratures import scipy.integrate on first use, so the package
-    # and its CLI start without paying for it
+def test_import_does_not_load_scipy():
+    # the quadratures and the resolvent check import scipy on first use,
+    # so the package and its CLI start without paying for it
     src = os.path.dirname(os.path.dirname(os.path.abspath(bic_lab.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, bic_lab; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, bic_lab, bic_lab.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_derive_overflow_is_a_convergence_failure():
