@@ -4,8 +4,10 @@ The effective 3x3 description stands or falls with two approximations:
 the projected resolvent identity (exact, checks the algebra and the
 discretization) and the pole approximation that freezes all couplings
 at the Feshbach energy (controlled, checked in the flat-coupling limit
-where it should become exact).  Both are verified here against a
-directly diagonalized model with thousands of explicit continuum bins.
+where it should become exact).  Both are verified here on models with
+hundreds to thousands of explicit continuum bins: the identity against
+the full resolvent (z - H)^-1 from a sparse LU factorization of the whole
+matrix, the poles by a self-consistent search on H_PP + Sigma(z).
 """
 from __future__ import annotations
 

@@ -114,9 +114,9 @@ def emit_json(obj, path: str) -> None:
 
 MAX_POINTS = 100_000   # grid.n_points
 MAX_ETAS = 10_000      # sweep.eta_range.n
-# 3 + n_e + 2*n_k: `validate` reduces the dense real n x n matrix to
-# tridiagonal form; at 2000 states that peaks about 64 MB above the
-# interpreter's own footprint
+# 3 + n_e + 2*n_k: `validate` factors the sparse n x n z - H once per
+# probe; at 2000 states that takes 20-30 ms and peaks about 2 MB above
+# the interpreter's own footprint
 MAX_STATES = 2_000
 
 

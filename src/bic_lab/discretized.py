@@ -14,8 +14,8 @@ Two kinds of validation live here:
   Sigma(z) = C (z - D)^-1 C^T on the same discretized matrix.  This
   holds to machine precision at any grid size: it validates the
   projection algebra, independent of any pole approximation.  The left
-  side comes from one tridiagonal reduction of the whole dense matrix,
-  which never looks at its blocks, so it does not reuse Sigma.
+  side comes from one sparse LU factorization of z - H per probe, which
+  sees only the assembled matrix, so it does not reuse Sigma.
 
 * ``compare_pole_approximation`` locates the true resonance poles of
   the discretized model by a damped fixed point on the energy-dependent
@@ -109,8 +109,8 @@ class DiscretizedModel:
               the direct bound-bound couplings)
     coupling  3 x n_q block C of P-Q couplings (rows: e1, e2, c)
     diag_q    n_q bin energies
-    The assembled dense matrix [[h_pp, C], [C^T, diag(diag_q)]] is
-    available from matrix(); it is symmetric real, hence exactly
+    The assembled matrix [[h_pp, C], [C^T, diag(diag_q)]] is available
+    from matrix() as a sparse array; it is symmetric real, hence exactly
     Hermitian, and has no continuum-continuum coupling by construction.
     """
 
@@ -129,13 +129,17 @@ class DiscretizedModel:
     def size(self) -> int:
         return 3 + self.n_q
 
-    def matrix(self) -> np.ndarray:
-        h = np.zeros((self.size, self.size))
-        h[:3, :3] = self.h_pp
-        h[:3, 3:] = self.coupling
-        h[3:, :3] = self.coupling.T
-        np.fill_diagonal(h[3:, 3:], self.diag_q)
-        return h
+    def matrix(self):
+        """H as a scipy.sparse CSC array of 9 + 7 n_q stored entries."""
+        from scipy.sparse import csc_array  # imported on use, see pv_integral
+
+        p, q = np.arange(3), np.arange(3, self.size)
+        c_rows, c_cols = np.repeat(p, self.n_q), np.tile(q, 3)
+        rows = np.concatenate([np.repeat(p, 3), c_rows, c_cols, q])
+        cols = np.concatenate([np.tile(p, 3), c_cols, c_rows, q])
+        vals = np.concatenate([self.h_pp.ravel(), self.coupling.ravel(),
+                               self.coupling.ravel(), self.diag_q])
+        return csc_array((vals, (rows, cols)), shape=(self.size, self.size))
 
     def sigma(self, z) -> np.ndarray:
         """Level-shift matrix Sigma(z) = C (z - D)^-1 C^T (3x3 complex).
@@ -244,45 +248,39 @@ def resolvent_check(dm: DiscretizedModel,
     Both sides are computed on the same matrix, so this is an exact
     identity; deviations reflect linear-algebra conditioning only.
 
-    The full side comes from one Householder tridiagonalization
-    H = Q T Q^T of the real symmetric matrix (LAPACK dsytrd, lower
-    storage), shared by all probes: with X = Q^T P (n x 3),
-    P (z-H)^-1 P = X^T (z - T)^-1 X, one complex tridiagonal solve
-    (zgtsv) per probe.  Lower storage leaves the first coordinate alone
-    (Q e_0 = e_0), and the other two columns of X come from one dormqr
-    on the stored reflectors.  The reduction sees H as a whole and never
-    uses its block structure, so the full side stays independent of the
-    Schur-complement side built from Sigma(z).  A nonzero LAPACK info
-    is a ConvergenceFailure.
+    The full side factors the sparse z - H once per probe with SuperLU
+    (scipy.sparse.linalg.splu: COLAMD column order, partial pivoting) and
+    solves for the three discrete-state columns.  The factorization sees
+    the assembled matrix alone and picks its own order and pivots, so the
+    full side stays independent of the Schur-complement side built from
+    Sigma(z).  An empty probe list or a non-finite probe is a
+    ValidationError; a failed factorization or a singular 3x3 is a
+    ConvergenceFailure.
     """
     if probes is None:
+        # non-finite only when the couplings overflow: a numerical failure
         probes = default_probes(dm)
-    probes = [complex(z) for z in probes]
+    else:
+        probes = [complex(z) for z in probes]
+        if not probes or not all(map(cmath.isfinite, probes)):
+            raise ValidationError([f"probes: must be nonempty and finite ({probes!r})"])
     for z in probes:
         if abs(z.imag) < 1e-12:
             raise ProbeOnSpectrum(f"probe {z!r} sits on the real axis")
-    from scipy.linalg import lapack  # imported on use, see pv_integral
+    from scipy.sparse import csc_array  # imported on use, see pv_integral
+    from scipy.sparse.linalg import splu
 
-    def call(name, *args, **kwargs):
-        *out, info = getattr(lapack, name)(*args, **kwargs)
-        if info != 0:
-            raise ConvergenceFailure(f"resolvent solve failed: {name} returned info {info}")
-        return out
-
-    n = dm.size
-    (lwork,) = call("dsytrd_lwork", n, lower=1)
-    c, diag, off, tau = call("dsytrd", dm.matrix(), lower=1, lwork=int(lwork))
-    x = np.zeros((n, 3))
-    x[0, 0] = 1.0
-    # dormtr's step: the reflectors act on rows 1..n-1 (minimal lwork, unblocked)
-    x[1:, 1:], _ = call("dormqr", "L", "T", c[1:, :-1], tau, np.eye(n - 1, 2), 2)
-    neg_off = -off.astype(complex)
+    h = dm.matrix()
+    diag = np.arange(dm.size)
+    eye = csc_array((np.ones(dm.size), (diag, diag)))
+    columns = np.eye(dm.size, 3)
     deviations = []
     for z in probes:
-        _, _, _, y = call("zgtsv", neg_off, z - diag, neg_off, x)
-        full = x.T @ y
         try:
+            full = splu(z * eye - h).solve(columns)[:3]
             reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise ConvergenceFailure(f"resolvent solve failed: splu: {exc}") from None
         except np.linalg.LinAlgError as exc:
             raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
         scale = max(np.max(np.abs(full)), 1e-300)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from bic_lab import __version__, errors
-from bic_lab.cli import _EXIT_BY_ERROR, SWEEP_HEADER, main
+from bic_lab.cli import _EXIT_BY_ERROR, MAX_STATES, SWEEP_HEADER, main
 from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 from bic_lab.spectrum import sweep_eta
 
@@ -265,6 +265,19 @@ def test_validate_resolvent(tmp_path):
     assert all(float(r.split(",")[2]) < 1e-10 for r in lines[1:])
 
 
+def test_validate_at_the_state_cap(tmp_path):
+    cfg = gaussian_model_cfg()
+    cfg["oracle"] = {"e_min": 0.0, "e_max": 4.5, "n_e": 997,
+                     "k_min": 0.0, "k_max": 3.0, "n_k": 500}
+    assert 3 + 997 + 2 * 500 == MAX_STATES
+    path = write_cfg(tmp_path, "cap.json", cfg)
+    out = tmp_path / "cap.csv"
+    assert main(["validate", "--config", path, "--quiet", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(float(r.split(",")[2]) < 1e-10 for r in rows)
+
+
 def test_validate_grid_coverage_exit_code(tmp_path):
     cfg = gaussian_model_cfg()
     cfg["oracle"] = {"e_min": 0.0, "e_max": 2.0, "n_e": 40}
@@ -509,7 +522,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
      "discretize overflowed"),
     ("validate", dict(_validate_cfg(k_max=3.0, n_k=10)[1], microscopic=dict(
         gaussian_model_cfg()["microscopic"], v2f=1e160)),
-     "non-finite resolvent deviations"),
+     "resolvent solve failed: splu: Factor is exactly singular"),
     ("validate", dict(_validate_cfg(k_max=3.0, n_k=10, probes=[[1.0, 0.5]])[1],
                       microscopic=dict(gaussian_model_cfg()["microscopic"], v2f=1e300,
                                        omega23=-1.0)),

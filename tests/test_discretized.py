@@ -17,7 +17,7 @@ from bic_lab.discretized import (
     smoothed_kernel_sum,
 )
 from bic_lab.errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
-                            ProbeOnSpectrum, ZeroWidth)
+                            ProbeOnSpectrum, ValidationError, ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -56,7 +56,7 @@ def test_discretize_shapes_and_hermiticity():
     dm = discretize(model, grid)
     assert dm.n_q == 50 + 2 * 20
     assert dm.size == 3 + 90
-    h = dm.matrix()
+    h = dm.matrix().toarray()
     assert np.array_equal(h, h.T)
     # no continuum-continuum coupling
     q_block = h[3:, 3:]
@@ -251,21 +251,23 @@ def test_narrow_gaussian_pole_accuracy_is_finite():
 
 def test_overflowing_couplings_are_convergence_failures():
     # float ** 2 on a 1e300 coupling raises OverflowError inside the
-    # coverage quadrature; a 1e160 vacuum coupling turns both sides into NaN
+    # coverage quadrature; a 1e160 vacuum coupling overflows the default
+    # probes and the LU factorization of z - H
     base = reference_gaussian_model()
     huge = replace(base, lambda1=GaussianCoupling(amplitude=1e300, center=1.25, width=0.45))
     with pytest.raises(ConvergenceFailure, match="discretize overflowed"):
         discretize(huge, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=10)
     dm = discretize(replace(base, v2f=1e160), grid)
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="non-finite"):
+    singular = "^resolvent solve failed: splu: Factor is exactly singular$"
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match=singular):
         resolvent_check(dm)
 
 
 def _dense_solve_deviations(dm, probes):
     """The elimination check by one dense complex solve per probe: an
-    independent oracle for the tridiagonal route."""
-    h = dm.matrix()
+    independent oracle for the sparse LU route."""
+    h = dm.matrix().toarray()
     eye_p = np.zeros((dm.size, 3))
     eye_p[:3, :3] = np.eye(3)
     deviations = []
@@ -295,20 +297,36 @@ def test_resolvent_check_matches_dense_solves(n_e, photons):
     np.testing.assert_allclose(rep.deviations, oracle, rtol=0.0, atol=1e-12)
 
 
-def test_resolvent_lapack_failure_is_convergence_failure(monkeypatch):
-    from scipy.linalg import lapack
+def test_resolvent_factorization_failure_is_convergence_failure(monkeypatch):
+    from scipy.sparse import linalg
 
-    zgtsv = lapack.zgtsv
-
-    def singular(*args):
-        *out, _ = zgtsv(*args)
-        return (*out, 2)  # info > 0: U(2,2) is exactly zero
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
 
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    monkeypatch.setattr(lapack, "zgtsv", singular)
+    monkeypatch.setattr(linalg, "splu", singular)
     with pytest.raises(ConvergenceFailure,
-                       match="resolvent solve failed: zgtsv returned info 2"):
+                       match="^resolvent solve failed: splu: Factor is exactly singular$"):
         resolvent_check(dm)
+
+
+@pytest.mark.parametrize("probes", [[], [complex("nan+1j")], [1.0 + 1.0j, math.inf]],
+                         ids=["empty", "nan", "inf"])
+def test_resolvent_check_rejects_bad_probes(probes):
+    dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
+    with pytest.raises(ValidationError, match="^probes: must be nonempty and finite"):
+        resolvent_check(dm, probes)
+
+
+def test_matrix_is_sparse_block_layout():
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
+    dm = discretize(reference_gaussian_model(), grid)
+    h = dm.matrix()
+    assert h.format == "csc"
+    assert h.nnz <= 9 + 7 * dm.n_q
+    expected = np.block([[dm.h_pp, dm.coupling],
+                         [dm.coupling.T, np.diag(dm.diag_q)]])
+    assert np.array_equal(h.toarray(), expected)
 
 
 def test_resolvent_check_does_not_reuse_sigma(monkeypatch):
