@@ -33,8 +33,7 @@ def main() -> None:
           f"   Gamma_F = {res.gamma_f:.6f}")
     print(f"    spontaneous: gamma1_sp = {res.gamma1_sp:.6f},"
           f" gamma2_sp = {res.gamma2_sp:.6f}")
-    print(f"    vacuum cross-decay gamma_vic = {res.gamma_vic:.6f}"
-          f" ({res.vic_convention})")
+    print(f"    vacuum cross-decay gamma_vic = {res.gamma_vic:.6f}")
     print()
 
     params = to_dimensionless(res, model)

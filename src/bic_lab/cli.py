@@ -239,8 +239,7 @@ _CONFIGS = {
     "width-curve": {**_PARAMS, "sweep": (_SWEEP, {})},
     "derive": {"microscopic": ({
         **_MODEL, "e_max": (_number, None),
-        **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0)),
-        "vic_convention": (_string, "as_written")}, ...)},
+        **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0))}, ...)},
     "validate": {"microscopic": (_MODEL, ...), "oracle": ({
         "e_min": (_number, ...), "e_max": (_number, ...), "n_e": (_integer, ...),
         **dict.fromkeys(("k_min", "k_max", "e1_rot", "e2_rot"), (_number, 0.0)),
@@ -343,7 +342,7 @@ def _run_sweep(cfg: dict, args) -> None:
 def _run_derive(cfg: dict, args) -> None:
     micro = cfg["microscopic"]
     model = CouplingModel(e_max=micro.pop("e_max"), **{k: micro.pop(k) for k in _MODEL})
-    res = derive_couplings(model, vic_convention=micro.pop("vic_convention"))
+    res = derive_couplings(model)
     # what is left are the four rotating-frame keys
     params = to_dimensionless(res, model, **micro)
     _emit_record({
@@ -354,7 +353,6 @@ def _run_derive(cfg: dict, args) -> None:
             "gamma_LIC": res.gamma_lic, "Gamma_1F": res.gamma_1f,
             "Gamma_2F": res.gamma_2f, "gamma_1": res.gamma1_sp,
             "gamma_2": res.gamma2_sp, "gamma_VIC": res.gamma_vic,
-            "vic_convention": res.vic_convention,
         },
         "params": params.as_dict(),
     }, args)
@@ -581,9 +579,5 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

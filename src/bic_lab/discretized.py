@@ -29,8 +29,8 @@ so the resulting decay rates are gamma_n = 4 pi V_nf^2, matching the
 stated spontaneous rates (the source's k-integrals carry twice the
 naive golden-rule weight).  The two photon continua share one grid; a
 dipole overlap p makes |e2> couple to the |e1> continuum with weight p
-and to an orthogonal one with weight sqrt(1 - p^2), reproducing the VIC
-cross damping of maximal-interference strength.
+and to an orthogonal one with weight sqrt(1 - p^2), reproducing the
+cross damping gamma_VIC = 4 pi V1f V2f p that derive_couplings uses.
 """
 
 from __future__ import annotations
@@ -231,9 +231,15 @@ def default_probes(dm: DiscretizedModel) -> list[complex]:
     """8 points on a rectangle enclosing the spectrum.
 
     The height is max(1, Gamma-scale); far off the real axis both sides
-    of the identity are well-conditioned.
+    of the identity are well-conditioned.  A Gamma-scale that overflows
+    is a ConvergenceFailure.
     """
-    gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
+    if not math.isfinite(gamma_scale):
+        raise ConvergenceFailure(
+            f"coupling scale 2 pi max_n sum_q C_nq^2 overflowed ({gamma_scale!r}): "
+            "no finite default probes")
     h = max(1.0, gamma_scale)
     diag_all = np.concatenate([np.diag(dm.h_pp), dm.diag_q])
     lo, hi = float(np.min(diag_all)) - h, float(np.max(diag_all)) + h
@@ -258,7 +264,6 @@ def resolvent_check(dm: DiscretizedModel,
     ConvergenceFailure.
     """
     if probes is None:
-        # non-finite only when the couplings overflow: a numerical failure
         probes = default_probes(dm)
     else:
         probes = [complex(z) for z in probes]

@@ -13,19 +13,16 @@ energies).  Eliminating the continua at the quasi-bound energy E3 gives
     coherences gamma_LIC = 2 pi Lambda1(E3) Lambda2(E3)
                Gamma_nF  = 2 pi Lambda_n(E3) V3(E3)
     vacuum     gamma_n   = 4 pi V_nf^2
-               gamma_VIC = 2 pi V1f V2f * dipole_overlap   (as written)
+               gamma_VIC = 4 pi V1f V2f * dipole_overlap
 
 with hbar = 1 (rates and energies identified).  Everything is evaluated
 at E = E3 -- the pole approximation of the underlying derivation -- and
 all vacuum-induced *shifts* are dropped, as in the source treatment.
 
-Note the internal tension in the vacuum sector: the diagonal rates carry
-4 pi where the cross term carries 2 pi, so parallel dipoles as written
-give gamma_VIC = sqrt(gamma1*gamma2)/2, half the value the bound-state
-condition eta = sqrt(gamma1_t*gamma2_t) needs.  ``vic_convention``
-selects 'as_written' (default) or 'max_interference', which uses 4 pi in
-the cross term so that parallel dipoles saturate the Cauchy-Schwarz
-bound.  Nothing downstream hides the choice: it only rescales gamma_VIC.
+The cross term carries the same 4 pi as the diagonal rates, so parallel
+dipoles saturate Cauchy-Schwarz (gamma_VIC = sqrt(gamma1*gamma2), the
+bound-state condition) and the photon bins of the discretized check
+converge to it.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from .errors import (DivergentTail, SingularEndpoint, ValidationError, ZeroCross
                      ZeroWidth, _overflow_is_convergence_failure)
 from .params import DimensionlessParams
 
-VIC_CONVENTIONS = ("as_written", "max_interference")
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
 
 
@@ -203,8 +199,7 @@ def pv_integral(f: Callable[[float], float], e3: float,
 class MicroscopicResult:
     """Shifts, widths and coherences produced by continuum elimination.
 
-    All entries are energies (hbar = 1); the vic_convention used for
-    gamma_vic is recorded alongside the numbers.
+    All entries are energies (hbar = 1).
     """
 
     e_sh_1: float
@@ -222,12 +217,10 @@ class MicroscopicResult:
     gamma1_sp: float
     gamma2_sp: float
     gamma_vic: float
-    vic_convention: str
 
 
 @_overflow_is_convergence_failure
-def derive_couplings(model: CouplingModel,
-                     vic_convention: str = "as_written") -> MicroscopicResult:
+def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     """Evaluate every shift, width and coherence of the elimination.
 
     PV integrals use the pole approximation (all evaluated at E3), and
@@ -235,9 +228,6 @@ def derive_couplings(model: CouplingModel,
     Vacuum-induced shifts are zero by construction here; only the vacuum
     widths and the VIC cross term survive.
     """
-    if vic_convention not in VIC_CONVENTIONS:
-        raise ValidationError(
-            [f"vic_convention must be one of {VIC_CONVENTIONS}, got {vic_convention!r}"])
     l1, l2, v3 = model.lambda1, model.lambda2, model.v3
     e3, upper = model.e3, model.e_max
     e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper)
@@ -248,7 +238,6 @@ def derive_couplings(model: CouplingModel,
     beta2 = pv_integral(lambda e: l2(e) * v3(e), e3, upper)
     l1f, l2f, v3f = float(l1(e3)), float(l2(e3)), float(v3(e3))
     two_pi = 2.0 * math.pi
-    vic_factor = two_pi if vic_convention == "as_written" else 2.0 * two_pi
     return MicroscopicResult(
         e_sh_1=e_sh_1, e_sh_2=e_sh_2, e_sh_f=e_sh_f,
         alpha=alpha, beta1=beta1, beta2=beta2,
@@ -260,8 +249,7 @@ def derive_couplings(model: CouplingModel,
         gamma_2f=two_pi * l2f * v3f,
         gamma1_sp=2.0 * two_pi * model.v1f ** 2,
         gamma2_sp=2.0 * two_pi * model.v2f ** 2,
-        gamma_vic=vic_factor * model.v1f * model.v2f * model.dipole_overlap,
-        vic_convention=vic_convention,
+        gamma_vic=2.0 * two_pi * model.v1f * model.v2f * model.dipole_overlap,
     )
 
 

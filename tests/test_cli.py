@@ -238,7 +238,6 @@ def test_derive_reference_model(tmp_path):
     assert main(["derive", "--config", cfg, "--out", str(out)]) == 0
     rec = json.loads(out.read_text())
     assert rec["microscopic"]["Gamma_F"] == pytest.approx(0.249588129202350, rel=1e-9)
-    assert rec["microscopic"]["vic_convention"] == "as_written"
     assert rec["params"]["g1"] == pytest.approx(0.473319504421516, rel=1e-9)
     assert rec["params"]["inv_kca"] == pytest.approx(-7.916933607665830, rel=1e-9)
 
@@ -440,7 +439,7 @@ def _dress_cfg(**dressing):
     (*_spectrum_cfg(n_points=1), "need n_points >= 2"),
     (*_validate_cfg(n_e=0), "n_e must be >= 1"),
     (*_derive_cfg(dipole_overlap=1.5), "dipole_overlap must lie in [-1, 1]"),
-    (*_derive_cfg(vic_convention="x"), "vic_convention must be one of"),
+    (*_derive_cfg(vic_convention="x"), "microscopic: unknown keys for derive: vic_convention"),
     (*_derive_cfg(lambda1={"shape": "gaussian", "amplitude": 0.16, "center": 1.25,
                            "width": -1.0}), "width must be positive"),
     (*_solve_cfg(gamma2=0.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
@@ -491,7 +490,8 @@ def _dress_cfg(**dressing):
      "params: unknown keys for certify: bogus"),
     ("certify", {"params": {k: v for k, v in fig4_params().as_dict().items() if k != "delta2"}},
      "params.delta2: required"),
-    # the rotating frame, the VIC convention and the PV cutoff enter derive only
+    # validate takes neither the rotating frame nor the PV cutoff (derive
+    # only), nor the retired VIC convention key
     *[("validate", dict(_validate_cfg()[1], microscopic=dict(
         gaussian_model_cfg()["microscopic"], **{key: value})),
        f"microscopic: unknown keys for validate: {key}")
@@ -522,7 +522,7 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
      "discretize overflowed"),
     ("validate", dict(_validate_cfg(k_max=3.0, n_k=10)[1], microscopic=dict(
         gaussian_model_cfg()["microscopic"], v2f=1e160)),
-     "resolvent solve failed: splu: Factor is exactly singular"),
+     "coupling scale 2 pi max_n sum_q C_nq^2 overflowed (inf): no finite default probes"),
     ("validate", dict(_validate_cfg(k_max=3.0, n_k=10, probes=[[1.0, 0.5]])[1],
                       microscopic=dict(gaussian_model_cfg()["microscopic"], v2f=1e300,
                                        omega23=-1.0)),
@@ -574,9 +574,8 @@ def test_derive_csv_flattens_sections(tmp_path):
     assert main(["derive", "--config", cfg, "--format", "csv", "--out", str(as_csv)]) == 0
     with open(as_csv, newline="") as fh:
         header, row = csv.reader(fh)
-    assert len(header) == len(row) == 28
+    assert len(header) == len(row) == 27
     rec = json.loads(as_json.read_text())
     for column, cell in zip(header, row):
         section, key = column.split(".")
-        want = rec[section][key]
-        assert (cell if isinstance(want, str) else float(cell)) == want
+        assert float(cell) == rec[section][key]

@@ -241,7 +241,7 @@ def test_narrow_gaussian_pole_accuracy_is_finite():
     # structured couplings: the pole approximation is only approximate;
     # the deviation must be small but is not expected to vanish
     model = reference_gaussian_model()
-    res = derive_couplings(model, vic_convention="max_interference")
+    res = derive_couplings(model)
     params = to_dimensionless(res, model, e1=0.9, e2=1.1)
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=2000, k_min=0.0, k_max=3.0, n_k=1000)
     dm = discretize(model, grid, e1_rot=0.9, e2_rot=1.1)
@@ -249,18 +249,43 @@ def test_narrow_gaussian_pole_accuracy_is_finite():
     assert cmp.max_deviation < 0.2 * res.gamma_f
 
 
+def test_vacuum_cross_decay_converges_to_the_discretized_poles():
+    # flat couplings make the pole approximation exact: with the 4 pi cross
+    # term the two least-damped poles converge as the bins refine (4x per
+    # 4x bins), where a 2 pi term would plateau at 0.23 sqrt(gamma1*gamma2)
+    model = CouplingModel(
+        lambda1=FlatCoupling(0.0), lambda2=FlatCoupling(0.0), v3=FlatCoupling(0.1),
+        v1f=0.006, v2f=0.005, omega13=0.0, omega23=0.0, e3=1.0,
+        dipole_overlap=0.9, e_max=2.0)
+    e1, e2 = 1.0 - 5e-5, 1.0 + 5e-5
+    res = derive_couplings(model)
+    params = to_dimensionless(res, model, e1=e1, e2=e2)
+    scale = math.sqrt(res.gamma1_sp * res.gamma2_sp)
+    devs = []
+    for n in (2000, 8000):
+        grid = GridSpec(e_min=0.0, e_max=2.0, n_e=n, k_min=0.0, k_max=2.0, n_k=n)
+        cmp = compare_pole_approximation(discretize(model, grid, e1_rot=e1, e2_rot=e2),
+                                         model, params)
+        slow = np.argsort(np.abs(cmp.reference.imag))[:2]
+        devs.append(cmp.deviations[slow] / scale)
+    coarse, fine = devs
+    assert np.all(coarse < 0.01) and np.all(fine < 0.01)
+    assert np.all(coarse >= 3.0 * fine)
+
+
 def test_overflowing_couplings_are_convergence_failures():
     # float ** 2 on a 1e300 coupling raises OverflowError inside the
-    # coverage quadrature; a 1e160 vacuum coupling overflows the default
-    # probes and the LU factorization of z - H
+    # coverage quadrature; a 1e160 vacuum coupling overflows the coupling
+    # scale of the default probes, before anything is factored
     base = reference_gaussian_model()
     huge = replace(base, lambda1=GaussianCoupling(amplitude=1e300, center=1.25, width=0.45))
     with pytest.raises(ConvergenceFailure, match="discretize overflowed"):
         discretize(huge, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=10)
     dm = discretize(replace(base, v2f=1e160), grid)
-    singular = "^resolvent solve failed: splu: Factor is exactly singular$"
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match=singular):
+    overflow = (r"^coupling scale 2 pi max_n sum_q C_nq\^2 overflowed \(inf\): "
+                "no finite default probes$")
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match=overflow):
         resolvent_check(dm)
 
 

@@ -23,6 +23,7 @@ from bic_lab.microscopic import (
     reference_gaussian_model,
     to_dimensionless,
 )
+from bic_lab.params import validate
 
 
 def pv_fold_oracle(f, e3, rtol=1e-11):
@@ -164,7 +165,7 @@ FROZEN_RESULT = {
     "gamma_2f": 0.144787708730440,
     "gamma1_sp": 0.031415926535898,
     "gamma2_sp": 0.020106192982975,
-    "gamma_vic": 0.010053096491487,
+    "gamma_vic": 0.020106192982974,
 }
 
 FROZEN_DIMENSIONLESS = {
@@ -178,14 +179,13 @@ FROZEN_DIMENSIONLESS = {
     "delta": -0.082931492967933,
     "gamma1": 0.125871076626517,
     "gamma2": 0.080557489040971,
-    "eta": 0.040278744520485,
+    "eta": 0.080557489040970,
     "inv_kca": -7.916933607665830,
 }
 
 
 def test_derive_couplings_frozen_reference():
     res = derive_couplings(reference_gaussian_model())
-    assert res.vic_convention == "as_written"
     for key, want in FROZEN_RESULT.items():
         assert getattr(res, key) == pytest.approx(want, rel=1e-9), key
 
@@ -200,21 +200,11 @@ def test_widths_are_on_shell_golden_rule():
     assert res.gamma_lic ** 2 == pytest.approx(res.gamma_1 * res.gamma_2, rel=1e-12)
 
 
-def test_vic_convention_factor_two():
-    model = reference_gaussian_model()
-    written = derive_couplings(model, vic_convention="as_written")
-    maximal = derive_couplings(model, vic_convention="max_interference")
-    assert maximal.gamma_vic == pytest.approx(2.0 * written.gamma_vic, rel=1e-14)
-    # parallel dipoles saturate Cauchy-Schwarz only in the maximal convention
-    parallel = CouplingModel(
-        lambda1=model.lambda1, lambda2=model.lambda2, v3=model.v3,
-        v1f=model.v1f, v2f=model.v2f, omega13=model.omega13,
-        omega23=model.omega23, e3=model.e3, dipole_overlap=1.0)
-    full = derive_couplings(parallel, vic_convention="max_interference")
-    assert full.gamma_vic == pytest.approx(
-        math.sqrt(full.gamma1_sp * full.gamma2_sp), rel=1e-12)
-    with pytest.raises(ValueError, match="vic_convention"):
-        derive_couplings(model, vic_convention="bogus")
+def test_parallel_dipoles_derive_a_coherent_set():
+    # the cross term carries the diagonal rates' 4 pi, so parallel dipoles
+    # saturate Cauchy-Schwarz: eta = sqrt(gamma1*gamma2), as strict demands
+    model = replace(reference_gaussian_model(), dipole_overlap=1.0)
+    validate(to_dimensionless(derive_couplings(model), model), mode="strict")
 
 
 def test_to_dimensionless_frozen_reference():
@@ -230,9 +220,9 @@ def test_to_dimensionless_identities():
     p = to_dimensionless(res, model)
     # laser sector inherits full coherence from the shared continuum
     assert p.g12 ** 2 == pytest.approx(p.g1 * p.g2, rel=1e-12)
-    # as-written vacuum sector: eta = (overlap/2) * sqrt(gamma1*gamma2)
+    # vacuum sector: eta = overlap * sqrt(gamma1*gamma2)
     assert p.eta == pytest.approx(
-        0.5 * model.dipole_overlap * math.sqrt(p.gamma1 * p.gamma2), rel=1e-12)
+        model.dipole_overlap * math.sqrt(p.gamma1 * p.gamma2), rel=1e-12)
     assert p.inv_kca == pytest.approx(
         -2.0 * (model.e3 + res.e_sh_f) / res.gamma_f, rel=1e-14)
     # detunings shift with the laser frequency as E_n - omega_n
