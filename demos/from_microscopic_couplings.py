@@ -9,6 +9,8 @@ which are then scaled by hbar*Gamma_F/2 into model parameters.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from bic_lab import (
     certify,
     derive_couplings,
@@ -44,13 +46,27 @@ def main() -> None:
     print()
 
     # the derived geometry is generic; solving for the detunings that
-    # support a bound state closes the loop back to the dimensionless layer
+    # support a bound state closes the loop back to the dimensionless layer.
+    # solve_bic assumes the coherent eta = sqrt(gamma1*gamma2), so each set
+    # is certified at the eta its own dipole overlap derives
     sol = solve_bic(params.g1, params.g2, params.q1, params.q2, params.delta,
                     params.gamma1, params.gamma2, inv_kca=params.inv_kca)
-    report = certify(sol.params)
-    print("bound state supported by this microscopic model")
+    print("detunings that would support a bound state")
     print(f"  delta1 = {sol.delta1:+.4f}, delta2 = {sol.delta2:+.4f},"
           f" lambda = {sol.lam:+.4f}")
+    print(f"  they need eta = sqrt(gamma1*gamma2) = {sol.params.eta:.6f};"
+          f" dipole overlap {model.dipole_overlap} derives eta = {params.eta:.6f}")
+    report = certify(sol.params.replace(eta=params.eta))
+    print(f"  certified at the derived eta: is_bic = {report.is_bic},"
+          f" min |Im E~| = {report.min_abs_im:.2e} (not a bound state)")
+    print()
+
+    # parallel transition dipoles make the vacuum cross-decay fully coherent
+    parallel = replace(model, dipole_overlap=1.0)
+    coherent = to_dimensionless(derive_couplings(parallel), parallel)
+    report = certify(sol.params.replace(eta=coherent.eta))
+    print("bound state supported by the same model with parallel dipoles")
+    print(f"  dipole overlap 1.0 derives eta = {coherent.eta:.6f}")
     print(f"  certified: is_bic = {report.is_bic},"
           f" min |Im E~| = {report.min_abs_im:.2e}")
 

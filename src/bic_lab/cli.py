@@ -45,7 +45,7 @@ from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
 from .params import DimensionlessParams, validate
 from .recipes import (FIG4_ETA_LIST, QUOTED, fig3_params, fig4_params,
                       fig5_eta_grid, fig5_params)
-from .spectrum import spectrum_series, sweep_eta
+from .spectrum import LORENTZ_WIDTH_FACTOR, spectrum_series, sweep_eta
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -454,11 +454,11 @@ def _reproduce_fig4(args) -> None:
                                      quoted["widths"][eta], 3.0))
     pt = by_eta[0.999]
     if pt.metrics is not None:
-        w, est = pt.metrics.width_w, 2.0 * abs(pt.im_e1)
+        w, est = pt.metrics.width_w, LORENTZ_WIDTH_FACTOR * abs(pt.im_e1)
         lines.append(
             f"FLAG fig4 W(eta=0.999): measured={w:.6g} quoted="
             f"{quoted['widths'][0.999]:.6g}; the quoted value conflicts with "
-            f"the quoted Im E1=-1e-3 (pole estimate 2|Im E1|={est:.6g}); "
+            f"the quoted Im E1=-1e-3 (1/e pole width 2*sqrt(e-1)*|Im E1|={est:.4g}); "
             "agreement is reported, not required")
     pt = by_eta[1.0]
     if pt.metrics is not None:

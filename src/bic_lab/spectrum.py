@@ -254,6 +254,8 @@ def _merge_plateaus(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 _N_COARSE = 801
 #: levels of a search tree that refine_peak evaluates per call of f
 _LOOKAHEAD = 5
+#: sections a crossing bracket is cut into per call of f
+_SECTIONS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -272,28 +274,6 @@ def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
             + _golden_tree(c, b, d, new_d, xtol, depth - 1))
 
 
-def _bisection_tree(x_in, x_out, tol: float, depth: int = _LOOKAHEAD) -> list:
-    """Midpoints bisection of (x_in, x_out) may visit in depth steps, both
-    outcomes followed with the loop's own float operations and stop tests."""
-    mid = 0.5 * (x_in + x_out)
-    if not depth or abs(x_out - x_in) <= tol or mid == x_in or mid == x_out:
-        return []
-    return ([mid] + _bisection_tree(mid, x_out, tol, depth - 1)
-            + _bisection_tree(x_in, mid, tol, depth - 1))
-
-
-def _ladder(e_peak, step, edge: float, direction: int) -> list:
-    """Abscissae of the expansion away from the peak, the window edge last."""
-    points = []
-    while True:
-        x = e_peak + direction * step
-        if (direction > 0 and x >= edge) or (direction < 0 and x <= edge):
-            points.append(edge)
-            return points
-        points.append(x)
-        step *= 1.7
-
-
 def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
                 window: tuple[float, float],
                 seeds: Sequence[float] = ()) -> PeakMetrics:
@@ -301,16 +281,18 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 
     The engine is physics-agnostic (used as-is for the synthetic
     Lorentzian calibration): coarse scan plus caller seeds, golden
-    section to relative 1e-12 on the abscissa, then bisection for the
-    two crossings at height/e to 1e-12*|window|.
+    section to relative 1e-12 on the abscissa, then the two crossings at
+    height/e to 1e-12*|window|, each bracketed by the scan and cut into
+    _SECTIONS parts per round until it is within tolerance or stops
+    shrinking.  A line takes about 12 calls of f.
 
     f must map a numpy array of abscissae elementwise (a constant return
-    value is broadcast).  After the coarse scan, each call evaluates the
-    point a search step needs together with the points the next steps
-    could need, whichever way they go: a search takes a few calls instead
-    of one per step, and its result is that of a point-by-point search
-    provided f gives a point the same value inside any array.  If such
-    an array call raises, the needed point is evaluated alone, as a float.
+    value is broadcast).  A golden-section call evaluates the point a step
+    needs together with those the next steps could need, whichever way
+    they go: its result is that of a point-by-point search provided f
+    gives a point the same value inside any array.  If such a call
+    raises, the needed point is evaluated alone, as a float; a failure in
+    a crossing round propagates, as all its points are part of the search.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -324,10 +306,9 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     if not lo < hi:
         raise ValueError(f"empty window ({lo!r}, {hi!r})")
     xs = np.linspace(lo, hi, _N_COARSE)
-    if len(seeds) > 0:
-        inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
-        if inside:
-            xs = np.unique(np.concatenate([xs, np.array(inside)]))
+    inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
+    if inside:
+        xs = np.unique(np.concatenate([xs, np.array(inside)]))
     ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(ys)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
@@ -367,8 +348,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
                     f"two separated maxima near {xs[tall[a]]!r} and {xs[tall[b]]!r} "
                     "are within 1/e of each other; narrow the window")
 
-    # every refinement step asks work for one point; a miss evaluates the
-    # points the next steps could ask for along with it
+    # every golden-section step asks work for one point
     memo: dict[float, float] = {}
 
     def work(x, ahead: Callable[[], list]) -> float:
@@ -404,41 +384,41 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
             d = a + _INVPHI * (b - a)
             fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
     e_peak = 0.5 * (a + b)
-    # the expansions away from the peak on both sides
-    step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
-    ladders = {+1: _ladder(e_peak, step, hi, +1), -1: _ladder(e_peak, step, lo, -1)}
-    both_ladders = ladders[+1] + ladders[-1]
-    height = work(e_peak, lambda: both_ladders)
+    height = work(e_peak, list)
     if height <= 0.0:
         raise NoPeak("refined peak has no positive height")
     target = height * _INV_E
     cross_tol = 1e-12 * (hi - lo)
 
-    def _crossing(direction: int) -> float:
-        # expand away from the peak until the feature drops below target
-        x_in = e_peak
-        for x_out in ladders[direction]:
-            if work(x_out, lambda: both_ladders) <= target:
-                break
-            x_in = x_out
-        else:
+    # (inner, outer) ends of the right and left crossing brackets, from the scan
+    ends = []
+    for side, step, edge in ((xs > e_peak, 1, hi), (xs < e_peak, -1, lo)):
+        out = np.flatnonzero(side & (work_ys <= target))
+        if not len(out):
             raise NoPeak(f"spectrum never falls to 1/e of the peak before the "
-                         f"window edge at {x_out!r}")
-        for _ in range(200):
-            mid = 0.5 * (x_in + x_out)
-            if abs(x_out - x_in) <= cross_tol or mid == x_in or mid == x_out:
-                break
-            if work(mid, lambda: _bisection_tree(x_in, x_out, cross_tol)) > target:
-                x_in = mid
-            else:
-                x_out = mid
-        return 0.5 * (x_in + x_out)
-
-    right = _crossing(+1)
-    left = _crossing(-1)
-    return PeakMetrics(e_peak=float(e_peak), height=float(height),
-                       width_w=float(right - left), left_cross=float(left),
-                       right_cross=float(right), refined=True,
+                         f"window edge at {edge!r}")
+        j = out[0] if step > 0 else out[-1]
+        ends.append([xs[j - step] if side[j - step] else e_peak, xs[j]])
+    ends = np.array(ends)
+    fractions = np.arange(1, _SECTIONS) / _SECTIONS
+    open_ = np.abs(ends[:, 1] - ends[:, 0]) > cross_tol
+    while open_.any():
+        x_in, x_out = ends[open_, :1], ends[open_, 1:]
+        nodes = np.hstack([x_in, x_in + (x_out - x_in) * fractions, x_out])
+        pts = nodes[:, 1:-1].ravel()
+        vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
+        if base is not None:
+            vals = vals - base(pts)
+        # keep the section ending at the first node at or below target
+        below = vals.reshape(len(nodes), -1) <= target
+        k = np.where(below.any(axis=1), below.argmax(axis=1), _SECTIONS - 1)
+        kept = np.take_along_axis(nodes, np.stack([k, k + 1], axis=1), axis=1)
+        shrunk = (kept != ends[open_]).any(axis=1)
+        ends[open_] = kept
+        open_[open_] = shrunk & (np.abs(kept[:, 1] - kept[:, 0]) > cross_tol)
+    right, left = (float(0.5 * (x_in + x_out)) for x_in, x_out in ends)
+    return PeakMetrics(e_peak=float(e_peak), height=float(height), width_w=right - left,
+                       left_cross=left, right_cross=right, refined=True,
                        baseline=float(base(e_peak)) if base is not None else 0.0)
 
 

@@ -314,6 +314,16 @@ def test_reproduce_fig5_flags_rows_without_width(tmp_path, capsys):
     assert line.endswith("; no width at eta=0.9675")
 
 
+def test_reproduce_fig4_flag_quotes_the_1_over_e_pole_width(tmp_path, capsys):
+    # the measured 1/e width 0.002452 is compared with the 1/e pole width
+    # 2*sqrt(e-1)*|Im E1|, not with the FWHM 2|Im E1| = 0.001904
+    assert main(["reproduce", "fig4", "--out", str(tmp_path / "fig4.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    line = next(s for s in summary if s.startswith("FLAG fig4 W(eta=0.999)"))
+    assert "measured=0.00245163" in line
+    assert "1/e pole width 2*sqrt(e-1)*|Im E1|=0.002496" in line
+
+
 def test_unknown_reproduce_target_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "fig9"])

@@ -11,15 +11,15 @@ from bic_lab.errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, Pol
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
 from bic_lab.recipes import (FIG4_ETA_LIST, fig3_params, fig4_exact_bic_solution,
-                             fig4_params, fig5_params)
+                             fig4_params, fig5_eta_grid, fig5_params)
 from bic_lab.spectrum import (
     LORENTZ_WIDTH_FACTOR,
     PeakMetrics,
     _LOOKAHEAD,
+    _SECTIONS,
     SpectrumSeries,
     _amplitude,
     _auto_window,
-    _bisection_tree,
     _golden_tree,
     _merge_plateaus,
     _pole_seeds,
@@ -472,33 +472,32 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
     if height <= 0.0:
         raise NoPeak("refined peak has no positive height")
     target = height / math.e
+    cross_tol = 1e-12 * (hi - lo)
 
     def crossing(direction):
-        step = max((b - a), 1e-15 * max(1.0, abs(e_peak)))
-        edge = hi if direction > 0 else lo
-        x_in = e_peak
-        while True:
-            x_out = e_peak + direction * step
-            if (direction > 0 and x_out >= edge) or (direction < 0 and x_out <= edge):
-                x_out = edge
-                if work(x_out) > target:
-                    raise NoPeak(
-                        f"spectrum never falls to 1/e of the peak before the window "
-                        f"edge at {edge!r}")
+        # bracketed by the first scanned abscissa out from the peak at or
+        # below target and the one before it, or the peak
+        x_in, edge = e_peak, hi if direction > 0 else lo
+        for i in (range(len(xs)) if direction > 0 else range(len(xs) - 1, -1, -1)):
+            if direction * (xs[i] - e_peak) <= 0.0:
+                continue
+            if work_ys[i] <= target:
+                x_out = xs[i]
                 break
-            if work(x_out) <= target:
+            x_in = xs[i]
+        else:
+            raise NoPeak(f"spectrum never falls to 1/e of the peak before the window "
+                         f"edge at {edge!r}")
+        # cut the bracket into _SECTIONS parts, evaluating every cut, and keep
+        # the part where the values first drop to target
+        while abs(x_out - x_in) > cross_tol:
+            nodes = ([x_in] + [x_in + (x_out - x_in) * (k / _SECTIONS)
+                               for k in range(1, _SECTIONS)] + [x_out])
+            vals = [work(x) for x in nodes[1:-1]] + [target]  # x_out is at or below it
+            k = next(k for k, v in enumerate(vals, start=1) if v <= target)
+            if (nodes[k - 1], nodes[k]) == (x_in, x_out):
                 break
-            x_in = x_out
-            step *= 1.7
-        cross_tol = 1e-12 * (hi - lo)
-        for _ in range(200):
-            mid = 0.5 * (x_in + x_out)
-            if abs(x_out - x_in) <= cross_tol or mid == x_in or mid == x_out:
-                break
-            if work(mid) > target:
-                x_in = mid
-            else:
-                x_out = mid
+            x_in, x_out = nodes[k - 1], nodes[k]
         return 0.5 * (x_in + x_out)
 
     right = crossing(+1)
@@ -612,8 +611,40 @@ def test_refine_peak_ignores_failures_at_points_it_never_visits():
     assert 0 in shapes
 
 
+def test_crossing_search_stops_on_a_sub_ulp_bracket():
+    # the tolerance 1e-12*|window| = 2e-18 is far below one ulp of 1e4
+    # (1.8e-12): the search ends when a round no longer shrinks the bracket
+    c, h = 1e4 + 0.123, 2e-7
+    calls = []
+
+    def line(x):
+        calls.append(x)
+        d = x - c
+        return h * h / (d * d + h * h)
+
+    m = refine_peak(line, (c - 1e-6, c + 1e-6))
+    assert len(calls) <= 10
+    want = c + h * math.sqrt(math.e - 1.0)
+    assert abs(m.right_cross - want) <= np.spacing(want)
+
+
+def test_refine_peak_takes_at_most_16_calls_per_line():
+    params = [fig4_params(eta=eta) for eta in FIG4_ETA_LIST]
+    params += [fig5_params(eta=float(eta)) for eta in fig5_eta_grid()]
+    for p in params:
+        f, window, seeds = _real_line(p)
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return f(x)
+
+        _outcome(refine_peak, counting, window, seeds)
+        assert len(calls) <= 16, (p.eta, len(calls))
+
+
 def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
-    # follow the loops of refine_peak along every sequence of outcomes
+    # follow the golden-section loop of refine_peak along every sequence of outcomes
     rng = np.random.default_rng(3)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(40):
@@ -639,23 +670,6 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
                     dd = aa + invphi * (bb - aa)
                     steps.add(float(dd))
         assert set(_golden_tree(a, b, c, d, xtol)) == steps
-
-        x_in = np.float64(rng.uniform(-5.0, 5.0))
-        x_out = x_in + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15.0, 0.0)
-        tol = abs(x_out - x_in) * 10.0 ** rng.uniform(-2.0, 0.0)
-        steps = set()
-        for path in range(2 ** _LOOKAHEAD):
-            lo_, hi_ = x_in, x_out
-            for k in range(_LOOKAHEAD):
-                mid = 0.5 * (lo_ + hi_)
-                if abs(hi_ - lo_) <= tol or mid == lo_ or mid == hi_:
-                    break
-                steps.add(float(mid))
-                if path >> k & 1:
-                    lo_ = mid
-                else:
-                    hi_ = mid
-        assert set(_bisection_tree(x_in, x_out, tol)) == steps
 
 
 def test_non_finite_spectrum_is_a_convergence_failure(fig4):
