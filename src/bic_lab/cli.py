@@ -4,16 +4,22 @@ Subcommands
     dress        dressed-state summary from a magnetic working point
     solve        closed-form bound-state-in-continuum solve
     certify      numerical certification of a (near-)real eigenvalue
-    spectrum     sampled photoassociation spectrum (CSV: E_tilde,S_n)
-    sweep-eta    peak metrics across an explicit eta list
-    width-curve  peak metrics across a dense eta range (width-vs-eta curve)
+    spectrum     sampled photoassociation spectrum (columns E_tilde,S_n)
+    sweep-eta    peak metrics across an eta list or an evenly spaced
+                 eta_range (the width-vs-eta curve)
     derive       microscopic couplings -> dimensionless parameter set
     validate     discretized projected-resolvent identity check
     reproduce    bundled benchmark scenarios fig3 | fig4 | fig5
 
-All numeric CSV output is serialized with 17 significant digits, `,`
-separators and `\n` newlines, so identical inputs give byte-identical
-files.
+Tables (spectrum, sweep-eta, validate, reproduce) are CSV by default and
+`{"rows": [{<column>: value, ...}, ...]}` under `--format json`, keyed by
+the CSV header. Reports (dress, solve, certify, derive) are JSON by
+default and one CSV row of `section.key` columns under `--format csv`.
+JSON is strict: non-finite numbers are null. CSV numbers carry 17
+significant digits, `,` separators and `\n` newlines, so identical inputs
+give byte-identical files. The summary lines of validate and reproduce go
+to stderr when the table goes to stdout, else to stdout; `--quiet` drops
+them.
 
 Exit codes: 0 success; 2 config or validation error; 3 numerical or IO
 failure; 4 degenerate parameter manifold or gain mode.
@@ -68,8 +74,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -79,11 +83,6 @@ def _write(text: str, path: str) -> None:
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
-
-
-def emit_csv(header: list[str], rows, path: str) -> None:
-    """Write rows as deterministic CSV (17 significant digits, \\n)."""
-    _write("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]), path)
 
 
 def _strict(obj):
@@ -97,10 +96,19 @@ def _strict(obj):
     return obj
 
 
-def emit_json(obj, path: str) -> None:
+def _emit_json(obj, path: str) -> None:
     """Write obj as strict JSON: non-finite floats become null."""
     text = json.dumps(_strict(obj), indent=2, sort_keys=True, allow_nan=False)
     _write(text + "\n", path)
+
+
+def _emit_table(header: list[str], rows, args) -> None:
+    """A table as deterministic CSV (17 significant digits, \\n), or under
+    --format json as {"rows": [{<header>: value, ...}, ...]}."""
+    if args.format == "json":
+        _emit_json({"rows": [dict(zip(header, row)) for row in rows]}, args.out)
+    else:
+        _write("".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows]), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +244,6 @@ _CONFIGS = {
         "e_min": (_number, ...), "e_max": (_number, ...),
         "n_points": (partial(_integer, most=MAX_POINTS), 601), "channel": (_integer, 1)}, ...)},
     "sweep-eta": {**_PARAMS, "sweep": (_SWEEP, ...)},
-    "width-curve": {**_PARAMS, "sweep": (_SWEEP, {})},
     "derive": {"microscopic": ({
         **_MODEL, "e_max": (_number, None),
         **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0))}, ...)},
@@ -273,7 +280,7 @@ def _emit_record(record: dict, args) -> None:
     """One record as JSON, or as a one-row CSV whose nested sections
     become `section.key` columns."""
     if (args.format or "json") == "json":
-        emit_json(record, args.out)
+        _emit_json(record, args.out)
         return
     flat = {}
     for key, value in record.items():
@@ -281,7 +288,7 @@ def _emit_record(record: dict, args) -> None:
             flat.update({f"{key}.{k}": v for k, v in value.items()})
         else:
             flat[key] = value
-    emit_csv(list(flat), [["" if v is None else v for v in flat.values()]], args.out)
+    _emit_table(list(flat), [["" if v is None else v for v in flat.values()]], args)
 
 
 def _run_dress(cfg: dict, args) -> None:
@@ -307,11 +314,7 @@ def _run_certify(cfg: dict, args) -> None:
 
 def _run_spectrum(cfg: dict, args) -> None:
     series = spectrum_series(cfg["params"], **cfg["grid"])
-    if (args.format or "csv") == "json":
-        emit_json({"E_tilde": list(series.grid), "S_n": list(series.values),
-                   "channel": series.channel}, args.out)
-    else:
-        emit_csv(["E_tilde", "S_n"], zip(series.grid.tolist(), series.values.tolist()), args.out)
+    _emit_table(["E_tilde", "S_n"], zip(series.grid.tolist(), series.values.tolist()), args)
 
 
 def _sweep_rows(result) -> list[list]:
@@ -325,18 +328,12 @@ def _run_sweep(cfg: dict, args) -> None:
     etas, rng = sweep.pop("eta_list"), sweep.pop("eta_range")
     if etas is None and rng is not None:
         etas = list(np.linspace(rng["start"], rng["stop"], rng["n"]))
-    elif etas is None and args.subcommand == "width-curve":
-        etas = list(fig5_eta_grid())
     elif etas is None:
         raise ValidationError(["sweep: needs 'eta_list' or 'eta_range'"])
     # every swept set is computed, so every one meets the chosen mode
     for eta in etas:
         validate(params.replace(eta=eta), mode=cfg["validation_mode"])
-    result = sweep_eta(params, etas, **sweep)
-    if (args.format or "csv") == "json":
-        emit_json({"rows": [dict(zip(SWEEP_HEADER, r)) for r in _sweep_rows(result)]}, args.out)
-    else:
-        emit_csv(SWEEP_HEADER, _sweep_rows(result), args.out)
+    _emit_table(SWEEP_HEADER, _sweep_rows(sweep_eta(params, etas, **sweep)), args)
 
 
 def _run_derive(cfg: dict, args) -> None:
@@ -367,10 +364,9 @@ def _run_validate(cfg: dict, args) -> None:
     rotation = {k: oracle.pop(k) for k in ("e1_rot", "e2_rot")}
     report = resolvent_check(discretize(model, GridSpec(**oracle), **rotation), probes)
     rows = [[z.real, z.imag, dev] for z, dev in zip(report.probes, report.deviations)]
-    emit_csv(["z_re", "z_im", "max_dev"], rows, args.out)
-    if not args.quiet:
-        print(f"max deviation over {len(rows)} probes: "
-              f"{report.max_deviation:.3e}", file=sys.stderr)
+    _emit_table(["z_re", "z_im", "max_dev"], rows, args)
+    _print_summary([f"max deviation over {len(rows)} probes: "
+                    f"{report.max_deviation:.3e}"], args)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +407,7 @@ def _reproduce_fig3(args) -> None:
         heights[name] = float(series.values.max())
         rows.extend([name, e, s] for e, s in
                     zip(series.grid.tolist(), series.values.tolist()))
-    emit_csv(["case", "E_tilde", "S_1"], rows, args.out)
+    _emit_table(["case", "E_tilde", "S_1"], rows, args)
 
     lines = []
     eig = eigensystem(build(fig3_params("g2")))
@@ -433,7 +429,7 @@ def _reproduce_fig4(args) -> None:
     quoted = QUOTED["fig4"]
     params = fig4_params()
     result = sweep_eta(params, FIG4_ETA_LIST)
-    emit_csv(SWEEP_HEADER, _sweep_rows(result), args.out)
+    _emit_table(SWEEP_HEADER, _sweep_rows(result), args)
 
     lines = []
     by_eta = {pt.eta: pt for pt in result.points}
@@ -479,7 +475,7 @@ def _reproduce_fig5(args) -> None:
     quoted = QUOTED["fig5"]
     etas = [float(x) for x in fig5_eta_grid()]
     result = sweep_eta(fig5_params(), etas)
-    emit_csv(SWEEP_HEADER, _sweep_rows(result), args.out)
+    _emit_table(SWEEP_HEADER, _sweep_rows(result), args)
 
     lines = []
     # quoted endpoints evaluated at their exact eta (the dense grid does
@@ -547,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("solve", _run_solve, "closed-form bound-state solve"),
             ("certify", _run_certify, "numerical BIC certification"),
             ("spectrum", _run_spectrum, "photoassociation spectrum series"),
-            ("sweep-eta", _run_sweep, "peak metrics across an eta list"),
-            ("width-curve", _run_sweep, "width-vs-eta curve across a dense range"),
+            ("sweep-eta", _run_sweep, "peak metrics across an eta list or range"),
             ("derive", _run_derive, "microscopic couplings to parameters"),
             ("validate", _run_validate, "discretized resolvent-identity check"),
     ):

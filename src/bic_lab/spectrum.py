@@ -174,6 +174,9 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     span = e_max - e_min
     base = np.linspace(e_min, e_max, int(n_points))
     spacing = span / (int(n_points) - 1)
+    if np.any(np.diff(base) <= 0.0):
+        raise ValidationError([f"grid [{e_min!r}, {e_max!r}] at {n_points!r} points: "
+                               f"spacing {spacing!r} is below float resolution"])
     pair = build(params)
     eig = eigensystem(pair)
     f = _spectrum(params, pair, eig.eigenvalues[0], channel)

@@ -31,6 +31,13 @@ def gaussian_model_cfg():
     }
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -171,25 +178,30 @@ def test_sweep_eta_json_is_strict(tmp_path):
     out = tmp_path / "sweep.json.out"
     assert main(["sweep-eta", "--config", cfg, "--format", "json",
                  "--out", str(out)]) == 0
-
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
-
-    rows = json.loads(out.read_text(), parse_constant=reject)["rows"]
+    rows = strict_loads(out.read_text())["rows"]
     assert [rows[0][k] for k in ("E_peak", "height", "width")] == [None] * 3
     assert all(isinstance(v, float) for v in rows[1].values())
 
 
-def test_width_curve_eta_range(tmp_path):
+def test_sweep_eta_range(tmp_path):
     cfg = write_cfg(tmp_path, "curve.json", {
         "params": fig4_params().as_dict(),
         "sweep": {"eta_range": {"start": 0.9, "stop": 1.0, "n": 3}}})
     out = tmp_path / "curve.csv"
-    assert main(["width-curve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["sweep-eta", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4
+    assert [float(r.split(",")[0]) for r in lines[1:]] == [0.9, 0.95, 1.0]
     widths = [float(r.split(",")[3]) for r in lines[1:]]
     assert widths[0] > widths[1] > widths[2]
+
+
+def test_width_curve_subcommand_is_gone(capsys):
+    # the width-vs-eta curve is sweep-eta with an eta_range
+    with pytest.raises(SystemExit) as exc:
+        main(["width-curve"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'width-curve'" in capsys.readouterr().err
 
 
 def test_unknown_channel_is_a_config_error(tmp_path, capsys):
@@ -211,11 +223,9 @@ def test_validation_mode_covers_every_swept_eta(tmp_path, capsys):
     # which the permissive mode computes but records as a per-point error
     payload = {"params": fig4_params().as_dict(),
                "sweep": {"eta_list": [0.9, 5.0]}}
-    for command in ("sweep-eta", "width-curve"):
-        cfg = write_cfg(tmp_path, "phys.json",
-                        dict(payload, validation_mode="physical"))
-        assert main([command, "--config", cfg]) == 2
-        assert "eta=5.0 exceeds" in capsys.readouterr().err
+    cfg = write_cfg(tmp_path, "phys.json", dict(payload, validation_mode="physical"))
+    assert main(["sweep-eta", "--config", cfg]) == 2
+    assert "eta=5.0 exceeds" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, "perm.json", payload)
     assert main(["sweep-eta", "--config", cfg]) == 0
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
@@ -508,6 +518,11 @@ def _dress_cfg(**dressing):
       for key, value in (("e1", 5.0), ("e2", 1.0), ("laser1_freq", -3.0),
                          ("laser2_freq", 1.0), ("vic_convention", "max_interference"),
                          ("e_max", 50.0))],
+    # a grid spacing below float resolution: linspace repeats abscissae
+    (*_spectrum_cfg(e_min=0, e_max=5e-324, n_points=3),
+     "grid [0.0, 5e-324] at 3 points: spacing 0.0 is below float resolution"),
+    (*_spectrum_cfg(e_min=1.0, e_max=1.000000000001, n_points=100000),
+     "grid [1.0, 1.000000000001] at 100000 points: spacing 1.00009"),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):
@@ -589,3 +604,46 @@ def test_derive_csv_flattens_sections(tmp_path):
     for column, cell in zip(header, row):
         section, key = column.split(".")
         assert float(cell) == rec[section][key]
+
+
+@pytest.mark.parametrize("case", ["spectrum", "validate", "reproduce"])
+def test_json_tables_hold_the_csv_rows(tmp_path, case):
+    if case == "reproduce":
+        argv = ["reproduce", "fig4", "--quiet"]
+    else:
+        command, payload = _spectrum_cfg() if case == "spectrum" else _validate_cfg()
+        argv = [command, "--config", write_cfg(tmp_path, "cfg.json", payload), "--quiet"]
+    as_csv, as_json = tmp_path / "table.csv", tmp_path / "table.json"
+    assert main([*argv, "--out", str(as_csv)]) == 0
+    assert main([*argv, "--format", "json", "--out", str(as_json)]) == 0
+    with open(as_csv, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    doc = strict_loads(as_json.read_text())
+    assert list(doc) == ["rows"]
+    assert [sorted(r) for r in doc["rows"]] == [sorted(header)] * len(rows)
+    assert [[r[k] for k in header] for r in doc["rows"]] == [
+        [float(cell) for cell in row] for row in rows]
+
+
+def test_validate_summary_goes_to_stdout_when_out_is_a_file(tmp_path, capsys):
+    command, payload = _validate_cfg()
+    cfg = write_cfg(tmp_path, "val.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "val.csv")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("max deviation over 8 probes: ")
+    assert main([command, "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("z_re,z_im,max_dev\n")
+    assert captured.err.startswith("max deviation over 8 probes: ")
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    command, payload = _spectrum_cfg()
+    cfg = write_cfg(tmp_path, "spec.json", payload)
+    out = tmp_path / "missing" / "spec.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("io error: ")
+    assert captured.err.count("\n") == 1

@@ -34,8 +34,8 @@ def _property_bases():
         "certify": {"params": params, "tol_im": 1e-9, "validation_mode": "permissive"},
         "spectrum": dict(_spectrum_cfg(channel=1)[1], validation_mode="physical"),
         "sweep-eta": _sweep_cfg(eta_list=[0.9, 0.99], window=[6.0, 7.5], channel=1)[1],
-        "width-curve": {"params": params,
-                        "sweep": {"eta_range": {"start": 0.9, "stop": 1.0, "n": 3}}},
+        "sweep-eta eta_range": {"params": params,
+                                "sweep": {"eta_range": {"start": 0.9, "stop": 1.0, "n": 3}}},
         "derive": {"microscopic": micro},
         "validate": _validate_cfg(n_e=40, k_min=0.0, k_max=3.0, n_k=10, e1_rot=0.9,
                                   e2_rot=1.1, probes=[[1.0, 0.5]])[1],
@@ -69,7 +69,8 @@ def _mutated_configs(draw):
         else:
             container, key = draw(st.sampled_from(slots))
             container[key] = copy.deepcopy(draw(st.sampled_from(_MUTANTS)))
-    return command, cfg
+    # a base is named after its subcommand, with a suffix where it has two
+    return command.split()[0], cfg
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -187,6 +187,30 @@ def test_vieta_guard_catches_collapsed_roots(monkeypatch, fig4):
         ham.eigensystem(build(fig4))
 
 
+def test_residual_guard_catches_roots_off_the_spectrum(monkeypatch, fig4):
+    import bic_lab.hamiltonian as ham
+
+    true_roots = ham.cubic_roots
+    shift = 1e-3
+
+    def perturbed(c2, c1, c0):
+        # opposite shifts keep the root sum, so the trace check still passes
+        r = true_roots(c2, c1, c0)
+        return [r[0] + shift, r[1] - shift, r[2]]
+
+    monkeypatch.setattr(ham, "cubic_roots", perturbed)
+    monkeypatch.setattr(ham, "_polish_root", lambda x, c2, c1, c0: x)
+    threshold = RESIDUAL_RTOL * max(float(np.linalg.norm(build(fig4).matrix())), 1.0)
+    with pytest.raises(ConvergenceFailure) as exc:
+        ham.eigensystem(build(fig4))
+    message = str(exc.value)
+    assert message.startswith("eigen residual ")
+    assert message.endswith(f" exceeds 1.0e-10 * ||M|| = {threshold:.3e}")
+    # a root shifted by d off a simple eigenvalue leaves a residual of order d
+    assert float(message.split()[2]) == pytest.approx(shift, rel=0.5)
+    assert threshold < 1e-3 * shift
+
+
 @pytest.mark.parametrize("key,value", [("g1", 1e200), ("q2", 1e160)])
 def test_eigensystem_overflow_is_a_convergence_failure(key, value):
     # the characteristic coefficients overflow to inf and the roots to NaN;
