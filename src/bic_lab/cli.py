@@ -326,10 +326,10 @@ def _sweep_rows(result) -> list[list]:
 def _run_sweep(cfg: dict, args) -> None:
     params, sweep = cfg["params"], cfg["sweep"]
     etas, rng = sweep.pop("eta_list"), sweep.pop("eta_range")
-    if etas is None and rng is not None:
+    if (etas is None) == (rng is None):
+        raise ValidationError(["sweep: needs exactly one of 'eta_list' and 'eta_range'"])
+    if etas is None:
         etas = list(np.linspace(rng["start"], rng["stop"], rng["n"]))
-    elif etas is None:
-        raise ValidationError(["sweep: needs 'eta_list' or 'eta_range'"])
     # every swept set is computed, so every one meets the chosen mode
     for eta in etas:
         validate(params.replace(eta=eta), mode=cfg["validation_mode"])
@@ -521,8 +521,9 @@ _REPRODUCERS = {"fig3": _reproduce_fig3, "fig4": _reproduce_fig4,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    configured = argparse.ArgumentParser(add_help=False)  # the subcommands in _CONFIGS
+    configured.add_argument("--config", help="JSON config file")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", default="-",
                         help="output path ('-' = stdout, the default)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
@@ -547,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("derive", _run_derive, "microscopic couplings to parameters"),
             ("validate", _run_validate, "discretized resolvent-identity check"),
     ):
-        p = sub.add_parser(name, parents=[common], help=blurb)
+        p = sub.add_parser(name, parents=[configured, common], help=blurb)
         p.set_defaults(handler=handler)
     p = sub.add_parser("reproduce", parents=[common],
                        help="run a bundled benchmark scenario")

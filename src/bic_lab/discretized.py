@@ -18,7 +18,7 @@ Two kinds of validation live here:
   sees only the assembled matrix, so it does not reuse Sigma.
 
 * ``compare_pole_approximation`` locates the true resonance poles of
-  the discretized model by a damped fixed point on the energy-dependent
+  the discretized model by a secant on Re z for the energy-dependent
   3x3 matrix H_PP + Sigma(z) and compares them against the eigenvalues
   of the constant effective Hamiltonian built by the microscopic route.
   The residual deviation measures the quality of the freeze-at-E3
@@ -301,7 +301,7 @@ class PoleComparison:
     """Effective-Hamiltonian eigenvalues vs discretized resonance poles."""
 
     reference: np.ndarray    # (3,) eigenvalues of the constant H_eff (energy units)
-    poles: np.ndarray        # (3,) fixed-point poles of H_PP + Sigma(z)
+    poles: np.ndarray        # (3,) self-consistent poles z = eig(H_PP + Sigma(Re z))
     deviations: np.ndarray   # (3,) absolute |reference - pole|
     smoothing: float         # the i*eps used when sampling Sigma near the axis
 
@@ -322,13 +322,16 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     The reference is hbar*Gamma_F/2 * (A + iB) built from ``params``
     (which must come from the same model via the microscopic route, so
     both paths share detunings and shifts).  Poles solve
-    z = eig(H_PP + Sigma(z)) by a fixed point damped by 1/2; Sigma is
-    sampled at Re(z) + i*eps with eps = 10 bin widths (per continuum),
-    the standard smoothing that turns the rational bin sum into the
-    half-plane limit of the continuum integral.  A pole has settled when
-    a step is below 1e-10 * max(1, |z|); FixedPointDivergence is raised
-    when one has not within _MAX_ITER = 500 steps, and ZeroWidth when the
-    model's Gamma_F vanishes.
+    z = eig(H_PP + Sigma(z)); Sigma is sampled at Re(z) + i*eps with
+    eps = 10 bin widths (per continuum), the standard smoothing that
+    turns the rational bin sum into the half-plane limit of the continuum
+    integral.  So a pole is a root of the real g(x) = Re lam_k(x) - x,
+    lam_k tracked from the reference eigenvalue, and z = lam_k(x): a
+    secant on x (Numerical Recipes 3rd ed., sec. 9.2) from x = Re z_ref
+    stops at a step <= 1e-12 * max(1, |x|) and returns lam_k at the last
+    x evaluated.  FixedPointDivergence is raised on a non-finite step or
+    no root within _MAX_ITER = 500 steps, and ZeroWidth when the model's
+    Gamma_F vanishes.
     """
     gamma_f = 2.0 * math.pi * float(model.v3(model.e3)) ** 2
     if gamma_f <= 0.0:
@@ -342,17 +345,24 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
 
     poles = np.empty(3, dtype=complex)
     for k, z0 in enumerate(reference):
-        z = complex(z0)
+        x, lam, x_prev, g_prev = float(z0.real), complex(z0), None, 0.0
         for _ in range(_MAX_ITER):
-            target = _eig3_nearest(dm.h_pp + dm.sigma(z.real + 1j * eps_bins), z)
-            step = target - z
-            z = z + 0.5 * step
-            if abs(step) <= 1e-10 * max(1.0, abs(z)) and cmath.isfinite(z):
+            mat = dm.h_pp + dm.sigma(x + 1j * eps_bins)
+            # eigvals refuses a non-finite matrix; that is a non-finite step
+            lam = _eig3_nearest(mat, lam) if np.isfinite(mat).all() else complex(math.nan)
+            g = lam.real - x
+            # the first step is x <- Re lam_k(x), a secant of slope -1
+            slope = -1.0 if x_prev is None else (g - g_prev) / (x - x_prev)
+            step = -g / slope if slope else math.inf
+            if not math.isfinite(step):
+                raise FixedPointDivergence(f"pole search from {z0!r}: non-finite step at x={x!r}")
+            x_prev, g_prev, x = x, g, x + step
+            if abs(step) <= 1e-12 * max(1.0, abs(x)):
                 break
         else:
             raise FixedPointDivergence(
-                f"pole search from {z0!r} did not settle within {_MAX_ITER} iterations")
-        poles[k] = z
+                f"pole search from {z0!r} found no root within {_MAX_ITER} iterations")
+        poles[k] = lam
     return PoleComparison(
         reference=reference,
         poles=poles,

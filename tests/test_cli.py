@@ -358,6 +358,16 @@ def test_gain_mode_spectrum_exits_4(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_reproduce_takes_no_config(capsys):
+    # only the subcommands with a config schema offer --config
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig4", "--config", "/nonexistent.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config /nonexistent.json" in captured.err
+
+
 def test_every_library_error_has_an_exit_code():
     listed = {t for types, _ in _EXIT_BY_ERROR for t in types}
     defined = {c for c in vars(errors).values()
@@ -523,6 +533,9 @@ def _dress_cfg(**dressing):
      "grid [0.0, 5e-324] at 3 points: spacing 0.0 is below float resolution"),
     (*_spectrum_cfg(e_min=1.0, e_max=1.000000000001, n_points=100000),
      "grid [1.0, 1.000000000001] at 100000 points: spacing 1.00009"),
+    # an eta list and an eta range are two answers to one question
+    (*_sweep_cfg(eta_range={"start": 0.9, "stop": 1.0, "n": 5}),
+     "sweep: needs exactly one of 'eta_list' and 'eta_range'"),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):

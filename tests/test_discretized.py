@@ -237,6 +237,44 @@ def test_fixed_point_divergence_guard(monkeypatch):
         compare_pole_approximation(dm, model, params)
 
 
+def _reference_collision_model():
+    """The reference Gaussian model on the 403-state collision grid."""
+    model = reference_gaussian_model()
+    params = to_dimensionless(derive_couplings(model), model, e1=0.9, e2=1.1)
+    dm = discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=400), e1_rot=0.9, e2_rot=1.1)
+    return dm, model, params
+
+
+def test_poles_reproduce_themselves():
+    # a pole z is an eigenvalue of H_PP + Sigma sampled at Re z + i*eps
+    dm, model, params = _reference_collision_model()
+    cmp = compare_pole_approximation(dm, model, params)
+    for z in cmp.poles:
+        lams = np.linalg.eigvals(dm.h_pp + dm.sigma(z.real + 1j * cmp.smoothing))
+        assert np.min(np.abs(lams - z)) <= 1e-12 * max(1.0, abs(z))
+
+
+def test_pole_search_takes_few_eigen_steps(monkeypatch):
+    # the secant on Re z needs four or five 3x3 eigenproblems per pole
+    calls = []
+    nearest = discretized._eig3_nearest
+
+    def counted(mat, z0):
+        calls.append(z0)
+        return nearest(mat, z0)
+
+    monkeypatch.setattr(discretized, "_eig3_nearest", counted)
+    compare_pole_approximation(*_reference_collision_model())
+    assert 3 <= len(calls) <= 20
+
+
+def test_non_finite_sigma_is_a_divergence_not_a_nan_pole(monkeypatch):
+    dm, model, params = _reference_collision_model()
+    monkeypatch.setattr(DiscretizedModel, "sigma", lambda self, z: np.full((3, 3), np.nan))
+    with pytest.raises(FixedPointDivergence, match="non-finite step"):
+        compare_pole_approximation(dm, model, params)
+
+
 def test_narrow_gaussian_pole_accuracy_is_finite():
     # structured couplings: the pole approximation is only approximate;
     # the deviation must be small but is not expected to vanish
