@@ -123,8 +123,8 @@ def _emit_table(header: list[str], rows, args) -> None:
 MAX_POINTS = 100_000   # grid.n_points
 MAX_ETAS = 10_000      # sweep.eta_range.n
 # 3 + n_e + 2*n_k: `validate` factors the sparse n x n z - H once per
-# probe; at 2000 states that takes 20-30 ms and peaks about 2 MB above
-# the interpreter's own footprint
+# probe; at 2000 states its 8 probes take 12-26 ms on a 2-core host and
+# peak about 4 MB above the footprint of the built model
 MAX_STATES = 2_000
 
 

@@ -15,7 +15,8 @@ Two kinds of validation live here:
   holds to machine precision at any grid size: it validates the
   projection algebra, independent of any pole approximation.  The left
   side comes from one sparse LU factorization of z - H per probe, which
-  sees only the assembled matrix, so it does not reuse Sigma.
+  sees only the assembled matrix, so it does not reuse Sigma; one pattern
+  of z - H serves every probe, which writes only the diagonal.
 
 * ``compare_pole_approximation`` locates the true resonance poles of
   the discretized model by a secant on Re z for the energy-dependent
@@ -256,12 +257,15 @@ def resolvent_check(dm: DiscretizedModel,
 
     The full side factors the sparse z - H once per probe with SuperLU
     (scipy.sparse.linalg.splu: COLAMD column order, partial pivoting) and
-    solves for the three discrete-state columns.  The factorization sees
-    the assembled matrix alone and picks its own order and pivots, so the
-    full side stays independent of the Schur-complement side built from
-    Sigma(z).  An empty probe list or a non-finite probe is a
-    ValidationError; a failed factorization or a singular 3x3 is a
-    ConvergenceFailure.
+    solves for the three discrete-state columns.  z - H is assembled once
+    per check, as 1j - H, whose stored pattern is that of every z - H off
+    the real axis (H's explicit zeros dropped, every diagonal kept); each
+    probe writes z - H_ii into the diagonal slots, the same bits a fresh
+    z - H holds.  The factorization sees the assembled matrix alone and
+    picks its own order and pivots, so the full side stays independent of
+    the Schur-complement side built from Sigma(z).  An empty probe list or
+    a non-finite probe is a ValidationError; a failed factorization or a
+    singular 3x3 is a ConvergenceFailure.
     """
     if probes is None:
         probes = default_probes(dm)
@@ -277,12 +281,15 @@ def resolvent_check(dm: DiscretizedModel,
 
     h = dm.matrix()
     diag = np.arange(dm.size)
-    eye = csc_array((np.ones(dm.size), (diag, diag)))
+    shifted = csc_array((np.ones(dm.size), (diag, diag))) * 1j - h
+    slots = np.flatnonzero(shifted.indices == np.repeat(diag, np.diff(shifted.indptr)))
+    h_diag = h.diagonal()
     columns = np.eye(dm.size, 3)
     deviations = []
     for z in probes:
+        shifted.data[slots] = z - h_diag
         try:
-            full = splu(z * eye - h).solve(columns)[:3]
+            full = splu(shifted).solve(columns)[:3]
             reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceFailure(f"resolvent solve failed: splu: {exc}") from None

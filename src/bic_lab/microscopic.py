@@ -57,7 +57,8 @@ class GaussianCoupling:
             raise ValidationError([f"width must be positive, got {self.width!r}"])
 
     def __call__(self, e):
-        e = np.asarray(e, dtype=float)
+        # a Python float (what quad passes) as a numpy scalar: no 0-d array
+        e = np.float64(e) if type(e) is float else np.asarray(e, dtype=float)
         out = self.amplitude * np.exp(-((e - self.center) ** 2) / (2.0 * self.width ** 2))
         return out if out.ndim else float(out)
 
@@ -74,7 +75,7 @@ class WignerCoupling:
             raise ValidationError([f"scale must be positive, got {self.scale!r}"])
 
     def __call__(self, e):
-        e = np.asarray(e, dtype=float)
+        e = np.float64(e) if type(e) is float else np.asarray(e, dtype=float)
         out = np.where(e > 0.0,
                        self.amplitude * np.abs(e) ** 0.25 * np.exp(-e / self.scale),
                        0.0)
@@ -164,9 +165,10 @@ def pv_integral(f: Callable[[float], float], e3: float,
     piece, absolute 1e-14 on the subtracted pieces and 1e-16 on the tail.
     """
     if upper is not None and not math.isinf(upper):
-        if e3 <= 0.0 or e3 >= upper:
+        if e3 <= 0.0 or e3 >= upper or e3 / (upper - e3) == 0.0:
             raise SingularEndpoint(
-                f"pole E3={e3!r} must lie strictly inside (0, {upper!r})")
+                f"pole E3={e3!r} must lie strictly inside (0, {upper!r}), "
+                "with a log term ln(E3/(upper - E3)) that does not underflow")
     elif e3 <= 0.0:
         raise SingularEndpoint(f"pole E3={e3!r} must be positive")
     # imported here: scipy.integrate takes longer to import than the rest

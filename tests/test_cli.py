@@ -580,6 +580,44 @@ def test_overflow_is_a_numerical_error(tmp_path, capsys, command, payload, messa
     assert "Traceback" not in captured.err
 
 
+def _extreme_lambda1(**shape):
+    return dict({"shape": "gaussian", "amplitude": 0.16, "center": 1.25, "width": 0.45},
+                **shape)
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    # a coupling that vanishes on shell leaves q1 undefined
+    (*_derive_cfg(lambda1=_extreme_lambda1(width=1e-300)), "q1 undefined"),
+    (*_derive_cfg(lambda1=_extreme_lambda1(center=-1e300)), "q1 undefined"),
+    (*_derive_cfg(e3=1e300), "Gamma_F=0.0 must be positive"),
+    # E3/(e_max - E3) underflows to 0: the PV log term has no value
+    (*_derive_cfg(e3=5e-324, e_max=4.0), "pole E3=5e-324 must lie strictly inside"),
+])
+@pytest.mark.filterwarnings("error")
+def test_degenerate_models_exit_4_without_traceback(tmp_path, capsys, command, payload,
+                                                    message):
+    cfg = write_cfg(tmp_path, "cfg.json", payload)
+    assert main([command, "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("shape", [{"width": 1e-300}, {"center": -1e300}],
+                         ids=["width_1e-300", "center_-1e300"])
+@pytest.mark.filterwarnings("error")
+def test_validate_takes_extreme_coupling_shapes(tmp_path, capsys, shape):
+    # the bins see a coupling that is 0 everywhere: the identity still holds
+    command, payload = _validate_cfg()
+    payload["microscopic"]["lambda1"] = _extreme_lambda1(**shape)
+    assert main([command, "--config", write_cfg(tmp_path, "cfg.json", payload),
+                 "--quiet"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 8
+    assert all(float(r.split(",")[2]) < 1e-10 for r in rows)
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000 + "]" * 100_000,              # deeper than the parser recurses
     '{"params": ' + "1" * 5000 + "}",           # longer than int() converts

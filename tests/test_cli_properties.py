@@ -44,7 +44,7 @@ def _property_bases():
 
 # every size in the bases is small, and a size mutated to 1e300 is above its cap
 _MUTANTS = [True, False, None, "x", [], [1.0, 2.0], {}, {"a": 1},
-            1e300, -1e300, math.nan, math.inf, -math.inf]
+            1e300, -1e300, 1e-300, 5e-324, math.nan, math.inf, -math.inf]
 
 
 def _slots(node):

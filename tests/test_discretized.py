@@ -410,6 +410,29 @@ def test_resolvent_check_does_not_reuse_sigma(monkeypatch):
     assert resolvent_check(dm).max_deviation > 1e-6
 
 
+def test_resolvent_check_matches_a_fresh_shifted_matrix_per_probe():
+    # e1_rot = e2_rot = 0 stores explicit zeros in h_pp (and the photon
+    # blocks store zero couplings); the one pattern written per probe must
+    # give the deviations of a fresh sparse z - H, bit for bit
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
+    dm = discretize(reference_gaussian_model(), grid, e1_rot=0.0, e2_rot=0.0)
+    h = dm.matrix()
+    assert np.count_nonzero(h.data == 0.0) > 0
+    assert np.all(np.diag(dm.h_pp)[:2] == 0.0)
+    eye = csc_array(np.eye(dm.size))
+    probes = default_probes(dm)
+    probes += [complex(z.real, math.copysign(1e-6, z.imag)) for z in probes]
+    want = []
+    for z in probes:
+        full = splu(z * eye - h).solve(np.eye(dm.size, 3))[:3]
+        reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
+        want.append(float(np.max(np.abs(full - reduced)) / np.max(np.abs(full))))
+    assert resolvent_check(dm, probes).deviations == want
+
+
 def test_pole_comparison_needs_a_feshbach_width():
     # the same condition to_dimensionless reports as ZeroWidth
     model = flat_model()

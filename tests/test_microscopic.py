@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -72,6 +73,27 @@ def test_flat_coupling():
     assert np.all(f(np.zeros(4)) == 0.7)
 
 
+@pytest.mark.parametrize("shape", [
+    GaussianCoupling(amplitude=0.16, center=1.25, width=0.45),
+    GaussianCoupling(amplitude=0.16, center=1.25, width=1e-300),
+    GaussianCoupling(amplitude=0.16, center=1e300, width=0.45),
+    GaussianCoupling(amplitude=0.16, center=-1e300, width=0.45),
+    WignerCoupling(amplitude=0.3, scale=0.7),
+    WignerCoupling(amplitude=1e300, scale=1e-300),
+], ids=["gaussian", "gaussian_width_1e-300", "gaussian_center_1e300",
+        "gaussian_center_-1e300", "wigner", "wigner_extreme"])
+def test_coupling_float_route_is_bit_equal_to_the_array_route(rng, shape):
+    # quad passes Python floats, which take a numpy scalar in place of a
+    # 0-d array: the value must keep every bit and come back a Python float
+    xs = [float(x) for x in rng.normal(1.0, 2.0, 2000)]
+    xs += [math.inf, -math.inf, math.nan, 5e-324, 1e300, -1e300, 0.0, -0.0]
+    with np.errstate(all="ignore"):
+        for x in xs:
+            got, want = shape(x), shape(np.asarray(x))
+            assert type(got) is float
+            assert struct.pack("<d", got) == struct.pack("<d", want), x
+
+
 def test_coupling_model_validation():
     g = GaussianCoupling(1.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="dipole_overlap"):
@@ -139,6 +161,13 @@ def test_pv_singular_endpoint():
         pv_integral(lambda e: 1.0, 2.0, 1.0)
     with pytest.raises(SingularEndpoint):
         pv_integral(lambda e: 1.0, -0.5, None)
+    # E3/(upper - E3) = 5e-324/4 rounds to 0, and ln(0) has no value
+    with pytest.raises(SingularEndpoint, match="does not underflow"):
+        pv_integral(lambda e: 1.0, 5e-324, 4.0)
+    with pytest.raises(SingularEndpoint):
+        derive_couplings(replace(reference_gaussian_model(), e3=5e-324, e_max=4.0))
+    # a subnormal ratio still has its log
+    assert pv_integral(lambda e: 1.0, 1e-310, 4.0) == math.log(1e-310 / (4.0 - 1e-310))
 
 
 def test_pv_divergent_tail():
