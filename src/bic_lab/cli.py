@@ -21,8 +21,9 @@ give byte-identical files. The summary lines of validate and reproduce go
 to stderr when the table goes to stdout, else to stdout; `--quiet` drops
 them.
 
-Exit codes: 0 success; 2 config or validation error; 3 numerical or IO
-failure; 4 degenerate parameter manifold or gain mode.
+Exit codes: 0 success, else the ``exit_code`` of the error's class: 2 config
+or validation error; 3 numerical or IO failure; 4 degenerate parameter
+manifold or gain mode.
 """
 
 from __future__ import annotations
@@ -40,11 +41,7 @@ from . import __version__
 from .bic import certify, solve_bic
 from .discretized import GridSpec, discretize, resolvent_check
 from .dressing import dress
-from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
-                     DegenerateVector, DivergentTail, FixedPointDivergence, GainMode,
-                     GridCoverage, MultiPeak, NoPeak, PoleHit, ProbeOnSpectrum,
-                     SingularEndpoint, SingularSolve, ValidationError,
-                     ZeroCross, ZeroLinewidth, ZeroWidth)
+from .errors import BicLabError, ValidationError
 from .hamiltonian import build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           WignerCoupling, derive_couplings, to_dimensionless)
@@ -52,19 +49,6 @@ from .params import DimensionlessParams, validate
 from .recipes import (FIG4_ETA_LIST, QUOTED, fig3_params, fig4_params,
                       fig5_eta_grid, fig5_params)
 from .spectrum import LORENTZ_WIDTH_FACTOR, spectrum_series, sweep_eta
-
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
-EXIT_DEGENERATE = 4
-
-_EXIT_BY_ERROR = (
-    ((ValidationError, GridCoverage), EXIT_CONFIG),
-    ((ConvergenceFailure, FixedPointDivergence, DivergentTail), EXIT_NUMERICAL),
-    ((SingularSolve, DegenerateVector, ZeroWidth, ZeroCross, ZeroLinewidth,
-      DegenerateDressing, SingularEndpoint, NoPeak, MultiPeak, PoleHit, GainMode,
-      ProbeOnSpectrum), EXIT_DEGENERATE),
-)
 
 SWEEP_HEADER = ["eta", "E_peak", "height", "width", "re_E1", "im_E1"]
 
@@ -565,14 +549,13 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             cfg = _load_config(args) if args.subcommand in _CONFIGS else None
             args.handler(cfg, args)
-        return EXIT_OK
+        return 0
     except BicLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next((code for types, code in _EXIT_BY_ERROR
-                     if isinstance(exc, types)), EXIT_NUMERICAL)
+        return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the library.
 
 Every error raised on purpose by this package derives from BicLabError,
-so callers (and the CLI) can distinguish domain failures from bugs.
+so callers (and the CLI) can distinguish domain failures from bugs. Each
+class carries the CLI exit code of its kind as ``exit_code``, which
+library callers can read too.
 """
 
 import functools
@@ -9,6 +11,8 @@ import functools
 
 class BicLabError(Exception):
     """Base class for all library-specific errors."""
+    # 2 config or validation, 3 numerical failure, 4 degenerate manifold or gain mode
+    exit_code = 3
 
 
 class ValidationError(BicLabError, ValueError):
@@ -17,6 +21,7 @@ class ValidationError(BicLabError, ValueError):
     Carries the full list of violation messages so a caller can report
     every problem at once instead of discovering them one at a time.
     """
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = [str(v) for v in violations]
@@ -25,10 +30,12 @@ class ValidationError(BicLabError, ValueError):
 
 class DegenerateDressing(BicLabError):
     """Both the coupling and the detuning of the dressing laser vanish."""
+    exit_code = 4
 
 
 class ZeroLinewidth(BicLabError):
     """A bare linewidth required to be positive is zero or negative."""
+    exit_code = 4
 
 
 class ConvergenceFailure(BicLabError):
@@ -37,30 +44,37 @@ class ConvergenceFailure(BicLabError):
 
 class DegenerateVector(BicLabError):
     """The decay-free superposition is undefined (vanishing denominator)."""
+    exit_code = 4
 
 
 class SingularSolve(BicLabError):
     """The closed-form eigenvalue equation degenerates (lambda unconstrained)."""
+    exit_code = 4
 
 
 class NoPeak(BicLabError):
     """No interior spectral maximum exists in the requested window."""
+    exit_code = 4
 
 
 class MultiPeak(BicLabError):
     """More than one comparable spectral maximum exists in the window."""
+    exit_code = 4
 
 
 class GainMode(BicLabError):
     """An eigenvalue grows (Im E > 0): an unphysical regime, not a line."""
+    exit_code = 4
 
 
 class PoleHit(BicLabError):
     """A spectrum was requested exactly at a non-removable real pole."""
+    exit_code = 4
 
 
 class SingularEndpoint(BicLabError):
     """A principal-value singularity sits on or outside the integration range."""
+    exit_code = 4
 
 
 class DivergentTail(BicLabError):
@@ -69,18 +83,22 @@ class DivergentTail(BicLabError):
 
 class ZeroWidth(BicLabError):
     """A Feshbach width required to be positive vanishes."""
+    exit_code = 4
 
 
 class ZeroCross(BicLabError):
     """A Fano q parameter is requested for a vanishing cross coupling."""
+    exit_code = 4
 
 
 class GridCoverage(BicLabError):
     """A discretization grid misses a non-negligible part of a coupling."""
+    exit_code = 2
 
 
 class ProbeOnSpectrum(BicLabError):
     """A resolvent probe point sits (numerically) on the real spectrum."""
+    exit_code = 4
 
 
 class FixedPointDivergence(BicLabError):

@@ -152,17 +152,14 @@ class ComplexEigenSet:
                   least-damped mode E_tilde_1
     eigenvectors  (3, 3) complex, column k belongs to eigenvalues[k],
                   unit norm with the first significant component real
-                  positive
+                  positive; at a defective (exceptional-point) pair
+                  two columns are parallel
     residuals     (3,) float, ||M v - lam v||_2 per mode
-    defective     True when two modes coincide and their returned
-                  eigenvectors are parallel, i.e. the columns of
-                  ``eigenvectors`` do not form a complete basis
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
-    defective: bool
 
 
 def eigensystem(pair: EffectivePair) -> ComplexEigenSet:
@@ -196,14 +193,4 @@ def eigensystem(pair: EffectivePair) -> ComplexEigenSet:
         raise ConvergenceFailure(
             f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "
             f"{RESIDUAL_RTOL * scale:.3e}")
-
-    defective = any(
-        abs(roots[i] - roots[j]) < 1e-8 * scale
-        and abs(np.vdot(vecs[:, i], vecs[:, j])) > 1.0 - 1e-6
-        for i, j in ((0, 1), (0, 2), (1, 2)))
-    return ComplexEigenSet(
-        eigenvalues=lams,
-        eigenvectors=vecs,
-        residuals=residuals,
-        defective=defective,
-    )
+    return ComplexEigenSet(eigenvalues=lams, eigenvectors=vecs, residuals=residuals)

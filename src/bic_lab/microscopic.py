@@ -55,6 +55,10 @@ class GaussianCoupling:
     def __post_init__(self):
         if self.width <= 0.0:
             raise ValidationError([f"width must be positive, got {self.width!r}"])
+        try:
+            2.0 * self.width ** 2   # the denominator of __call__
+        except OverflowError:
+            raise ValidationError([f"width must have a finite square, got {self.width!r}"]) from None
 
     def __call__(self, e):
         # a Python float (what quad passes) as a numpy scalar: no 0-d array

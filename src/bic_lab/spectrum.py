@@ -141,7 +141,6 @@ class SpectrumSeries:
 
     grid: np.ndarray
     values: np.ndarray
-    channel: int
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -205,7 +204,7 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     values = f(grid)
     if not np.all(np.isfinite(values)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
-    return SpectrumSeries(grid=grid, values=values, channel=channel)
+    return SpectrumSeries(grid=grid, values=values)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from bic_lab import __version__, errors
-from bic_lab.cli import _EXIT_BY_ERROR, MAX_STATES, SWEEP_HEADER, main
+from bic_lab.cli import MAX_STATES, SWEEP_HEADER, main
 from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 from bic_lab.spectrum import sweep_eta
 
@@ -369,10 +369,18 @@ def test_reproduce_takes_no_config(capsys):
 
 
 def test_every_library_error_has_an_exit_code():
-    listed = {t for types, _ in _EXIT_BY_ERROR for t in types}
-    defined = {c for c in vars(errors).values()
+    # the CLI's contract, class by class: a class added without a
+    # deliberate code fails here instead of silently exiting 3
+    want = {"BicLabError": 3, "ValidationError": 2, "GridCoverage": 2,
+            **dict.fromkeys(("ConvergenceFailure", "FixedPointDivergence",
+                             "DivergentTail"), 3),
+            **dict.fromkeys(("SingularSolve", "DegenerateVector", "ZeroWidth", "ZeroCross",
+                             "ZeroLinewidth", "DegenerateDressing", "SingularEndpoint",
+                             "NoPeak", "MultiPeak", "PoleHit", "GainMode",
+                             "ProbeOnSpectrum"), 4)}
+    defined = {name: c.exit_code for name, c in vars(errors).items()
                if isinstance(c, type) and issubclass(c, errors.BicLabError)}
-    assert defined - {errors.BicLabError} <= listed
+    assert defined == want
 
 
 def _sweep_cfg(**sweep):
@@ -536,6 +544,12 @@ def _dress_cfg(**dressing):
     # an eta list and an eta range are two answers to one question
     (*_sweep_cfg(eta_range={"start": 0.9, "stop": 1.0, "n": 5}),
      "sweep: needs exactly one of 'eta_list' and 'eta_range'"),
+    # a Gaussian wider than any float grid: its width squared overflows
+    *[(command, dict(payload, microscopic=dict(
+        payload["microscopic"],
+        lambda1={"shape": "gaussian", "amplitude": 0.16, "center": 1.25, "width": 1e300})),
+       "width must have a finite square, got 1e+300")
+      for command, payload in (_derive_cfg(), _validate_cfg())],
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):

@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 import bic_lab
-from bic_lab.errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ZeroCross,
-                            ZeroWidth)
+from bic_lab.errors import (ConvergenceFailure, DivergentTail, SingularEndpoint,
+                            ValidationError, ZeroCross, ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -55,6 +55,15 @@ def test_gaussian_coupling_shape():
     assert arr.shape == (2,)
     with pytest.raises(ValueError):
         GaussianCoupling(amplitude=1.0, center=0.0, width=0.0)
+
+
+def test_gaussian_width_whose_square_overflows_is_a_validation_error():
+    # width ** 2 would raise OverflowError on every call of the shape
+    GaussianCoupling(amplitude=1.0, center=0.0, width=1.3e154)
+    for width in (1.4e154, 1e300, 10 ** 200):
+        with pytest.raises(ValidationError, match="width must have a finite square") as exc:
+            GaussianCoupling(amplitude=1.0, center=0.0, width=width)
+        assert exc.value.exit_code == 2
 
 
 def test_wigner_coupling_threshold_law():
