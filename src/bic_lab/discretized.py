@@ -37,6 +37,7 @@ cross damping gamma_VIC = 4 pi V1f V2f p that derive_couplings uses.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -84,10 +85,13 @@ def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return centers, width
 
 
+@functools.lru_cache(maxsize=32)
 def _coverage_fraction(f, lo: float, hi: float) -> float:
     """Weight of f^2 outside [lo, hi] relative to its total on [0, inf), at
     quad's default tolerances (1.49e-8 absolute and relative); the tail
-    past hi is one call of QUADPACK's infinite-range rule QAGI."""
+    past hi is one call of QUADPACK's infinite-range rule QAGI.  Memoised
+    on (f, lo, hi), so f must be a hashable pure function, equal only to
+    functions of equal values, as the frozen coupling shapes are."""
     from scipy.integrate import quad  # imported on use, see pv_integral
 
     def f2(e):
@@ -145,7 +149,8 @@ class DiscretizedModel:
     def sigma(self, z) -> np.ndarray:
         """Level-shift matrix Sigma(z) = C (z - D)^-1 C^T (3x3 complex).
 
-        z is one complex value, or one value per bin (n_q of them)."""
+        z is one complex value, one value per bin (n_q of them), or k
+        stacked values of shape (k, 1, 1) for a (k, 3, 3) stack."""
         weights = self.coupling / (z - self.diag_q)
         return weights @ self.coupling.T
 
@@ -159,7 +164,8 @@ def discretize(model: CouplingModel, grid: GridSpec,
     the dressed states.  GridCoverage is raised when more than 1e-8 of
     any decaying coupling's weight falls outside its grid; flat
     couplings are exempt (they model an idealized wide-band limit and
-    carry no normalizable weight).
+    carry no normalizable weight).  The fraction is memoised per coupling
+    and range: a second call for one model and range does no quadrature.
     """
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
     for name, fn in (("lambda1", model.lambda1), ("lambda2", model.lambda2),
@@ -257,14 +263,18 @@ def resolvent_check(dm: DiscretizedModel,
 
     The full side factors the sparse z - H once per probe with SuperLU
     (scipy.sparse.linalg.splu: COLAMD column order, partial pivoting) and
-    solves for the three discrete-state columns.  z - H is assembled once
-    per check, as 1j - H, whose stored pattern is that of every z - H off
-    the real axis (H's explicit zeros dropped, every diagonal kept); each
-    probe writes z - H_ii into the diagonal slots, the same bits a fresh
-    z - H holds.  The factorization sees the assembled matrix alone and
-    picks its own order and pivots, so the full side stays independent of
-    the Schur-complement side built from Sigma(z).  An empty probe list or
-    a non-finite probe is a ValidationError; a failed factorization or a
+    solves for the three discrete-state columns.  z - H is an arrowhead
+    (three border rows and columns plus a diagonal) whose continuum
+    columns hold no supernodes, so it is factored in single-column panels:
+    SuperLU's default 10-column panels only add dense workspace.  z - H is
+    assembled once per check, as 1j - H, whose stored pattern is that of
+    every z - H off the real axis (H's explicit zeros dropped, every
+    diagonal kept); each probe writes z - H_ii into the diagonal slots, the
+    same bits a fresh z - H holds.  The factorization sees the assembled
+    matrix alone and picks its own order and pivots, so the full side
+    stays independent of the Schur-complement side: one stacked Sigma(z)
+    and one stacked 3x3 inverse over all probes.  An empty probe list or a
+    non-finite probe is a ValidationError; a failed factorization or a
     singular 3x3 is a ConvergenceFailure.
     """
     if probes is None:
@@ -285,18 +295,20 @@ def resolvent_check(dm: DiscretizedModel,
     slots = np.flatnonzero(shifted.indices == np.repeat(diag, np.diff(shifted.indptr)))
     h_diag = h.diagonal()
     columns = np.eye(dm.size, 3)
-    deviations = []
-    for z in probes:
+    full = np.empty((len(probes), 3, 3), dtype=complex)
+    for k, z in enumerate(probes):
         shifted.data[slots] = z - h_diag
         try:
-            full = splu(shifted).solve(columns)[:3]
-            reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
+            full[k] = splu(shifted, panel_size=1).solve(columns)[:3]
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise ConvergenceFailure(f"resolvent solve failed: splu: {exc}") from None
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
-        scale = max(np.max(np.abs(full)), 1e-300)
-        deviations.append(float(np.max(np.abs(full - reduced)) / scale))
+    zs = np.array(probes)[:, None, None]
+    try:
+        reduced = np.linalg.inv(zs * np.eye(3) - dm.h_pp - dm.sigma(zs))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"resolvent solve failed: {exc}") from None
+    scale = np.maximum(np.max(np.abs(full), axis=(1, 2)), 1e-300)
+    deviations = (np.max(np.abs(full - reduced), axis=(1, 2)) / scale).tolist()
     # couplings near the overflow threshold turn both sides into NaN
     if not np.all(np.isfinite(deviations)):
         raise ConvergenceFailure(f"non-finite resolvent deviations {deviations!r}")

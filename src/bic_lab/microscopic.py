@@ -27,6 +27,7 @@ converge to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -232,9 +233,10 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     PV integrals use the pole approximation (all evaluated at E3), and
     widths take the on-shell coupling values Lambda_n(E3), V3(E3).
     Vacuum-induced shifts are zero by construction here; only the vacuum
-    widths and the VIC cross term survive.
+    widths and the VIC cross term survive.  Memoised for the length of the
+    call, each coupling is evaluated once per distinct quadrature node.
     """
-    l1, l2, v3 = model.lambda1, model.lambda2, model.v3
+    l1, l2, v3 = map(functools.cache, (model.lambda1, model.lambda2, model.v3))
     e3, upper = model.e3, model.e_max
     e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper)
     e_sh_2 = pv_integral(lambda e: l2(e) ** 2, e3, upper)

@@ -114,6 +114,40 @@ def test_grid_coverage_guard():
     discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=50))
 
 
+def test_coverage_is_computed_once_per_model_and_range(monkeypatch):
+    import scipy.integrate
+
+    ranges = []
+    quad = scipy.integrate.quad
+
+    def counting_quad(f, a, b, **kwargs):
+        ranges.append((a, b))
+        return quad(f, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+    discretized._coverage_fraction.cache_clear()
+    model = reference_gaussian_model()
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
+    first = discretize(model, grid)
+    # inside and above the window for each of the three couplings (lo = 0)
+    assert len(ranges) == 6
+    # other bins and rotations over the same collision range: no quadrature
+    collision = discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=120), 0.9, 1.1)
+    again = discretize(replace(model, lambda1=replace(model.lambda1)), grid)
+    assert len(ranges) == 6
+    assert collision.n_q == 120
+    assert np.array_equal(again.coupling, first.coupling)
+    # another range is computed afresh
+    discretize(model, GridSpec(e_min=0.0, e_max=5.0, n_e=60))
+    assert len(ranges) == 12
+    # the memo holds the fraction, not the verdict: a short window fails twice
+    short = GridSpec(e_min=0.0, e_max=2.0, n_e=50)
+    for _ in range(2):
+        with pytest.raises(GridCoverage, match="^collision grid misses .* of [|]lambda1[|]"):
+            discretize(model, short)
+    assert len(ranges) == 14
+
+
 def test_coverage_fraction_vs_erfc(rng):
     # Gaussian couplings have a closed-form weight outside [lo, hi]:
     # int exp(-(E-c)^2/w^2) over [x, inf) is (w sqrt(pi)/2) erfc((x-c)/w).
@@ -363,7 +397,7 @@ def test_resolvent_check_matches_dense_solves(n_e, photons):
 def test_resolvent_factorization_failure_is_convergence_failure(monkeypatch):
     from scipy.sparse import linalg
 
-    def singular(a):
+    def singular(a, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
@@ -427,7 +461,7 @@ def test_resolvent_check_matches_a_fresh_shifted_matrix_per_probe():
     probes += [complex(z.real, math.copysign(1e-6, z.imag)) for z in probes]
     want = []
     for z in probes:
-        full = splu(z * eye - h).solve(np.eye(dm.size, 3))[:3]
+        full = splu(z * eye - h, panel_size=1).solve(np.eye(dm.size, 3))[:3]
         reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
         want.append(float(np.max(np.abs(full - reduced)) / np.max(np.abs(full))))
     assert resolvent_check(dm, probes).deviations == want

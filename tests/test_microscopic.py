@@ -5,7 +5,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -294,6 +294,67 @@ def test_to_dimensionless_requires_feshbach_width():
         omega13=0.0, omega23=0.0, e3=1.0, dipole_overlap=0.0, e_max=2.0)
     with pytest.raises(ZeroWidth):
         to_dimensionless(derive_couplings(dead), dead)
+
+
+class _Counting:
+    """A coupling that records every abscissa it is called with."""
+
+    def __init__(self, f):
+        self.f, self.args = f, []
+
+    def __call__(self, e):
+        self.args.append(e)
+        return self.f(e)
+
+
+def _derive_on_bare_couplings(model):
+    """derive_couplings spelled out: six pv_integral calls and the on-shell
+    widths, each coupling called afresh at every node."""
+    l1, l2, v3 = model.lambda1, model.lambda2, model.v3
+    e3, upper = model.e3, model.e_max
+    l1f, l2f, v3f = float(l1(e3)), float(l2(e3)), float(v3(e3))
+    two_pi = 2.0 * math.pi
+    return dict(
+        e_sh_1=pv_integral(lambda e: l1(e) ** 2, e3, upper),
+        e_sh_2=pv_integral(lambda e: l2(e) ** 2, e3, upper),
+        e_sh_f=pv_integral(lambda e: v3(e) ** 2, e3, upper),
+        alpha=pv_integral(lambda e: l1(e) * l2(e), e3, upper),
+        beta1=pv_integral(lambda e: l1(e) * v3(e), e3, upper),
+        beta2=pv_integral(lambda e: l2(e) * v3(e), e3, upper),
+        gamma_1=two_pi * l1f ** 2, gamma_2=two_pi * l2f ** 2, gamma_f=two_pi * v3f ** 2,
+        gamma_lic=two_pi * l1f * l2f, gamma_1f=two_pi * l1f * v3f,
+        gamma_2f=two_pi * l2f * v3f,
+        gamma1_sp=2.0 * two_pi * model.v1f ** 2, gamma2_sp=2.0 * two_pi * model.v2f ** 2,
+        gamma_vic=2.0 * two_pi * model.v1f * model.v2f * model.dipole_overlap)
+
+
+def test_derive_couplings_calls_each_coupling_once_per_node(rng):
+    ref = reference_gaussian_model()
+
+    def jitter(c):
+        return GaussianCoupling(amplitude=c.amplitude * rng.uniform(0.9, 1.1),
+                                center=c.center + rng.uniform(-0.05, 0.05),
+                                width=c.width * rng.uniform(0.9, 1.1))
+
+    models = [replace(ref, lambda1=jitter(ref.lambda1), lambda2=jitter(ref.lambda2),
+                      v3=jitter(ref.v3), e_max=e_max)
+              for e_max in (None, None, None, 4.0, 6.0)]
+    models.append(replace(ref, lambda1=WignerCoupling(0.15, 1.2),
+                          lambda2=WignerCoupling(0.1, 0.9), v3=WignerCoupling(0.2, 1.0)))
+    for model in models:
+        counted = [_Counting(f) for f in (model.lambda1, model.lambda2, model.v3)]
+        res = derive_couplings(replace(model, lambda1=counted[0], lambda2=counted[1],
+                                       v3=counted[2]))
+        for c in counted:
+            assert c.args and len(c.args) == len(set(c.args))
+        # the bare route calls each coupling again for every integral it enters
+        bare = [_Counting(f) for f in (model.lambda1, model.lambda2, model.v3)]
+        want = _derive_on_bare_couplings(replace(model, lambda1=bare[0], lambda2=bare[1],
+                                                 v3=bare[2]))
+        assert all(len(b.args) > len(set(b.args)) for b in bare)
+        assert [set(c.args) for c in counted] == [set(b.args) for b in bare]
+        got = {f.name: getattr(res, f.name).hex() for f in fields(res)}
+        assert got == {key: value.hex() for key, value in want.items()}
 
 
 def test_import_does_not_load_scipy():
