@@ -107,8 +107,8 @@ def _emit_table(header: list[str], rows, args) -> None:
 MAX_POINTS = 100_000   # grid.n_points
 MAX_ETAS = 10_000      # sweep.eta_range.n
 # 3 + n_e + 2*n_k: `validate` factors the sparse n x n z - H once per
-# probe; at 2000 states its 8 probes take 13-18 ms on a 2-core host and
-# peak about 1 MB above the footprint of the built model
+# probe; at 2000 states its 8 probes take 8-16 ms on a 2-core host and
+# raise the peak resident memory about 4.5 MB above the built model
 MAX_STATES = 2_000
 
 

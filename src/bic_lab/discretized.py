@@ -37,7 +37,6 @@ cross damping gamma_VIC = 4 pi V1f V2f p that derive_couplings uses.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -85,25 +84,23 @@ def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return centers, width
 
 
-@functools.lru_cache(maxsize=32)
-def _coverage_fraction(f, lo: float, hi: float) -> float:
-    """Weight of f^2 outside [lo, hi] relative to its total on [0, inf), at
-    quad's default tolerances (1.49e-8 absolute and relative); the tail
-    past hi is one call of QUADPACK's infinite-range rule QAGI.  Memoised
-    on (f, lo, hi), so f must be a hashable pure function, equal only to
-    functions of equal values, as the frozen coupling shapes are."""
+def _coverage_fraction(f, lo: float, hi: float, held: float) -> float:
+    """Weight of f^2 outside [lo, hi] relative to that weight plus held,
+    the weight the grid holds (sum_j f(E_j)^2 dE over its bins); a held
+    weight that overflowed is an OverflowError.  Each tail is one quad
+    call at its default tolerances (1.49e-8 absolute and relative); the
+    tail past hi is QUADPACK's infinite-range rule QAGI."""
     from scipy.integrate import quad  # imported on use, see pv_integral
 
     def f2(e):
         return float(f(e)) ** 2
 
-    inside, _ = quad(f2, lo, hi, limit=400)
     below, _ = quad(f2, 0.0, lo, limit=200) if lo > 0.0 else (0.0, 0.0)
     above, _ = quad(f2, hi, math.inf, limit=200)
-    total = inside + below + above
-    if total <= 0.0:
-        return 0.0
-    return (below + above) / total
+    total = below + held + above
+    if math.isinf(total):
+        raise OverflowError(f"held weight of f^2 is {held!r}")
+    return (below + above) / total if total > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -162,17 +159,22 @@ def discretize(model: CouplingModel, grid: GridSpec,
 
     e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of
     the dressed states.  GridCoverage is raised when more than 1e-8 of
-    any decaying coupling's weight falls outside its grid; flat
+    any decaying coupling's weight falls outside its grid, the weight
+    inside being what its bins hold (sum_j C_nj^2, from the rows built
+    anyway), so only the tails outside the grid are integrated; flat
     couplings are exempt (they model an idealized wide-band limit and
-    carry no normalizable weight).  The fraction is memoised per coupling
-    and range: a second call for one model and range does no quadrature.
+    carry no normalizable weight).
     """
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
-    for name, fn in (("lambda1", model.lambda1), ("lambda2", model.lambda2),
-                     ("v3", model.v3)):
+    root_de = math.sqrt(e_width)
+    fns = (model.lambda1, model.lambda2, model.v3)
+    rows = np.vstack([np.asarray(fn(e_centers), dtype=float) * root_de for fn in fns])
+    with np.errstate(over="ignore"):  # an overflow is reported by _coverage_fraction
+        held = np.sum(rows ** 2, axis=1)
+    for name, fn, weight in zip(("lambda1", "lambda2", "v3"), fns, held):
         if isinstance(fn, FlatCoupling):
             continue
-        frac = _coverage_fraction(fn, grid.e_min, grid.e_max)
+        frac = _coverage_fraction(fn, grid.e_min, grid.e_max, float(weight))
         if frac > _TAIL_FRACTION:
             raise GridCoverage(
                 f"collision grid misses {frac:.3e} of |{name}|^2 "
@@ -183,12 +185,7 @@ def discretize(model: CouplingModel, grid: GridSpec,
         [0.0, e2_rot, model.omega23],
         [model.omega13, model.omega23, model.e3],
     ])
-    root_de = math.sqrt(e_width)
-    blocks = [np.vstack([
-        np.asarray(model.lambda1(e_centers), dtype=float) * root_de,
-        np.asarray(model.lambda2(e_centers), dtype=float) * root_de,
-        np.asarray(model.v3(e_centers), dtype=float) * root_de,
-    ])]
+    blocks = [rows]
     diag = [e_centers]
     k_width = 0.0
     if grid.n_k > 0:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bic import solve_bic
 from .params import DimensionlessParams
 
 FIG3_SHARED = dict(q1=-0.8, q2=-0.6, delta1=0.45, delta2=1.88, delta=0.1)
@@ -33,19 +32,17 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
                 eta: float | None = None) -> DimensionlessParams:
     """The fig3 caption set.
 
-    deviate: 'g2' (caption, g2=1.91), 'g1' (text variant, g1 scaled by
-    the same 4.5% to 3.82), or 'none' (exact bound-state values
-    g1=4, g2=2).  gamma sets gamma1=gamma2; eta defaults to the exact
-    coherence value sqrt(gamma1*gamma2).
+    deviate: 'g2' (caption, g2=1.91) or 'g1' (text variant, g1 scaled by
+    the same 4.5% to 3.82); the exact bound state has g1=4, g2=2.  gamma
+    sets gamma1=gamma2; eta defaults to the exact coherence value
+    sqrt(gamma1*gamma2).
     """
     if deviate == "g2":
         g1, g2 = 4.0, 1.91
     elif deviate == "g1":
         g1, g2 = 3.82, 2.0
-    elif deviate == "none":
-        g1, g2 = 4.0, 2.0
     else:
-        raise ValueError(f"deviate must be 'g1', 'g2' or 'none', got {deviate!r}")
+        raise ValueError(f"deviate must be 'g1' or 'g2', got {deviate!r}")
     return DimensionlessParams(g1=g1, g2=g2, gamma1=gamma, gamma2=gamma,
                                eta=eta, **FIG3_SHARED)
 
@@ -55,12 +52,6 @@ def fig4_params(eta: float = 1.0, deviated: bool = True) -> DimensionlessParams:
     g1 = 3.01 if deviated else 3.0
     return DimensionlessParams(g1=g1, g2=2.0, gamma1=1.0, gamma2=1.0,
                                eta=eta, **FIG4_SHARED)
-
-
-def fig4_exact_bic_solution():
-    """Exact closed-form bound state of the fig4 geometry (g1 = 3)."""
-    return solve_bic(g1=3.0, g2=2.0, q1=FIG4_SHARED["q1"], q2=FIG4_SHARED["q2"],
-                     delta=FIG4_SHARED["delta"], gamma1=1.0, gamma2=1.0)
 
 
 def fig5_params(eta: float = 1.0) -> DimensionlessParams:

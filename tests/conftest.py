@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bic_lab.bic import solve_bic
 from bic_lab.params import DimensionlessParams
-from bic_lab.recipes import fig3_params, fig4_params, fig5_params
+from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params, fig5_params
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -39,6 +40,13 @@ def fig4():
 @pytest.fixture
 def fig5():
     return fig5_params()
+
+
+@pytest.fixture
+def fig4_bic():
+    """Exact closed-form bound state of the fig4 geometry (g1 = 3)."""
+    return solve_bic(g1=3.0, g2=2.0, q1=FIG4_SHARED["q1"], q2=FIG4_SHARED["q2"],
+                     delta=FIG4_SHARED["delta"], gamma1=1.0, gamma2=1.0)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from bic_lab.bic import (
 )
 from bic_lab.errors import DegenerateVector, SingularSolve
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.recipes import fig3_params, fig4_exact_bic_solution, fig5_params
+from bic_lab.recipes import fig3_params, fig5_params
 
 
 def test_vic_residual_zero_at_coherence():
@@ -45,13 +45,15 @@ def test_bic_vector_kills_b():
 def test_bic_vector_guards():
     with pytest.raises(ValueError):
         bic_vector(1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="g1, g2 >= 0"):
+        bic_vector(-1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DegenerateVector):
         # g1/g2 = gamma1/gamma2 makes the direction undefined
         bic_vector(2.0, 1.0, 0.5, 0.25)
 
 
-def test_solve_bic_frozen_example():
-    sol = fig4_exact_bic_solution()
+def test_solve_bic_frozen_example(fig4_bic):
+    sol = fig4_bic
     assert isinstance(sol, BicSolution)
     assert sol.lam == pytest.approx(6.762316255329463, rel=1e-14)
     assert sol.delta1 == pytest.approx(6.421908049556006, rel=1e-14)
@@ -90,8 +92,8 @@ def test_solve_bic_rejects_zero_gamma2():
                   gamma1=1.0, gamma2=0.0)
 
 
-def test_certify_confirms_constructed_bic():
-    sol = fig4_exact_bic_solution()
+def test_certify_confirms_constructed_bic(fig4_bic):
+    sol = fig4_bic
     rep = certify(sol.params)
     assert rep.is_bic
     assert rep.min_abs_im < 1e-12
@@ -107,15 +109,20 @@ def test_certify_frozen_deviated_fig3():
     assert rep.lambda_est == pytest.approx(1.2944198519681624, rel=1e-12)
 
 
+def test_fig3_params_rejects_unknown_deviate():
+    with pytest.raises(ValueError, match="^deviate must be 'g1' or 'g2', got 'none'$"):
+        fig3_params(deviate="none")
+
+
 def test_certify_tolerance_knob():
     rep_loose = certify(fig3_params(), tol_im=1e-3)
     assert rep_loose.is_bic
 
 
-def test_imaginary_part_perturbation_slope():
+def test_imaginary_part_perturbation_slope(fig4_bic):
     # first order in (1 - eta) at the exact bound state:
     # |Im E1| = 2*|x1*x2|/C^2 * (1 - eta) for gamma1 = gamma2 = 1
-    sol = fig4_exact_bic_solution()
+    sol = fig4_bic
     x1, x2 = sol.x[0], sol.x[1]
     slope = 2.0 * abs(x1 * x2) / sol.c ** 2
     eps = 1e-6

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from bic_lab import __version__, errors
-from bic_lab.cli import MAX_STATES, SWEEP_HEADER, main
+from bic_lab.cli import MAX_STATES, SWEEP_HEADER, _ratio_line, main
 from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 from bic_lab.spectrum import sweep_eta
 
@@ -287,11 +287,13 @@ def test_validate_at_the_state_cap(tmp_path):
     assert all(float(r.split(",")[2]) < 1e-10 for r in rows)
 
 
-def test_validate_grid_coverage_exit_code(tmp_path):
+def test_validate_grid_coverage_exit_code(tmp_path, capsys):
     cfg = gaussian_model_cfg()
     cfg["oracle"] = {"e_min": 0.0, "e_max": 2.0, "n_e": 40}
     path = write_cfg(tmp_path, "val2.json", cfg)
     assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: collision grid misses 9.211e-03 of |lambda1|^2 (tolerance 1.0e-08)\n")
 
 
 def test_missing_config_exit_code(capsys):
@@ -332,6 +334,13 @@ def test_reproduce_fig4_flag_quotes_the_1_over_e_pole_width(tmp_path, capsys):
     line = next(s for s in summary if s.startswith("FLAG fig4 W(eta=0.999)"))
     assert "measured=0.00245163" in line
     assert "1/e pole width 2*sqrt(e-1)*|Im E1|=0.002496" in line
+
+
+@pytest.mark.parametrize("measured,quoted", [(0.0, 1e-6), (1e-6, 0.0), (-1e-3, 1e-3)])
+def test_ratio_line_flags_a_sign_or_zero_mismatch(measured, quoted):
+    # no ratio is taken: a zero or a flipped sign is flagged as such
+    assert _ratio_line("W", measured, quoted, 10.0) == (
+        f"FLAG W: measured={measured:.6g} quoted={quoted:.6g} (sign/zero mismatch)")
 
 
 def test_unknown_reproduce_target_rejected():
@@ -550,6 +559,13 @@ def _dress_cfg(**dressing):
         lambda1={"shape": "gaussian", "amplitude": 0.16, "center": 1.25, "width": 1e300})),
        "width must have a finite square, got 1e+300")
       for command, payload in (_derive_cfg(), _validate_cfg())],
+    # branches no other row reaches
+    (*_derive_cfg(lambda1={"shape": "wigner", "amplitude": 0.1, "scale": 0.0}),
+     "scale must be positive, got 0.0"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 1}),
+     "sweep.eta_range.n: must be >= 2 (1)"),
+    ("certify", {"params": dict(fig4_params().as_dict(), g12=2.0), "validation_mode": "strict"},
+     "strict mode needs g12=sqrt(g1*g2)="),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):

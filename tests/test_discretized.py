@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,8 @@ def test_grid_spec_validation():
         GridSpec(e_min=0.0, e_max=1.0, n_e=0)
     with pytest.raises(ValueError):
         GridSpec(e_min=0.0, e_max=1.0, n_e=10, n_k=5, k_min=0.0, k_max=0.0)
+    with pytest.raises(ValueError, match="n_k must be >= 0"):
+        GridSpec(e_min=0.0, e_max=1.0, n_e=10, n_k=-1)
 
 
 def test_discretize_shapes_and_hermiticity():
@@ -114,7 +116,7 @@ def test_grid_coverage_guard():
     discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=50))
 
 
-def test_coverage_is_computed_once_per_model_and_range(monkeypatch):
+def test_coverage_integrates_only_outside_the_grid(monkeypatch):
     import scipy.integrate
 
     ranges = []
@@ -125,22 +127,21 @@ def test_coverage_is_computed_once_per_model_and_range(monkeypatch):
         return quad(f, a, b, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
-    discretized._coverage_fraction.cache_clear()
     model = reference_gaussian_model()
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
     first = discretize(model, grid)
-    # inside and above the window for each of the three couplings (lo = 0)
+    # the tail above the window for each of the three couplings (lo = 0)
+    assert ranges == [(4.5, math.inf)] * 3
+    # a second call integrates afresh: no state outlives a call
+    again = discretize(model, grid)
     assert len(ranges) == 6
-    # other bins and rotations over the same collision range: no quadrature
-    collision = discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=120), 0.9, 1.1)
-    again = discretize(replace(model, lambda1=replace(model.lambda1)), grid)
-    assert len(ranges) == 6
-    assert collision.n_q == 120
     assert np.array_equal(again.coupling, first.coupling)
-    # another range is computed afresh
-    discretize(model, GridSpec(e_min=0.0, e_max=5.0, n_e=60))
-    assert len(ranges) == 12
-    # the memo holds the fraction, not the verdict: a short window fails twice
+    # lo > 0: the tails below and above the window for each coupling
+    g = GaussianCoupling(amplitude=0.1, center=2.5, width=0.3)
+    discretize(replace(model, lambda1=g, lambda2=g, v3=g),
+               GridSpec(e_min=0.5, e_max=4.5, n_e=60))
+    assert ranges[6:] == [(0.0, 0.5), (4.5, math.inf)] * 3
+    # a short window fails on both calls, after lambda1's one tail
     short = GridSpec(e_min=0.0, e_max=2.0, n_e=50)
     for _ in range(2):
         with pytest.raises(GridCoverage, match="^collision grid misses .* of [|]lambda1[|]"):
@@ -148,11 +149,51 @@ def test_coverage_is_computed_once_per_model_and_range(monkeypatch):
     assert len(ranges) == 14
 
 
+@dataclass(eq=False)
+class MutableGaussian:
+    """A Gaussian coupling that compares by identity: hashable, yet mutable."""
+
+    amplitude: float
+    center: float
+    width: float
+
+    def __call__(self, e):
+        return GaussianCoupling(self.amplitude, self.center, self.width)(e)
+
+
+@dataclass
+class PlainGaussian(MutableGaussian):
+    """The same coupling as a plain dataclass; eq=True sets __hash__ = None."""
+
+
+def test_unhashable_coupling_discretizes():
+    model = reference_gaussian_model()
+    plain = PlainGaussian(0.16, 1.25, 0.45)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(plain)
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=30)
+    dm = discretize(replace(model, lambda1=plain), grid)
+    assert np.array_equal(dm.coupling, discretize(model, grid).coupling)
+
+
+def test_widened_coupling_fails_coverage_on_the_next_call():
+    coupling = MutableGaussian(0.16, 1.25, 0.45)
+    model = replace(reference_gaussian_model(), lambda1=coupling)
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60)
+    discretize(model, grid)
+    coupling.width = 3.0
+    wide = r"^collision grid misses 8\.689e-02 of [|]lambda1[|]\^2"
+    with pytest.raises(GridCoverage, match=wide):
+        discretize(model, grid)
+
+
 def test_coverage_fraction_vs_erfc(rng):
     # Gaussian couplings have a closed-form weight outside [lo, hi]:
     # int exp(-(E-c)^2/w^2) over [x, inf) is (w sqrt(pi)/2) erfc((x-c)/w).
     # lo is either 0 or at least one width above it, so the erfc
-    # difference of the lower tail does not cancel.
+    # difference of the lower tail does not cancel.  The fraction is that
+    # weight over itself plus the weight held on n_e midpoint bins; its
+    # verdict agrees with the fraction of the exact total on [0, inf).
     checked = 0
     for _ in range(300):
         c, w, amp = rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.8), rng.uniform(0.05, 0.3)
@@ -160,14 +201,20 @@ def test_coverage_fraction_vs_erfc(rng):
         lo = c - w * rng.uniform(1.0, 6.0)
         if lo < w:
             lo = 0.0
-        got = discretized._coverage_fraction(GaussianCoupling(amp, c, w), lo, hi)
+        f = GaussianCoupling(amp, c, w)
         below = math.erfc((c - lo) / w) - math.erfc(c / w) if lo > 0.0 else 0.0
-        want = (math.erfc((hi - c) / w) + below) / math.erfc(-c / w)
-        if want > 1e-12:
-            checked += 1
-            assert got == pytest.approx(want, rel=1e-6)
-        assert (got > discretized._TAIL_FRACTION) == (want > discretized._TAIL_FRACTION)
-    assert checked > 200
+        outside = amp ** 2 * w * math.sqrt(math.pi) / 2.0 * (math.erfc((hi - c) / w) + below)
+        exact = (math.erfc((hi - c) / w) + below) / math.erfc(-c / w)
+        for n_e in (8, 50, 400):
+            centers = lo + (np.arange(n_e) + 0.5) * (hi - lo) / n_e
+            held = float(np.sum(f(centers) ** 2)) * (hi - lo) / n_e
+            got = discretized._coverage_fraction(f, lo, hi, held)
+            want = outside / (outside + held)
+            if want > 1e-12:
+                checked += 1
+                assert got == pytest.approx(want, rel=1e-6)
+            assert (got > discretized._TAIL_FRACTION) == (exact > discretized._TAIL_FRACTION)
+    assert checked > 600
 
 
 def test_sigma_single_bin_closed_form():
@@ -346,13 +393,18 @@ def test_vacuum_cross_decay_converges_to_the_discretized_poles():
 
 
 def test_overflowing_couplings_are_convergence_failures():
-    # float ** 2 on a 1e300 coupling raises OverflowError inside the
-    # coverage quadrature; a 1e160 vacuum coupling overflows the coupling
-    # scale of the default probes, before anything is factored
+    # the held weight of a 1e300 coupling is summed to inf without a
+    # warning, then float ** 2 raises OverflowError in its tail quadrature
+    # (a 1e155 one, with finite tails, fails on the inf held weight); a
+    # 1e160 vacuum coupling overflows the coupling scale of the default
+    # probes, before anything is factored
     base = reference_gaussian_model()
     huge = replace(base, lambda1=GaussianCoupling(amplitude=1e300, center=1.25, width=0.45))
     with pytest.raises(ConvergenceFailure, match="discretize overflowed"):
         discretize(huge, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
+    big = replace(base, lambda1=GaussianCoupling(amplitude=1e155, center=1.25, width=0.45))
+    with pytest.raises(ConvergenceFailure, match="discretize overflowed: held weight"):
+        discretize(big, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60, k_min=0.0, k_max=3.0, n_k=10)
     dm = discretize(replace(base, v2f=1e160), grid)
     overflow = (r"^coupling scale 2 pi max_n sum_q C_nq\^2 overflowed \(inf\): "
@@ -404,6 +456,16 @@ def test_resolvent_factorization_failure_is_convergence_failure(monkeypatch):
     monkeypatch.setattr(linalg, "splu", singular)
     with pytest.raises(ConvergenceFailure,
                        match="^resolvent solve failed: splu: Factor is exactly singular$"):
+        resolvent_check(dm)
+
+
+def test_resolvent_reduced_side_failure_is_convergence_failure(monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(ConvergenceFailure, match="^resolvent solve failed: Singular matrix$"):
         resolvent_check(dm)
 
 

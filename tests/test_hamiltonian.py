@@ -14,7 +14,6 @@ from bic_lab.hamiltonian import (
     cubic_roots,
     eigensystem,
 )
-from bic_lab.recipes import fig4_exact_bic_solution
 from conftest import random_params
 
 
@@ -51,6 +50,8 @@ def test_effective_pair_rejects_asymmetry():
     b[0, 1] = 1e-16
     with pytest.raises(ValueError, match="symmetric"):
         EffectivePair(a=a, b=b)
+    with pytest.raises(ValueError, match="b must be 3x3, got shape"):
+        EffectivePair(a=a, b=np.zeros((2, 2)))
 
 
 def test_vic_kills_constant_term():
@@ -110,9 +111,9 @@ def test_eigensystem_matches_numpy(rng):
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-11)
 
 
-def test_eigensystem_residuals_and_vectors(fig4, fig5, generic_params):
+def test_eigensystem_residuals_and_vectors(fig4, fig5, generic_params, fig4_bic):
     rng = np.random.default_rng(5)
-    cases = [fig4, fig5, fig4_exact_bic_solution().params, generic_params]
+    cases = [fig4, fig5, fig4_bic.params, generic_params]
     cases += [random_params(rng, coherent=bool(i % 2)) for i in range(100)]
     compared = 0
     for p in cases:
@@ -208,9 +209,9 @@ def test_residual_guard_catches_roots_off_the_spectrum(monkeypatch, fig4):
 
 
 @pytest.mark.parametrize("key,value", [("g1", 1e200), ("q2", 1e160)])
-def test_eigensystem_overflow_is_a_convergence_failure(key, value):
+def test_eigensystem_overflow_is_a_convergence_failure(key, value, fig4_bic):
     # the characteristic coefficients overflow to inf and the roots to NaN;
     # the trace check must reject them before any LAPACK call
-    params = fig4_exact_bic_solution().params.replace(**{key: value})
+    params = fig4_bic.params.replace(**{key: value})
     with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="root sum"):
         eigensystem(build(params))

@@ -10,8 +10,8 @@ from bic_lab.errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, Pol
                             ValidationError)
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams
-from bic_lab.recipes import (FIG4_ETA_LIST, fig3_params, fig4_exact_bic_solution,
-                             fig4_params, fig5_eta_grid, fig5_params)
+from bic_lab.recipes import (FIG4_ETA_LIST, fig3_params, fig4_params, fig5_eta_grid,
+                             fig5_params)
 from bic_lab.spectrum import (
     LORENTZ_WIDTH_FACTOR,
     PeakMetrics,
@@ -69,11 +69,11 @@ def test_det_factorizes_over_eigenvalues(fig4):
         assert complex(det) == pytest.approx(ref, rel=1e-9)
 
 
-def test_amplitude_removable_at_exact_bic():
+def test_amplitude_removable_at_exact_bic(fig4_bic):
     # the numerator shares the real root of det: the point is removable
     # and must evaluate to the (finite) limit, not a ratio of rounding
     # residues
-    sol = fig4_exact_bic_solution()
+    sol = fig4_bic
     a0 = amplitude(sol.params, sol.lam)
     assert np.isfinite(a0.real) and np.isfinite(a0.imag)
     # the limit is approached smoothly: values at small one-sided
@@ -95,6 +95,20 @@ def test_true_real_pole_raises():
         amp(np.array([1.0]))
 
 
+def test_removable_point_escalates_its_offset():
+    # det(eI - M) = (e - 0.5)^3 over a numerator (e - 0.5)^2: offsets
+    # h = 1e-9 * 32^k leave det below 1e5 times its floor up to k = 3, and
+    # k = 4 clears it, where the amplitude is 1/h
+    amp, _ = _amplitude(0.5 * np.eye(3, dtype=complex), np.ones(3), 1)
+    assert amp(np.array([0.5]))[0] == pytest.approx(1.0 / (1e-9 * 32.0 ** 4), rel=1e-9)
+    # an upper-triangular M keeps det = (e - 0.5)^3, while its 1e6 entries
+    # raise the floor beyond what any of the six offsets reaches
+    m = 0.5 * np.eye(3) + np.triu(np.full((3, 3), 1e6), 1)
+    amp, _ = _amplitude(m.astype(complex), np.array([1.0, 1.0, 0.0]), 1)
+    with pytest.raises(PoleHit, match="^determinant stays at rounding level near E_tilde=0.5$"):
+        amp(np.array([0.5]))
+
+
 def test_no_lasers_no_signal():
     p = DimensionlessParams(g1=0.0, g2=0.0, q1=0.0, q2=0.0,
                             delta1=1.0, delta2=2.0, delta=0.0,
@@ -110,6 +124,8 @@ def test_spectrum_series_validation():
     with pytest.raises(ValueError):
         SpectrumSeries(grid=np.array([0.0, 1.0]),
                        values=np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="equal length"):
+        SpectrumSeries(grid=np.array([0.0, 1.0]), values=np.zeros(3))
     with pytest.raises(ValueError):
         spectrum_series(fig3_params(), 2.0, 1.0, 100)
 
@@ -127,7 +143,8 @@ def test_spectrum_series_refines_narrow_line():
 
 
 def test_spectrum_series_plain_grid_when_no_narrow_modes(fig3):
-    s = spectrum_series(fig3_params(deviate="none"), -0.5, 0.5, 64, channel=2)
+    # the exact bound-state set of the fig3 geometry (g2 = 2)
+    s = spectrum_series(fig3.replace(g2=2.0), -0.5, 0.5, 64, channel=2)
     # no eigenvalue with small |Im| in range: base grid returned as-is
     assert len(s.grid) == 64
 
@@ -241,8 +258,8 @@ def test_peak_metrics_deviated_fig4():
     assert m.left_cross < m.e_peak < m.right_cross
 
 
-def test_peak_metrics_analytic_branch_for_sub_resolution_pole():
-    base = fig4_exact_bic_solution().params
+def test_peak_metrics_analytic_branch_for_sub_resolution_pole(fig4_bic):
+    base = fig4_bic.params
     p = base.replace(eta=1.0 - 1e-12)
     e1 = eigensystem(build(p)).eigenvalues[0]
     assert 0.0 < abs(e1.imag) < 1e-10
@@ -295,11 +312,11 @@ def test_gain_mode_is_an_error_not_a_line():
         peak_metrics(fig4_params(eta=3.0))
 
 
-def test_coherent_sets_never_read_as_gain_modes(rng):
+def test_coherent_sets_never_read_as_gain_modes(rng, fig4_bic):
     # with g12 = sqrt(g1*g2) and |eta| <= sqrt(gamma1*gamma2), B is negative
     # semidefinite: Im E1 stays inside the rounding allowance, the exact
     # bound state of fig4 included
-    sets = [fig4_exact_bic_solution().params]
+    sets = [fig4_bic.params]
     for k in range(100):
         p = random_params(rng, coherent=True)
         if k % 2:
@@ -363,11 +380,11 @@ def test_nan_determinant_is_a_non_finite_value_not_a_pole(fig4):
         spectrum_series(fig4, 1e307, 1e308, 11)
 
 
-def test_a_point_has_one_value_in_every_batch():
+def test_a_point_has_one_value_in_every_batch(fig4_bic):
     # refine_peak's lookahead relies on this: a point evaluated alone, in
     # the full grid or in a shuffled subset gets the same bits
     rng = np.random.default_rng(5)
-    sol = fig4_exact_bic_solution()
+    sol = fig4_bic
     cases = [(p, float(eigensystem(build(p)).eigenvalues[0].real), ())
              for p in (fig3_params(), fig4_params(), fig5_params())]
     # the exact bound state: E = lambda takes the rounding-zero path
