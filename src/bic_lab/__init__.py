@@ -13,8 +13,8 @@ elimination against a brute-force discretized model.
 __version__ = "0.1.0"
 
 from .bic import (BicSolution, CertificationReport, bic_vector, certify,
-                  solve_bic, vic_residual)
-from .dressing import DressedPair, dress, dressed_splitting, mixing_angle, vic_feasibility
+                  solve_bic)
+from .dressing import DressedPair, dress
 from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           ResolventReport, compare_pole_approximation,
                           default_probes, discretize, resolvent_check,
@@ -24,7 +24,7 @@ from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      GainMode, GridCoverage, MultiPeak, NoPeak, PoleHit,
                      ProbeOnSpectrum, SingularEndpoint, SingularSolve,
                      ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
-from .hamiltonian import ComplexEigenSet, EffectivePair, build, eigensystem
+from .hamiltonian import ComplexEigenSet, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, WignerCoupling, derive_couplings,
                           pv_integral, reference_gaussian_model, to_dimensionless)

@@ -230,7 +230,7 @@ _CONFIGS = {
     "sweep-eta": {**_PARAMS, "sweep": (_SWEEP, ...)},
     "derive": {"microscopic": ({
         **_MODEL, "e_max": (_number, None),
-        **dict.fromkeys(("laser1_freq", "laser2_freq", "e1", "e2"), (_number, 0.0))}, ...)},
+        "e1": (_number, 0.0), "e2": (_number, 0.0)}, ...)},
     "validate": {"microscopic": (_MODEL, ...), "oracle": ({
         "e_min": (_number, ...), "e_max": (_number, ...), "n_e": (_integer, ...),
         **dict.fromkeys(("k_min", "k_max", "e1_rot", "e2_rot"), (_number, 0.0)),
@@ -324,7 +324,7 @@ def _run_derive(cfg: dict, args) -> None:
     micro = cfg["microscopic"]
     model = CouplingModel(e_max=micro.pop("e_max"), **{k: micro.pop(k) for k in _MODEL})
     res = derive_couplings(model)
-    # what is left are the four rotating-frame keys
+    # what is left are the two rotating-frame energies e1, e2
     params = to_dimensionless(res, model, **micro)
     _emit_record({
         "microscopic": {

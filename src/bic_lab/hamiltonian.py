@@ -12,8 +12,10 @@ under H_eff = (hbar*Gamma_F/2) * (A + i*B) with A, B real symmetric:
           [g12+eta,   g2+gamma2, sqrt(g2)],
           [sqrt(g1),  sqrt(g2),  1      ]]
 
-Everything here works in the dimensionless matrix A + i*B; eigenvalues
-are the complex mode energies E_tilde in units of hbar*Gamma_F/2.
+``build`` returns the dimensionless matrix M = A + i*B as one complex
+(3, 3) array, symmetric by construction, with A = M.real and B = M.imag;
+``eigensystem`` takes that array.  Its eigenvalues are the complex mode
+energies E_tilde in units of hbar*Gamma_F/2.
 
 The eigenvalues are a closed-form Cardano solve of the characteristic
 cubic followed by a Newton polish.  They stay closed-form because the
@@ -38,29 +40,8 @@ from .params import DimensionlessParams
 RESIDUAL_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class EffectivePair:
-    """The real and imaginary symmetric parts (A, B) of the effective matrix."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("a", "b"):
-            m = np.asarray(getattr(self, name), dtype=float)
-            if m.shape != (3, 3):
-                raise ValueError(f"{name} must be 3x3, got shape {m.shape}")
-            if not np.array_equal(m, m.T):
-                raise ValueError(f"{name} must be exactly symmetric")
-            object.__setattr__(self, name, m)
-
-    def matrix(self) -> np.ndarray:
-        """The complex matrix A + i*B."""
-        return self.a + 1j * self.b
-
-
-def build(params: DimensionlessParams) -> EffectivePair:
-    """Assemble (A, B) from a dimensionless parameter set."""
+def build(params: DimensionlessParams) -> np.ndarray:
+    """The complex (3, 3) matrix A + i*B of a dimensionless parameter set."""
     s1 = math.sqrt(params.g1)
     s2 = math.sqrt(params.g2)
     a = np.array([
@@ -74,13 +55,7 @@ def build(params: DimensionlessParams) -> EffectivePair:
         [off, params.g2 + params.gamma2, s2],
         [s1, s2, 1.0],
     ])
-    return EffectivePair(a=a, b=b)
-
-
-def _det3(m: np.ndarray) -> complex:
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+    return a + 1j * b
 
 
 def char_coeffs(m: np.ndarray) -> tuple[complex, complex, complex]:
@@ -89,7 +64,9 @@ def char_coeffs(m: np.ndarray) -> tuple[complex, complex, complex]:
     c1 = ((m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
           + (m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0])
           + (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]))
-    c0 = _det3(m)
+    c0 = (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+          - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+          + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
     return c2, c1, c0
 
 
@@ -162,13 +139,16 @@ class ComplexEigenSet:
     residuals: np.ndarray
 
 
-def eigensystem(pair: EffectivePair) -> ComplexEigenSet:
-    """All three complex eigenpairs of A + i*B.
+def eigensystem(m: np.ndarray) -> ComplexEigenSet:
+    """All three complex eigenpairs of the matrix m = A + i*B.
 
-    Raises ConvergenceFailure if the roots fail the trace check or any
-    residual exceeds RESIDUAL_RTOL * max(||A + iB||_F, 1).
+    Raises ValueError unless m is 3x3, and ConvergenceFailure if the
+    roots fail the trace check or any residual exceeds
+    RESIDUAL_RTOL * max(||A + iB||_F, 1).
     """
-    m = pair.matrix()
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (3, 3):
+        raise ValueError(f"the matrix must be 3x3, got shape {m.shape}")
     c2, c1, c0 = char_coeffs(m)
     roots = [_polish_root(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
     roots.sort(key=lambda z: (-z.imag, z.real))

@@ -262,13 +262,12 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
 
 
 def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
-                     laser1_freq: float = 0.0, laser2_freq: float = 0.0,
                      e1: float = 0.0, e2: float = 0.0) -> DimensionlessParams:
     """Scale the derived energies by hbar*Gamma_F/2 into model parameters.
 
-    e1, e2 and the laser frequencies are energies in the same units as
-    the coupling model; only the rotating-frame combinations
-    e_n - laser_n_freq enter.  The Fano parameters use
+    e1, e2 are the rotating-frame energies E_n - hbar*omega_n of the
+    dressed states, in the same units as the coupling model (what
+    discretize takes as e1_rot, e2_rot).  The Fano parameters use
     q_n = (beta_n + omega_n3) / (Gamma_nF / 2), with q_n = 0 adopted
     when numerator and denominator both vanish.
     """
@@ -292,8 +291,8 @@ def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
         g12=res.gamma_lic / res.gamma_f,
         q1=q_of(res.beta1, model.omega13, res.gamma_1f, "1"),
         q2=q_of(res.beta2, model.omega23, res.gamma_2f, "2"),
-        delta1=(e1 - laser1_freq + res.e_sh_1) / ef,
-        delta2=(e2 - laser2_freq + res.e_sh_2) / ef,
+        delta1=(e1 + res.e_sh_1) / ef,
+        delta2=(e2 + res.e_sh_2) / ef,
         delta=res.alpha / ef,
         gamma1=res.gamma1_sp / res.gamma_f,
         gamma2=res.gamma2_sp / res.gamma_f,

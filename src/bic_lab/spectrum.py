@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                      ValidationError)
-from .hamiltonian import EffectivePair, build, eigensystem
+from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams, _passive
 
 _INV_E = 1.0 / math.e
@@ -42,8 +42,7 @@ _quiet = np.errstate(all="ignore")
 
 def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     """The complex amplitude of channel 1 or 2 as a function of a 1-d
-    float array of abscissae, and (det(eI - M), [adj(eI - M) v]_channel)
-    as a function of any complex e.
+    float array of abscissae.
 
     The channel check, the entries of M and the floor scales are taken
     once per matrix.  At an exact bound state in the continuum the real
@@ -109,10 +108,10 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
             amps[i] = resolve_rounding_zero(float(x[i]), complex(num[i]), float(floor_d[i]))
         return amps
 
-    return amplitude, det_and_numerator
+    return amplitude
 
 
-def _spectrum(params: DimensionlessParams, pair: EffectivePair, e1: complex,
+def _spectrum(params: DimensionlessParams, mat: np.ndarray, e1: complex,
               channel: int) -> Callable[[np.ndarray | float], np.ndarray | float]:
     """S_n of a solved parameter set: an array for an array, a float for a
     scalar, which is evaluated as a one-point array and so takes the same
@@ -121,8 +120,7 @@ def _spectrum(params: DimensionlessParams, pair: EffectivePair, e1: complex,
     A gain mode raises GainMode: B is not negative semidefinite and the
     least-damped e1 grows beyond the rounding allowance 1e-12*max(1, ||M||_F).
     """
-    mat = pair.matrix()
-    amplitude, _ = _amplitude(
+    amplitude = _amplitude(
         mat, np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0]), channel)
     if not _passive(params) and e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
         raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
@@ -176,9 +174,9 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     if np.any(np.diff(base) <= 0.0):
         raise ValidationError([f"grid [{e_min!r}, {e_max!r}] at {n_points!r} points: "
                                f"spacing {spacing!r} is below float resolution"])
-    pair = build(params)
-    eig = eigensystem(pair)
-    f = _spectrum(params, pair, eig.eigenvalues[0], channel)
+    mat = build(params)
+    eig = eigensystem(mat)
+    f = _spectrum(params, mat, eig.eigenvalues[0], channel)
     extras = []
     for lam in eig.eigenvalues:
         re, im = float(lam.real), abs(float(lam.imag))
@@ -439,17 +437,17 @@ def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
     mode (B not negative semidefinite and Im E1 above 1e-12*max(1, ||M||_F))
     is no resonance and raises GainMode.
     """
-    pair = build(params)
-    return _peak_metrics(params, pair, eigensystem(pair).eigenvalues, channel, None)
+    mat = build(params)
+    return _peak_metrics(params, mat, eigensystem(mat).eigenvalues, channel, None)
 
 
-def _peak_metrics(params: DimensionlessParams, pair: EffectivePair,
+def _peak_metrics(params: DimensionlessParams, mat: np.ndarray,
                   eigenvalues: np.ndarray, channel: int,
                   search_window: tuple[float, float] | None) -> PeakMetrics:
     """peak_metrics for a parameter set whose matrix is already solved,
     in search_window when one is given."""
     e1 = eigenvalues[0]
-    f = _spectrum(params, pair, e1, channel)
+    f = _spectrum(params, mat, e1, channel)
     in_window = search_window is None or (search_window[0] < e1.real < search_window[1])
     if 0.0 < abs(e1.imag) < 1e-10 * max(1.0, abs(e1.real)) and in_window:
         c = float(e1.real)
@@ -522,11 +520,11 @@ class EtaSweepResult:
 def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                window: tuple[float, float] | None) -> EtaPoint:
     p = params.replace(eta=float(eta))
-    pair = build(p)
-    eig = eigensystem(pair)
+    mat = build(p)
+    eig = eigensystem(mat)
     e1 = eig.eigenvalues[0]
     try:
-        metrics = _peak_metrics(p, pair, eig.eigenvalues, channel, window)
+        metrics = _peak_metrics(p, mat, eig.eigenvalues, channel, window)
         err = None
     except (NoPeak, MultiPeak, PoleHit, GainMode) as exc:
         metrics, err = None, f"{type(exc).__name__}: {exc}"

@@ -10,7 +10,6 @@ from bic_lab.bic import (
     bic_vector,
     certify,
     solve_bic,
-    vic_residual,
 )
 from bic_lab.errors import DegenerateVector, SingularSolve
 from bic_lab.hamiltonian import build, eigensystem
@@ -19,8 +18,8 @@ from bic_lab.recipes import fig3_params, fig5_params
 
 def test_vic_residual_zero_at_coherence():
     p = fig5_params()
-    assert vic_residual(p) == 0.0
-    assert vic_residual(p.replace(eta=0.9)) == pytest.approx(-0.19)
+    assert certify(p).vic_residual == 0.0
+    assert certify(p.replace(eta=0.9)).vic_residual == pytest.approx(-0.19)
 
 
 def test_bic_vector_direction():
@@ -68,12 +67,12 @@ def test_solve_bic_frozen_example(fig4_bic):
 def test_solve_bic_result_is_exact_eigenpair():
     sol = solve_bic(g1=0.9, g2=2.3, q1=0.3, q2=-1.1, delta=0.2,
                     gamma1=0.4, gamma2=0.7, inv_kca=1.5)
-    pair = build(sol.params)
+    m = build(sol.params)
     unit = sol.x / sol.c
-    assert np.linalg.norm(pair.a @ unit - sol.lam * unit) < 1e-13
-    assert np.linalg.norm(pair.b @ unit) < 1e-13
+    assert np.linalg.norm(m.real @ unit - sol.lam * unit) < 1e-13
+    assert np.linalg.norm(m.imag @ unit) < 1e-13
     # the full complex matrix then has the exactly real eigenvalue
-    eig = eigensystem(pair)
+    eig = eigensystem(m)
     k = int(np.argmin(np.abs(eig.eigenvalues - sol.lam)))
     assert eig.eigenvalues[k].imag == pytest.approx(0.0, abs=1e-12)
     assert eig.eigenvalues[k].real == pytest.approx(sol.lam, rel=1e-12)
@@ -128,3 +127,36 @@ def test_imaginary_part_perturbation_slope(fig4_bic):
     eps = 1e-6
     eig = eigensystem(build(sol.params.replace(eta=1.0 - eps)))
     assert abs(eig.eigenvalues[0].imag) / eps == pytest.approx(slope, rel=1e-3)
+
+
+def _hand_a_and_b(p):
+    """A and B assembled entry by entry from the formulas of the
+    hamiltonian module docstring, as C-contiguous float arrays."""
+    s1, s2 = math.sqrt(p.g1), math.sqrt(p.g2)
+    off = p.g12 + p.eta
+    a = np.array([[p.delta1, p.delta, p.q1 * s1],
+                  [p.delta, p.delta2, p.q2 * s2],
+                  [p.q1 * s1, p.q2 * s2, -p.inv_kca]])
+    b = -np.array([[p.g1 + p.gamma1, off, s1],
+                   [off, p.g2 + p.gamma2, s2],
+                   [s1, s2, 1.0]])
+    return a, b
+
+
+def test_residuals_take_the_bits_of_contiguous_a_and_b():
+    # a product with the strided views m.real, m.imag rounds differently
+    # from one with contiguous A, B: the reported residuals must be the
+    # latter's, bit for bit
+    rng = np.random.default_rng(2021)
+    for _ in range(500):
+        sol = solve_bic(g1=rng.uniform(0.1, 5.0), g2=rng.uniform(0.1, 5.0),
+                        q1=rng.uniform(-2.0, 2.0), q2=rng.uniform(-2.0, 2.0),
+                        delta=rng.uniform(-1.0, 1.0), gamma1=rng.uniform(0.1, 3.0),
+                        gamma2=rng.uniform(0.1, 3.0), inv_kca=rng.uniform(-3.0, 3.0))
+        a, b = _hand_a_and_b(sol.params)
+        unit = sol.x / sol.c
+        assert sol.residual_a == float(np.linalg.norm(a @ unit - sol.lam * unit))
+        assert sol.residual_b == float(np.linalg.norm(b @ unit))
+        eig = eigensystem(build(sol.params))
+        v = eig.eigenvectors[:, int(np.argmin(np.abs(eig.eigenvalues.imag)))]
+        assert certify(sol.params).residual_b == float(np.linalg.norm(b @ v))

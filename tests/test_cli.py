@@ -538,7 +538,7 @@ def _dress_cfg(**dressing):
     ("certify", {"params": {k: v for k, v in fig4_params().as_dict().items() if k != "delta2"}},
      "params.delta2: required"),
     # validate takes neither the rotating frame nor the PV cutoff (derive
-    # only), nor the retired VIC convention key
+    # only), nor the retired laser-frequency and VIC convention keys
     *[("validate", dict(_validate_cfg()[1], microscopic=dict(
         gaussian_model_cfg()["microscopic"], **{key: value})),
        f"microscopic: unknown keys for validate: {key}")
@@ -566,6 +566,8 @@ def _dress_cfg(**dressing):
      "sweep.eta_range.n: must be >= 2 (1)"),
     ("certify", {"params": dict(fig4_params().as_dict(), g12=2.0), "validation_mode": "strict"},
      "strict mode needs g12=sqrt(g1*g2)="),
+    # derive takes the rotating-frame energies e1, e2, not laser frequencies
+    (*_derive_cfg(laser1_freq=0.3), "microscopic: unknown keys for derive: laser1_freq"),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):

@@ -24,8 +24,7 @@ from test_cli import (_dress_cfg, _solve_cfg, _spectrum_cfg, _sweep_cfg, _valida
 
 
 def _property_bases():
-    micro = dict(gaussian_model_cfg()["microscopic"], e_max=4.0, laser1_freq=0.0,
-                 laser2_freq=0.0, e1=0.9, e2=1.1,
+    micro = dict(gaussian_model_cfg()["microscopic"], e_max=4.0, e1=0.9, e2=1.1,
                  lambda2={"shape": "wigner", "amplitude": 0.12, "scale": 1.0})
     params = fig4_params().as_dict()
     return {

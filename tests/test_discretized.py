@@ -413,6 +413,23 @@ def test_overflowing_couplings_are_convergence_failures():
         resolvent_check(dm)
 
 
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "v3"])
+def test_non_finite_coupling_is_a_validation_error(name):
+    # a coupling that is NaN on part of the collision grid gives a NaN
+    # coverage fraction, which no tolerance comparison rejects: it must
+    # fail by name before any quadrature sees it
+    base = reference_gaussian_model()
+    shape = getattr(base, name)
+
+    def broken(e):
+        return np.where(np.asarray(e) > 2.0, np.nan, shape(e))
+
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=60)
+    with pytest.raises(ValidationError,
+                       match=rf"^{name} is not finite on the collision grid$"):
+        discretize(replace(base, **{name: broken}), grid)
+
+
 def _dense_solve_deviations(dm, probes):
     """The elimination check by one dense complex solve per probe: an
     independent oracle for the sparse LU route."""

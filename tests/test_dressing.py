@@ -4,44 +4,47 @@ import math
 
 import pytest
 
-from bic_lab.dressing import DressedPair, dress, dressed_splitting, mixing_angle, vic_feasibility
+from bic_lab.dressing import DressedPair, dress
 from bic_lab.errors import DegenerateDressing, ZeroLinewidth
 
 
 def test_mixing_angle_limits():
     # pure Rabi drive: equal mixture
-    assert mixing_angle(5.0, 0.0) == pytest.approx(math.pi / 4)
+    assert dress(5.0, 0.0).theta == pytest.approx(math.pi / 4)
     # far-detuned: angle -> 0
-    assert mixing_angle(0.01, 100.0) == pytest.approx(5e-5, rel=1e-3)
+    assert dress(0.01, 100.0).theta == pytest.approx(5e-5, rel=1e-3)
     # odd in the drive
-    assert mixing_angle(-3.0, 2.0) == -mixing_angle(3.0, 2.0)
+    assert dress(-3.0, 2.0).theta == -dress(3.0, 2.0).theta
 
 
 def test_mixing_angle_continuous_through_resonance():
     eps = 1e-9
-    below = mixing_angle(1.0, -eps)
-    above = mixing_angle(1.0, eps)
+    below = dress(1.0, -eps).theta
+    above = dress(1.0, eps).theta
     assert abs(below - above) < 1e-8
     assert below == pytest.approx(math.pi / 4, abs=1e-8)
 
 
 def test_mixing_angle_degenerate():
     with pytest.raises(DegenerateDressing):
-        mixing_angle(0.0, 0.0)
+        dress(0.0, 0.0)
+    # the undefined basis is reported before the widths are looked at
+    with pytest.raises(DegenerateDressing):
+        dress(0.0, 0.0, 0.0, 1.0)
 
 
 def test_splitting_is_hypot():
-    assert dressed_splitting(3.0, 4.0) == 5.0
-    assert dressed_splitting(0.0, -2.0) == 2.0
+    assert dress(3.0, 4.0).splitting == 5.0
+    assert dress(0.0, -2.0).splitting == 2.0
 
 
 def test_feasibility_value_and_guard():
     # dressed splitting hypot(3, 4) = 5 over sqrt(4 * 1) = 2
-    assert vic_feasibility(3.0, 4.0, 4.0, 1.0) == pytest.approx(2.5)
+    assert dress(3.0, 4.0, 4.0, 1.0).feasibility == pytest.approx(2.5)
     # favourable working point: splitting below the mean bare width
-    assert vic_feasibility(3.0, 1.0, 6.0, 4.0) == pytest.approx(math.sqrt(10.0 / 24.0))
+    assert dress(3.0, 1.0, 6.0, 4.0).feasibility == pytest.approx(math.sqrt(10.0 / 24.0))
     with pytest.raises(ZeroLinewidth):
-        vic_feasibility(10.0, 0.0, 0.0, 1.0)
+        dress(10.0, 0.0, 0.0, 1.0)
 
 
 def test_dress_frozen_example():

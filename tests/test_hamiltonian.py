@@ -8,7 +8,6 @@ import pytest
 from bic_lab.errors import ConvergenceFailure
 from bic_lab.hamiltonian import (
     RESIDUAL_RTOL,
-    EffectivePair,
     build,
     char_coeffs,
     cubic_roots,
@@ -19,7 +18,7 @@ from conftest import random_params
 
 def test_build_matches_hand_assembly(generic_params):
     p = generic_params
-    pair = build(p)
+    m = build(p)
     s1, s2 = math.sqrt(p.g1), math.sqrt(p.g2)
     a_ref = np.array([
         [p.delta1, p.delta, p.q1 * s1],
@@ -32,32 +31,28 @@ def test_build_matches_hand_assembly(generic_params):
         [off, p.g2 + p.gamma2, s2],
         [s1, s2, 1.0],
     ])
-    np.testing.assert_array_equal(pair.a, a_ref)
-    np.testing.assert_array_equal(pair.b, b_ref)
-    np.testing.assert_array_equal(pair.matrix(), a_ref + 1j * b_ref)
+    assert m.shape == (3, 3) and m.dtype == complex
+    np.testing.assert_array_equal(m.real, a_ref)
+    np.testing.assert_array_equal(m.imag, b_ref)
+    np.testing.assert_array_equal(m, a_ref + 1j * b_ref)
 
 
 def test_build_is_exactly_symmetric(rng):
     for _ in range(20):
-        pair = build(random_params(rng))
-        assert np.array_equal(pair.a, pair.a.T)
-        assert np.array_equal(pair.b, pair.b.T)
+        m = build(random_params(rng))
+        assert np.array_equal(m, m.T)
 
 
-def test_effective_pair_rejects_asymmetry():
-    a = np.zeros((3, 3))
-    b = np.zeros((3, 3))
-    b[0, 1] = 1e-16
-    with pytest.raises(ValueError, match="symmetric"):
-        EffectivePair(a=a, b=b)
-    with pytest.raises(ValueError, match="b must be 3x3, got shape"):
-        EffectivePair(a=a, b=np.zeros((2, 2)))
+@pytest.mark.parametrize("n", [2, 4])
+def test_eigensystem_rejects_a_matrix_that_is_not_3x3(n):
+    with pytest.raises(ValueError, match=rf"^the matrix must be 3x3, got shape \({n}, {n}\)$"):
+        eigensystem(np.eye(n, dtype=complex))
 
 
 def test_vic_kills_constant_term():
     # at eta = sqrt(gamma1*gamma2) and coherent lasers, det B = 0
     p_vic = random_params(np.random.default_rng(7), coherent=True)
-    assert np.linalg.det(build(p_vic).b) == pytest.approx(0.0, abs=1e-12)
+    assert np.linalg.det(build(p_vic).imag) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_char_coeffs_convention(rng):
@@ -104,8 +99,8 @@ def test_cubic_roots_wide_scale_split():
 def test_eigensystem_matches_numpy(rng):
     for _ in range(100):
         p = random_params(rng)
-        m = build(p).matrix()
-        eig = eigensystem(build(p))
+        m = build(p)
+        eig = eigensystem(m)
         ref = np.sort_complex(np.linalg.eigvals(m))
         got = np.sort_complex(eig.eigenvalues)
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-11)
@@ -117,9 +112,8 @@ def test_eigensystem_residuals_and_vectors(fig4, fig5, generic_params, fig4_bic)
     cases += [random_params(rng, coherent=bool(i % 2)) for i in range(100)]
     compared = 0
     for p in cases:
-        pair = build(p)
-        m = pair.matrix()
-        eig = eigensystem(pair)
+        m = build(p)
+        eig = eigensystem(m)
         scale = max(1.0, float(np.linalg.norm(m)))
         ref_vals, ref_vecs = np.linalg.eig(m)
         gaps = [abs(eig.eigenvalues[i] - eig.eigenvalues[j])
@@ -155,8 +149,7 @@ def test_eigenvector_phase_convention(fig4):
 
 
 def test_eigensystem_scalar_matrix_triple_root():
-    pair = EffectivePair(a=2.0 * np.eye(3), b=np.zeros((3, 3)))
-    eig = eigensystem(pair)
+    eig = eigensystem(2.0 * np.eye(3, dtype=complex))
     np.testing.assert_allclose(eig.eigenvalues, 2.0, atol=1e-12)
     assert np.all(eig.residuals == 0.0)
 
@@ -165,7 +158,7 @@ def test_eigensystem_defective_pair_double_root():
     # [[1, i], [i, -1]] is nilpotent: eigenvalue 0 twice, one eigenvector
     a = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 5.0]])
     b = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    eig = eigensystem(EffectivePair(a=a, b=b))
+    eig = eigensystem(a + 1j * b)
     lams = sorted(eig.eigenvalues, key=lambda z: abs(z))
     assert lams[0] == pytest.approx(0.0, abs=1e-8)
     assert lams[1] == pytest.approx(0.0, abs=1e-8)
@@ -197,7 +190,7 @@ def test_residual_guard_catches_roots_off_the_spectrum(monkeypatch, fig4):
 
     monkeypatch.setattr(ham, "cubic_roots", perturbed)
     monkeypatch.setattr(ham, "_polish_root", lambda x, c2, c1, c0: x)
-    threshold = RESIDUAL_RTOL * max(float(np.linalg.norm(build(fig4).matrix())), 1.0)
+    threshold = RESIDUAL_RTOL * max(float(np.linalg.norm(build(fig4))), 1.0)
     with pytest.raises(ConvergenceFailure) as exc:
         ham.eigensystem(build(fig4))
     message = str(exc.value)

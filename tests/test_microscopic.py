@@ -263,8 +263,8 @@ def test_to_dimensionless_identities():
         model.dipole_overlap * math.sqrt(p.gamma1 * p.gamma2), rel=1e-12)
     assert p.inv_kca == pytest.approx(
         -2.0 * (model.e3 + res.e_sh_f) / res.gamma_f, rel=1e-14)
-    # detunings shift with the laser frequency as E_n - omega_n
-    p2 = to_dimensionless(res, model, laser1_freq=0.3, e1=0.5)
+    # detunings shift with the rotating-frame energy E_n - omega_n
+    p2 = to_dimensionless(res, model, e1=0.2)
     ef = res.gamma_f / 2.0
     assert p2.delta1 - p.delta1 == pytest.approx(0.2 / ef, rel=1e-10)
 

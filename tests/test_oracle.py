@@ -47,7 +47,7 @@ def _cofactor_form(params):
     """e -> (det, det', N, N') of channel 1 at the working precision, with
     det = det(eI - M) and N = [adj(eI - M) v]_1, the cofactor form of
     the spectrum evaluator."""
-    m = [[mp.mpc(complex(z)) for z in row] for row in build(params).matrix()]
+    m = [[mp.mpc(complex(z)) for z in row] for row in build(params)]
     (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
     n01, n02, n12, n10, n20, n21 = -m01, -m02, -m12, -m10, -m20, -m21
     v0, v1, v2 = mp.mpf(math.sqrt(params.g1)), mp.mpf(math.sqrt(params.g2)), 1
@@ -81,8 +81,8 @@ def _root(g, bracket):
 def _line(params) -> dict:
     """The oracle's E1 and line metrics of one fig4/fig5 parameter set."""
     terms = _cofactor_form(params)
-    pair = build(params)
-    eigenvalues = eigensystem(pair).eigenvalues
+    m = build(params)
+    eigenvalues = eigensystem(m).eigenvalues
     e1 = mp.mpc(complex(eigenvalues[0]))
     for _ in range(8):
         det, ddet, _, _ = terms(e1)
@@ -94,7 +94,7 @@ def _line(params) -> dict:
     inside = [s for s in _pole_seeds(eigenvalues, window) if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, inside]))
-    ys = _spectrum(params, pair, eigenvalues[0], 1)(xs)
+    ys = _spectrum(params, m, eigenvalues[0], 1)(xs)
     margin = 0.05 * (hi - lo)
     lmask, rmask = xs <= lo + margin, xs >= hi - margin
     bx1, by1 = xs[lmask].mean(), ys[lmask].mean()

@@ -154,13 +154,13 @@ def test_physical_mode_rejects_sets_that_can_grow(rng):
     growing = 0
     for _ in range(200):
         p = random_params(rng)
-        pair = build(p)
-        if np.linalg.eigvalsh(pair.b).max() <= 1e-12:
+        m = build(p)
+        if np.linalg.eigvalsh(m.imag).max() <= 1e-12:
             validate(p, mode="physical")
             continue
         with pytest.raises(ValidationError, match=r"g12=.* and eta=.*growing mode"):
             validate(p, mode="physical")
-        growing += eigensystem(pair).eigenvalues[0].imag > 0.0
+        growing += eigensystem(m).eigenvalues[0].imag > 0.0
     assert growing >= 30
     for _ in range(100):
         p = random_params(rng, coherent=True)
