@@ -12,13 +12,11 @@ elimination against a brute-force discretized model.
 
 __version__ = "0.1.0"
 
-from .bic import (BicSolution, CertificationReport, bic_vector, certify,
-                  solve_bic)
+from .bic import BicSolution, CertificationReport, certify, solve_bic
 from .dressing import DressedPair, dress
 from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           ResolventReport, compare_pole_approximation,
-                          default_probes, discretize, resolvent_check,
-                          smoothed_kernel_sum)
+                          discretize, resolvent_check, smoothed_kernel_sum)
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      DegenerateVector, DivergentTail, FixedPointDivergence,
                      GainMode, GridCoverage, MultiPeak, NoPeak, PoleHit,

@@ -29,30 +29,6 @@ from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams
 
 
-def bic_vector(g1: float, g2: float, gamma1: float, gamma2: float
-               ) -> tuple[np.ndarray, float]:
-    """Zero-mode direction (x1, x2, 1) of B at eta = sqrt(gamma1*gamma2).
-
-    Returns the unnormalized vector and its norm C = sqrt(x1^2+x2^2+1).
-    Requires positive spontaneous widths; raises DegenerateVector when
-    g1/g2 = gamma1/gamma2, where the direction is undefined.
-    """
-    if gamma1 <= 0.0 or gamma2 <= 0.0:
-        raise ValidationError(
-            [f"bic_vector needs gamma1, gamma2 > 0, got {gamma1!r}, {gamma2!r}"])
-    if g1 < 0.0 or g2 < 0.0:
-        raise ValidationError([f"bic_vector needs g1, g2 >= 0, got {g1!r}, {g2!r}"])
-    denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
-    if abs(denom) < 1e-12:
-        raise DegenerateVector(
-            "g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined "
-            f"(denominator {denom:.3e})")
-    x1 = math.sqrt(gamma2) / denom
-    x2 = -math.sqrt(gamma1) / denom
-    x = np.array([x1, x2, 1.0])
-    return x, float(np.linalg.norm(x))
-
-
 @dataclass(frozen=True)
 class BicSolution:
     """Closed-form BIC: eigenvalue, required detunings and residuals."""
@@ -74,13 +50,14 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
 
     g12 defaults to the coherent value sqrt(g1*g2), which is also the
     only case in which B can have the zero mode; eta is always set to
-    sqrt(gamma1*gamma2).  Raises SingularSolve when
-    g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
-    A X = lambda X insoluble, and ValidationError unless g1, g2 >= 0 and
-    gamma1, gamma2 > 0; propagates DegenerateVector.  Raises
-    ConvergenceFailure when a residual is non-finite or exceeds
-    1e-12 * max(1, ||A||_F, ||B||_F), as it does once the inputs
-    overflow: the result would not be a solution.
+    sqrt(gamma1*gamma2).  X = (x1, x2, 1) of the module docstring and its
+    norm C come back as ``x`` and ``c``.  Raises ValidationError unless
+    g1, g2 >= 0 and gamma1, gamma2 > 0; DegenerateVector when
+    g1/g2 = gamma1/gamma2 leaves X undefined, checked before SingularSolve
+    for g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
+    A X = lambda X insoluble; ConvergenceFailure when a residual is
+    non-finite or exceeds 1e-12 * max(1, ||A||_F, ||B||_F), as it does
+    once the inputs overflow: the result would not be a solution.
     """
     if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
         raise ValidationError(
@@ -88,7 +65,13 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
              f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}"])
     if g12 is None:
         g12 = math.sqrt(g1 * g2)
-    x, c = bic_vector(g1, g2, gamma1, gamma2)
+    denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
+    if abs(denom) < 1e-12:
+        raise DegenerateVector(
+            "g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined "
+            f"(denominator {denom:.3e})")
+    x = np.array([math.sqrt(gamma2) / denom, -math.sqrt(gamma1) / denom, 1.0])
+    c = float(np.linalg.norm(x))
 
     r = math.sqrt(gamma1 / gamma2)
     if abs(g1 - g12 * r) < 1e-12:
@@ -116,7 +99,8 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
         gamma1=gamma1, gamma2=gamma2,
         g12=g12, eta=math.sqrt(gamma1 * gamma2), inv_kca=inv_kca)
     m = build(params)
-    # contiguous copies: a product with the strided m.real takes other bits
+    # contiguous copies: unit is real, so a product with the strided
+    # m.real or m.imag would take other bits
     a, b = np.ascontiguousarray(m.real), np.ascontiguousarray(m.imag)
     unit = x / c
     residual_a = float(np.linalg.norm(a @ unit - lam * unit))
@@ -162,6 +146,6 @@ def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationR
         min_abs_im=float(ims[k]),
         lambda_est=float(lam.real),
         eigenvalue=complex(lam),
-        residual_b=float(np.linalg.norm(np.ascontiguousarray(m.imag) @ v)),
+        residual_b=float(np.linalg.norm(m.imag @ v)),
         vic_residual=params.eta ** 2 - params.gamma1 * params.gamma2,
     )

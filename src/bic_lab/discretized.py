@@ -90,7 +90,7 @@ def _coverage_fraction(f, lo: float, hi: float, held: float) -> float:
     weight that overflowed is an OverflowError.  Each tail is one quad
     call at its default tolerances (1.49e-8 absolute and relative); the
     tail past hi is QUADPACK's infinite-range rule QAGI."""
-    from scipy.integrate import quad  # imported on use, see pv_integral
+    from scipy.integrate import quad  # imported on use, see microscopic._quad
 
     def f2(e):
         return float(f(e)) ** 2
@@ -133,7 +133,7 @@ class DiscretizedModel:
 
     def matrix(self):
         """H as a scipy.sparse CSC array of 9 + 7 n_q stored entries."""
-        from scipy.sparse import csc_array  # imported on use, see pv_integral
+        from scipy.sparse import csc_array  # imported on use, see microscopic._quad
 
         p, q = np.arange(3), np.arange(3, self.size)
         c_rows, c_cols = np.repeat(p, self.n_q), np.tile(q, 3)
@@ -235,32 +235,16 @@ class ResolventReport:
         return max(self.deviations)
 
 
-def default_probes(dm: DiscretizedModel) -> list[complex]:
-    """8 points on a rectangle enclosing the spectrum.
-
-    The height is max(1, Gamma-scale); far off the real axis both sides
-    of the identity are well-conditioned.  A Gamma-scale that overflows
-    is a ConvergenceFailure.
-    """
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
-    if not math.isfinite(gamma_scale):
-        raise ConvergenceFailure(
-            f"coupling scale 2 pi max_n sum_q C_nq^2 overflowed ({gamma_scale!r}): "
-            "no finite default probes")
-    h = max(1.0, gamma_scale)
-    diag_all = np.concatenate([np.diag(dm.h_pp), dm.diag_q])
-    lo, hi = float(np.min(diag_all)) - h, float(np.max(diag_all)) + h
-    res = np.linspace(lo, hi, 4)
-    return [complex(r, s * h) for s in (+1.0, -1.0) for r in res]
-
-
 def resolvent_check(dm: DiscretizedModel,
                     probes: Sequence[complex] | None = None) -> ResolventReport:
     """Verify P (z-H)^-1 P = (z - H_PP - Sigma(z))^-1 at each probe.
 
     Both sides are computed on the same matrix, so this is an exact
-    identity; deviations reflect linear-algebra conditioning only.
+    identity; deviations reflect linear-algebra conditioning only.  The
+    default probes are 8 points on a rectangle enclosing the spectrum, of
+    height max(1, Gamma-scale) with Gamma-scale = 2 pi max_n sum_q C_nq^2:
+    far off the real axis both sides are well-conditioned.  A Gamma-scale
+    that overflows is a ConvergenceFailure.
 
     The full side factors the sparse z - H once per probe with SuperLU
     (scipy.sparse.linalg.splu: COLAMD column order, partial pivoting) and
@@ -279,7 +263,17 @@ def resolvent_check(dm: DiscretizedModel,
     singular 3x3 is a ConvergenceFailure.
     """
     if probes is None:
-        probes = default_probes(dm)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
+        if not math.isfinite(gamma_scale):
+            raise ConvergenceFailure(
+                f"coupling scale 2 pi max_n sum_q C_nq^2 overflowed ({gamma_scale!r}): "
+                "no finite default probes")
+        height = max(1.0, gamma_scale)
+        diag_all = np.concatenate([np.diag(dm.h_pp), dm.diag_q])
+        lo, hi = float(np.min(diag_all)) - height, float(np.max(diag_all)) + height
+        probes = [complex(r, s * height) for s in (+1.0, -1.0)
+                  for r in np.linspace(lo, hi, 4)]
     else:
         probes = [complex(z) for z in probes]
         if not probes or not all(map(cmath.isfinite, probes)):
@@ -287,7 +281,7 @@ def resolvent_check(dm: DiscretizedModel,
     for z in probes:
         if abs(z.imag) < 1e-12:
             raise ProbeOnSpectrum(f"probe {z!r} sits on the real axis")
-    from scipy.sparse import csc_array  # imported on use, see pv_integral
+    from scipy.sparse import csc_array  # imported on use, see microscopic._quad
     from scipy.sparse.linalg import splu
 
     h = dm.matrix()

@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (DivergentTail, SingularEndpoint, ValidationError, ZeroCross,
-                     ZeroWidth, _overflow_is_convergence_failure)
+from .errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ValidationError,
+                     ZeroCross, ZeroWidth, _overflow_is_convergence_failure)
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
@@ -151,6 +151,16 @@ def _difference_quotient(f, e3: float, f_e3: float):
     return g
 
 
+def _quad(error, what: str, *args, **kwargs) -> float:
+    """quad with full_output: a failure comes back as a message, raised as error."""
+    # imported on use: scipy.integrate takes longer to import than the package
+    from scipy.integrate import quad
+    value, _, _, *failure = quad(*args, full_output=1, **kwargs)
+    if failure:
+        raise error(f"{what} did not converge: {failure[0].splitlines()[0]}")
+    return value
+
+
 def pv_integral(f: Callable[[float], float], e3: float,
                 upper: float | None = None) -> float:
     """Cauchy principal value of int_0^upper f(E)/(E3 - E) dE.
@@ -165,9 +175,10 @@ def pv_integral(f: Callable[[float], float], e3: float,
     upper=None integrates to infinity: the subtraction runs over the
     pole-symmetric interval [0, 2*E3] (log term zero) and the plain tail
     f/(E3 - E) beyond it is one call of QUADPACK's infinite-range rule
-    QAGI, and DivergentTail is raised when QUADPACK reports no
-    convergence.  Fixed tolerances: relative 1e-10 (_RTOL) on every
-    piece, absolute 1e-14 on the subtracted pieces and 1e-16 on the tail.
+    QAGI.  A QUADPACK message is DivergentTail from the tail and
+    ConvergenceFailure from a subtracted piece.  Fixed tolerances:
+    relative 1e-10 (_RTOL) on every piece, absolute 1e-14 on the
+    subtracted pieces and 1e-16 on the tail.
     """
     if upper is not None and not math.isinf(upper):
         if e3 <= 0.0 or e3 >= upper or e3 / (upper - e3) == 0.0:
@@ -176,26 +187,18 @@ def pv_integral(f: Callable[[float], float], e3: float,
                 "with a log term ln(E3/(upper - E3)) that does not underflow")
     elif e3 <= 0.0:
         raise SingularEndpoint(f"pole E3={e3!r} must be positive")
-    # imported here: scipy.integrate takes longer to import than the rest
-    # of the package, and only the quadratures need it
-    from scipy.integrate import quad
-
     f_e3 = float(f(e3))
     g = _difference_quotient(f, e3, f_e3)
     infinite = upper is None or math.isinf(upper)
     sub_upper = 2.0 * e3 if infinite else upper
-    total = sum(quad(g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)[0]
+    total = sum(_quad(ConvergenceFailure, f"PV integral over [{a:.3e}, {b:.3e}]",
+                      g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)
                 for a, b in ((0.0, e3), (e3, sub_upper)))
     if not infinite:
         return total + f_e3 * math.log(e3 / (upper - e3))
-    # full_output: a failure comes back as a message, not a warning
-    tail, _, _, *failure = quad(lambda e: f(e) / (e3 - e), sub_upper, math.inf,
-                                epsabs=1e-16, epsrel=_RTOL, limit=200, full_output=1)
-    if failure:
-        raise DivergentTail(
-            f"tail of the PV integral past E={sub_upper:.3e} did not converge: "
-            f"{failure[0].splitlines()[0]}")
-    return total + tail
+    return total + _quad(DivergentTail, f"tail of the PV integral past E={sub_upper:.3e}",
+                         lambda e: f(e) / (e3 - e), sub_upper, math.inf,
+                         epsabs=1e-16, epsrel=_RTOL, limit=200)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +229,11 @@ class MicroscopicResult:
     gamma_vic: float
 
 
+#: the couplings each of the first twelve MicroscopicResult fields derives from
+_SOURCES = (("lambda1",), ("lambda2",), ("v3",), ("lambda1", "lambda2"),
+            ("lambda1", "v3"), ("lambda2", "v3")) * 2
+
+
 @_overflow_is_convergence_failure
 def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     """Evaluate every shift, width and coherence of the elimination.
@@ -234,9 +242,20 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     widths take the on-shell coupling values Lambda_n(E3), V3(E3).
     Vacuum-induced shifts are zero by construction here; only the vacuum
     widths and the VIC cross term survive.  Memoised for the length of the
-    call, each coupling is evaluated once per distinct quadrature node.
+    call, each coupling is evaluated once per distinct quadrature node; a
+    value, or a field derived from it, that is not finite is a
+    ValidationError naming the coupling.
     """
-    l1, l2, v3 = map(functools.cache, (model.lambda1, model.lambda2, model.v3))
+    def checked(name, fn):
+        @functools.cache
+        def value(e):
+            out = fn(e)
+            if not math.isfinite(out):
+                raise ValidationError([f"{name} is not finite at E={e!r} ({out!r})"])
+            return out
+        return value
+
+    l1, l2, v3 = (checked(name, getattr(model, name)) for name in ("lambda1", "lambda2", "v3"))
     e3, upper = model.e3, model.e_max
     e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper)
     e_sh_2 = pv_integral(lambda e: l2(e) ** 2, e3, upper)
@@ -246,19 +265,19 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     beta2 = pv_integral(lambda e: l2(e) * v3(e), e3, upper)
     l1f, l2f, v3f = float(l1(e3)), float(l2(e3)), float(v3(e3))
     two_pi = 2.0 * math.pi
-    return MicroscopicResult(
+    res = MicroscopicResult(
         e_sh_1=e_sh_1, e_sh_2=e_sh_2, e_sh_f=e_sh_f,
         alpha=alpha, beta1=beta1, beta2=beta2,
-        gamma_1=two_pi * l1f ** 2,
-        gamma_2=two_pi * l2f ** 2,
-        gamma_f=two_pi * v3f ** 2,
-        gamma_lic=two_pi * l1f * l2f,
-        gamma_1f=two_pi * l1f * v3f,
-        gamma_2f=two_pi * l2f * v3f,
-        gamma1_sp=2.0 * two_pi * model.v1f ** 2,
-        gamma2_sp=2.0 * two_pi * model.v2f ** 2,
+        gamma_1=two_pi * l1f ** 2, gamma_2=two_pi * l2f ** 2, gamma_f=two_pi * v3f ** 2,
+        gamma_lic=two_pi * l1f * l2f, gamma_1f=two_pi * l1f * v3f, gamma_2f=two_pi * l2f * v3f,
+        gamma1_sp=2.0 * two_pi * model.v1f ** 2, gamma2_sp=2.0 * two_pi * model.v2f ** 2,
         gamma_vic=2.0 * two_pi * model.v1f * model.v2f * model.dipole_overlap,
     )
+    bad = [(name, field) for (field, value), names in zip(vars(res).items(), _SOURCES)
+           if not math.isfinite(value) for name in names]
+    if bad:
+        raise ValidationError([f"{name} is not finite in {field}" for name, field in bad])
+    return res
 
 
 def to_dimensionless(res: MicroscopicResult, model: CouplingModel,

@@ -47,16 +47,14 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
                                eta=eta, **FIG3_SHARED)
 
 
-def fig4_params(eta: float = 1.0, deviated: bool = True) -> DimensionlessParams:
-    """The fig4 caption set: gamma = 1, g1 = 3.01 (3 when deviated=False)."""
-    g1 = 3.01 if deviated else 3.0
-    return DimensionlessParams(g1=g1, g2=2.0, gamma1=1.0, gamma2=1.0,
-                               eta=eta, **FIG4_SHARED)
+def fig4_params(eta: float = 1.0) -> DimensionlessParams:
+    """The fig4 caption set: gamma = 1, g1 = 3.01."""
+    return DimensionlessParams(g1=3.01, g2=2.0, gamma1=1.0, gamma2=1.0, eta=eta, **FIG4_SHARED)
 
 
 def fig5_params(eta: float = 1.0) -> DimensionlessParams:
     """The fig5 caption set: the fig4 geometry with g1 = 3 exactly."""
-    return fig4_params(eta=eta, deviated=False)
+    return DimensionlessParams(g1=3.0, g2=2.0, gamma1=1.0, gamma2=1.0, eta=eta, **FIG4_SHARED)
 
 
 FIG4_ETA_LIST = (1.0, 0.999, 0.99, 0.9)

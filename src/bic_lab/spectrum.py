@@ -135,22 +135,10 @@ def _spectrum(params: DimensionlessParams, mat: np.ndarray, e1: complex,
 
 @dataclass(frozen=True)
 class SpectrumSeries:
-    """Sampled spectrum: strictly increasing grid, nonnegative values."""
+    """Sampled spectrum: strictly increasing grid, finite nonnegative values."""
 
     grid: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != vals.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if not np.all(np.diff(g) > 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0.0):
-            raise ValueError("values must be finite and nonnegative")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", vals)
 
 
 @_quiet

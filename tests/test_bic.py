@@ -7,11 +7,10 @@ import pytest
 
 from bic_lab.bic import (
     BicSolution,
-    bic_vector,
     certify,
     solve_bic,
 )
-from bic_lab.errors import DegenerateVector, SingularSolve
+from bic_lab.errors import DegenerateVector, SingularSolve, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.recipes import fig3_params, fig5_params
 
@@ -22,33 +21,46 @@ def test_vic_residual_zero_at_coherence():
     assert certify(p.replace(eta=0.9)).vic_residual == pytest.approx(-0.19)
 
 
+def _closed_form_x(g1, g2, gamma1, gamma2):
+    """X = (x1, x2, 1) and C = sqrt(x1^2 + x2^2 + 1) from the bic docstring."""
+    d = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
+    x1, x2 = math.sqrt(gamma2) / d, -math.sqrt(gamma1) / d
+    return [x1, x2, 1.0], math.sqrt(x1 ** 2 + x2 ** 2 + 1.0)
+
+
 def test_bic_vector_direction():
-    x, c = bic_vector(g1=3.0, g2=2.0, gamma1=1.0, gamma2=1.0)
+    sol = solve_bic(g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+    x, c = _closed_form_x(3.0, 2.0, 1.0, 1.0)
     d = math.sqrt(2.0) - math.sqrt(3.0)
-    assert x[0] == pytest.approx(1.0 / d, rel=1e-15)
-    assert x[1] == pytest.approx(-1.0 / d, rel=1e-15)
-    assert x[2] == 1.0
-    assert c == pytest.approx(np.linalg.norm(x), rel=1e-15)
+    assert x[:2] == [1.0 / d, -1.0 / d]
+    assert sol.x.tolist() == x
+    assert sol.c == c
 
 
 def test_bic_vector_kills_b():
     g1, g2, gamma1, gamma2 = 1.7, 0.6, 0.21, 0.08
-    x, _ = bic_vector(g1, g2, gamma1, gamma2)
+    sol = solve_bic(g1, g2, q1=-0.8, q2=0.54, delta=0.1, gamma1=gamma1, gamma2=gamma2)
+    x, c = _closed_form_x(g1, g2, gamma1, gamma2)
+    assert sol.x.tolist() == x
+    assert sol.c == c
     # B X = 0 requires both rank-1 damping pieces to annihilate X
     u = np.array([math.sqrt(g1), math.sqrt(g2), 1.0])
     w = np.array([math.sqrt(gamma1), math.sqrt(gamma2), 0.0])
-    assert u @ x == pytest.approx(0.0, abs=1e-14)
-    assert w @ x == pytest.approx(0.0, abs=1e-14)
+    assert u @ sol.x == pytest.approx(0.0, abs=1e-14)
+    assert w @ sol.x == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bic_vector_guards():
-    with pytest.raises(ValueError):
-        bic_vector(1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="g1, g2 >= 0"):
-        bic_vector(-1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValidationError):
+        solve_bic(1.0, 1.0, 0.1, 0.2, 0.3, gamma1=0.0, gamma2=1.0)
+    with pytest.raises(ValidationError, match="g1, g2 >= 0"):
+        solve_bic(-1.0, 1.0, 0.1, 0.2, 0.3, gamma1=1.0, gamma2=1.0)
+    # g1/g2 = gamma1/gamma2 makes the direction undefined; this coherent
+    # set also zeroes g1 - g12*sqrt(gamma1/gamma2), and the vector comes first
+    g12, r = math.sqrt(2.0 * 1.0), math.sqrt(0.5 / 0.25)
+    assert abs(2.0 - g12 * r) < 1e-12
     with pytest.raises(DegenerateVector):
-        # g1/g2 = gamma1/gamma2 makes the direction undefined
-        bic_vector(2.0, 1.0, 0.5, 0.25)
+        solve_bic(2.0, 1.0, 0.1, 0.2, 0.3, gamma1=0.5, gamma2=0.25)
 
 
 def test_solve_bic_frozen_example(fig4_bic):

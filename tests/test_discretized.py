@@ -11,7 +11,6 @@ from bic_lab.discretized import (
     DiscretizedModel,
     GridSpec,
     compare_pole_approximation,
-    default_probes,
     discretize,
     resolvent_check,
     smoothed_kernel_sum,
@@ -254,7 +253,7 @@ def test_resolvent_probe_on_axis_rejected():
 
 def test_default_probes_off_axis():
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    probes = default_probes(dm)
+    probes = resolvent_check(dm).probes
     assert len(probes) == 8
     assert all(abs(z.imag) >= 1.0 for z in probes)
 
@@ -454,7 +453,7 @@ def test_resolvent_check_matches_dense_solves(n_e, photons):
                      n_k=max(1, n_e // 2)) if photons
             else GridSpec(e_min=0.0, e_max=4.5, n_e=n_e))
     dm = discretize(reference_gaussian_model(), grid)
-    probes = default_probes(dm)
+    probes = resolvent_check(dm).probes
     probes += [complex(z.real, math.copysign(im, z.imag))
                for z in probes for im in (1e-6, 1e-3)]
     rep = resolvent_check(dm, probes)
@@ -536,7 +535,7 @@ def test_resolvent_check_matches_a_fresh_shifted_matrix_per_probe():
     assert np.count_nonzero(h.data == 0.0) > 0
     assert np.all(np.diag(dm.h_pp)[:2] == 0.0)
     eye = csc_array(np.eye(dm.size))
-    probes = default_probes(dm)
+    probes = resolvent_check(dm).probes
     probes += [complex(z.real, math.copysign(1e-6, z.imag)) for z in probes]
     want = []
     for z in probes:

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -376,3 +377,50 @@ def test_derive_overflow_is_a_convergence_failure():
                     lambda1=GaussianCoupling(amplitude=1e160, center=1.25, width=0.45))
     with pytest.raises(ConvergenceFailure, match="derive_couplings overflowed"):
         derive_couplings(model)
+
+
+def _nan_inside(shape):
+    """shape with NaN on (0.5, 0.8), inside the integration range."""
+    def broken(e):
+        return math.nan if 0.5 < e < 0.8 else shape(e)
+    return broken
+
+
+def _inf_at_e3(shape):
+    """shape with inf at E3 = 1 alone, where the widths and the log term read it."""
+    def broken(e):
+        return math.inf if e == 1.0 else shape(e)
+    return broken
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("broken", [_nan_inside, _inf_at_e3])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "v3"])
+def test_non_finite_coupling_in_derive_is_a_validation_error(name, broken, warn):
+    # NaN used to come back as NaN fields (or, under -W error, as quad's
+    # bare IntegrationWarning), which to_dimensionless blamed on q1, delta1
+    base = reference_gaussian_model()
+    model = replace(base, **{name: broken(getattr(base, name))})
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(ValidationError, match=rf"^{name} is not finite at E="):
+            derive_couplings(model)
+
+
+def test_non_finite_derived_field_names_its_coupling():
+    # every value of lambda1 is finite, but its square overflows the shift
+    # integral and 2 pi lambda1(E3)^2 the width
+    model = replace(reference_gaussian_model(),
+                    lambda1=GaussianCoupling(amplitude=1e154, center=1.25, width=0.45))
+    with pytest.raises(ValidationError) as info:
+        derive_couplings(model)
+    assert info.value.violations == ["lambda1 is not finite in e_sh_1",
+                                     "lambda1 is not finite in gamma_1"]
+
+
+def test_pv_subtracted_piece_that_fails_is_a_convergence_failure():
+    # QUADPACK's message comes back through full_output, not as a warning
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^PV integral over \[0\.000e\+00, 1\.000e\+00\] did not "
+                             r"converge: The maximum number of subdivisions \(400\)"):
+        pv_integral(lambda e: math.sin(1e4 * e), 1.0, 3.0)

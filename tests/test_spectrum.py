@@ -17,7 +17,6 @@ from bic_lab.spectrum import (
     PeakMetrics,
     _LOOKAHEAD,
     _SECTIONS,
-    SpectrumSeries,
     _amplitude,
     _auto_window,
     _golden_tree,
@@ -118,14 +117,6 @@ def test_no_lasers_no_signal():
 
 
 def test_spectrum_series_validation():
-    with pytest.raises(ValueError):
-        SpectrumSeries(grid=np.array([0.0, 0.0, 1.0]),
-                       values=np.zeros(3))
-    with pytest.raises(ValueError):
-        SpectrumSeries(grid=np.array([0.0, 1.0]),
-                       values=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError, match="equal length"):
-        SpectrumSeries(grid=np.array([0.0, 1.0]), values=np.zeros(3))
     with pytest.raises(ValueError):
         spectrum_series(fig3_params(), 2.0, 1.0, 100)
 
