@@ -47,7 +47,7 @@ from .errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
                      ProbeOnSpectrum, ValidationError, ZeroWidth,
                      _overflow_is_convergence_failure)
 from .hamiltonian import build, eigensystem
-from .microscopic import CouplingModel, FlatCoupling
+from .microscopic import CouplingModel, FlatCoupling, _coupling_values
 from .params import DimensionlessParams
 
 _TAIL_FRACTION = 1e-8
@@ -158,21 +158,20 @@ def discretize(model: CouplingModel, grid: GridSpec,
     """Assemble the discretized Hamiltonian for a coupling model.
 
     e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of
-    the dressed states.  A coupling that is not finite on the grid is a
-    ValidationError, raised before any quadrature.  GridCoverage is raised
-    when more than 1e-8 of any decaying coupling's weight falls outside
-    its grid, the weight inside being what its bins hold (sum_j C_nj^2,
-    from the rows built anyway), so only the tails outside the grid are
-    integrated; flat couplings are exempt (they model an idealized
-    wide-band limit and carry no normalizable weight).
+    the dressed states.  A coupling that breaks the CouplingModel
+    contract on the grid is a ValidationError, raised before any
+    quadrature.  GridCoverage is raised when more than 1e-8 of any
+    decaying coupling's weight falls outside its grid, the weight inside
+    being what its bins hold (sum_j C_nj^2, from the rows built anyway),
+    so only the tails outside the grid are integrated; flat couplings are
+    exempt (they model an idealized wide-band limit and carry no
+    normalizable weight).
     """
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
     root_de = math.sqrt(e_width)
     names, fns = ("lambda1", "lambda2", "v3"), (model.lambda1, model.lambda2, model.v3)
-    rows = np.vstack([np.asarray(fn(e_centers), dtype=float) * root_de for fn in fns])
-    if not np.isfinite(rows).all():
-        raise ValidationError([f"{name} is not finite on the collision grid"
-                               for name, row in zip(names, rows) if not np.isfinite(row).all()])
+    rows = np.vstack([_coupling_values(name, fn, e_centers) * root_de
+                      for name, fn in zip(names, fns)])
     with np.errstate(over="ignore"):  # an overflow is reported by _coverage_fraction
         held = np.sum(rows ** 2, axis=1)
     for name, fn, weight in zip(names, fns, held):

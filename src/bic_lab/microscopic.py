@@ -39,6 +39,16 @@ from .errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, Valida
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
+#: bound on |integrand| x |range| of a subtracted PV piece.  QUADPACK's
+#: 21-point sums, their absolute deviations and its interval error sums
+#: reach a few times that product, and near the float range they break it:
+#: quad of the constant 1e308 on [0, 1] returns NaN, and a difference
+#: quotient of about 1e308 has killed the interpreter with SIGBUS
+_PV_SUM_MAX = 2.0 ** 1020
+
+
+class _OutOfRange(Exception):
+    """A subtracted PV integrand beyond _PV_SUM_MAX per unit of its range."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +113,11 @@ class FlatCoupling:
 class CouplingModel:
     """Microscopic inputs: coupling shapes plus scalar couplings.
 
-    lambda1, lambda2, v3 are real functions of collision energy E >= 0;
-    e_max truncates their PV integrals (None means integrate to
+    lambda1, lambda2, v3 are functions of collision energy E >= 0 that
+    map a float, or a float array of any shape, elementwise to real,
+    finite values of the same shape; derive_couplings and discretize hold
+    every value they evaluate to this contract (_coupling_values).  e_max
+    truncates their PV integrals (None means integrate to
     infinity, requiring decaying shapes).  v1f, v2f are the vacuum
     couplings at the two emitted-photon energies, dipole_overlap the
     cosine between the two transition dipoles, omega13/omega23 the
@@ -133,20 +146,49 @@ class CouplingModel:
                 [f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)"])
 
 
+def _coupling_values(name: str, fn, e):
+    """fn(e) for the coupling called name, held to the CouplingModel
+    contract: a breach, a TypeError from the call included, is a
+    ValidationError naming the coupling.  A scalar e is a quadrature
+    node, an array e the collision grid."""
+    try:
+        out, raised = fn(e), ""
+    except TypeError as exc:  # e.g. math.exp of an array: a scalar-only coupling
+        out, raised = None, f": {exc}"
+    if type(e) is float and type(out) is float and math.isfinite(out):
+        return out  # a quadrature node, at the cost of the finiteness check
+    where = f"at E={e!r}" if np.ndim(e) == 0 else "on the collision grid"
+    vals = np.asarray(out)
+    if raised or vals.shape != np.shape(e):
+        problem = f"is not elementwise {where}" + (raised or f" (values of shape {vals.shape})")
+    elif vals.dtype.kind not in "iuf":
+        problem = f"is not real {where} ({vals.dtype} values)"
+    elif not np.isfinite(vals).all():
+        problem = f"is not finite {where}"
+    else:
+        return np.asarray(vals, dtype=float) if vals.ndim else float(vals)
+    raise ValidationError([f"{name} {problem}"])
+
+
 # ---------------------------------------------------------------------------
 # principal-value quadrature
 
 
-def _difference_quotient(f, e3: float, f_e3: float):
-    """(f(E) - f(E3))/(E3 - E) with a symmetric-difference guard at the pole."""
+def _difference_quotient(f, e3: float, f_e3: float, bound: float):
+    """(f(E) - f(E3))/(E3 - E) with a symmetric-difference guard at the
+    pole; a value beyond bound in magnitude raises _OutOfRange."""
     scale = max(1.0, abs(e3))
 
     def g(e: float) -> float:
         d = e3 - e
         if abs(d) < 1e-9 * scale:
             h = 1e-6 * scale
-            return -(f(e3 + h) - f(e3 - h)) / (2.0 * h)
-        return (f(e) - f_e3) / d
+            q = -(f(e3 + h) - f(e3 - h)) / (2.0 * h)
+        else:
+            q = (f(e) - f_e3) / d
+        if abs(q) > bound:
+            raise _OutOfRange
+        return q
 
     return g
 
@@ -176,7 +218,9 @@ def pv_integral(f: Callable[[float], float], e3: float,
     pole-symmetric interval [0, 2*E3] (log term zero) and the plain tail
     f/(E3 - E) beyond it is one call of QUADPACK's infinite-range rule
     QAGI.  A QUADPACK message is DivergentTail from the tail and
-    ConvergenceFailure from a subtracted piece.  Fixed tolerances:
+    ConvergenceFailure from a subtracted piece.  A subtracted integrand
+    that QUADPACK cannot sum in floats (|value| x |range| beyond
+    _PV_SUM_MAX) makes the integral NaN.  Fixed tolerances:
     relative 1e-10 (_RTOL) on every piece, absolute 1e-14 on the
     subtracted pieces and 1e-16 on the tail.
     """
@@ -188,12 +232,15 @@ def pv_integral(f: Callable[[float], float], e3: float,
     elif e3 <= 0.0:
         raise SingularEndpoint(f"pole E3={e3!r} must be positive")
     f_e3 = float(f(e3))
-    g = _difference_quotient(f, e3, f_e3)
     infinite = upper is None or math.isinf(upper)
     sub_upper = 2.0 * e3 if infinite else upper
-    total = sum(_quad(ConvergenceFailure, f"PV integral over [{a:.3e}, {b:.3e}]",
-                      g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)
-                for a, b in ((0.0, e3), (e3, sub_upper)))
+    g = _difference_quotient(f, e3, f_e3, _PV_SUM_MAX / max(1.0, sub_upper))
+    try:
+        total = sum(_quad(ConvergenceFailure, f"PV integral over [{a:.3e}, {b:.3e}]",
+                          g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)
+                    for a, b in ((0.0, e3), (e3, sub_upper)))
+    except _OutOfRange:
+        return math.nan
     if not infinite:
         return total + f_e3 * math.log(e3 / (upper - e3))
     return total + _quad(DivergentTail, f"tail of the PV integral past E={sub_upper:.3e}",
@@ -243,19 +290,11 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     Vacuum-induced shifts are zero by construction here; only the vacuum
     widths and the VIC cross term survive.  Memoised for the length of the
     call, each coupling is evaluated once per distinct quadrature node; a
-    value, or a field derived from it, that is not finite is a
-    ValidationError naming the coupling.
+    value that breaks the CouplingModel contract, or a field derived from
+    it that is not finite, is a ValidationError naming the coupling.
     """
-    def checked(name, fn):
-        @functools.cache
-        def value(e):
-            out = fn(e)
-            if not math.isfinite(out):
-                raise ValidationError([f"{name} is not finite at E={e!r} ({out!r})"])
-            return out
-        return value
-
-    l1, l2, v3 = (checked(name, getattr(model, name)) for name in ("lambda1", "lambda2", "v3"))
+    l1, l2, v3 = (functools.cache(functools.partial(_coupling_values, name, getattr(model, name)))
+                  for name in ("lambda1", "lambda2", "v3"))
     e3, upper = model.e3, model.e_max
     e_sh_1 = pv_integral(lambda e: l1(e) ** 2, e3, upper)
     e_sh_2 = pv_integral(lambda e: l2(e) ** 2, e3, upper)
@@ -263,7 +302,7 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     alpha = pv_integral(lambda e: l1(e) * l2(e), e3, upper)
     beta1 = pv_integral(lambda e: l1(e) * v3(e), e3, upper)
     beta2 = pv_integral(lambda e: l2(e) * v3(e), e3, upper)
-    l1f, l2f, v3f = float(l1(e3)), float(l2(e3)), float(v3(e3))
+    l1f, l2f, v3f = l1(e3), l2(e3), v3(e3)
     two_pi = 2.0 * math.pi
     res = MicroscopicResult(
         e_sh_1=e_sh_1, e_sh_2=e_sh_2, e_sh_f=e_sh_f,

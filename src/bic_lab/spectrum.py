@@ -44,19 +44,24 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     """The complex amplitude of channel 1 or 2 as a function of a 1-d
     float array of abscissae.
 
-    The channel check, the entries of M and the floor scales are taken
-    once per matrix.  At an exact bound state in the continuum the real
-    eigenvalue is a removable singularity (numerator and determinant
-    share the root): points where det sits at its float rounding level
+    The channel check, the entries of M, their point-free products and
+    the floor scales are taken once per matrix; a call shifts the diagonal
+    once, as a (3, N) array, and one of det's minors is a cofactor of the
+    numerator.  At an exact bound state in the continuum the real
+    eigenvalue is a removable singularity (numerator and determinant share
+    the root): points where det sits at its float rounding level, if any,
     are evaluated at a one-sided offset instead of returning a ratio of
     rounding residues.  A rounding-level determinant with a surviving
     numerator is a true real pole and raises PoleHit.
     """
     if channel not in (1, 2):
         raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
-    m00, m11, m22 = mat[0, 0], mat[1, 1], mat[2, 2]
+    diag = mat.diagonal()
     n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
     n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
+    # the products of two off-diagonal entries do not depend on the point
+    p12_21, p12_20, p10_21 = n12 * n21, n12 * n20, n10 * n21
+    pc1, pc2 = (n02 * n21, n01 * n12) if channel == 1 else (n02 * n20, n02 * n10)
     v0, v1, v2 = v[0], v[1], v[2]
     # det and the numerator are cubic and quadratic in the point and the
     # entries: their float errors are a few eps * s^3 and eps * s^2 * max|v|
@@ -65,21 +70,14 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     v_max = float(np.max(np.abs(v)))
 
     def det_and_numerator(e):
-        # only the needed adjugate row: adj[n, j] is the (j, n) cofactor of eI - M
-        e = np.asarray(e, dtype=complex)
-        n00, n11, n22 = e - m00, e - m11, e - m22
-        det = (n00 * (n11 * n22 - n12 * n21)
-               - n01 * (n10 * n22 - n12 * n20)
-               + n02 * (n10 * n21 - n11 * n20))
+        # adj[n, j] is the (j, n) cofactor of eI - M: channel n needs cof(0..2, n-1).
+        # A scalar e keeps numpy's scalar products, which round unlike its array loops
+        n00, n11, n22 = e - (diag[:, None] if np.ndim(e) else diag)
+        minor0, minor1 = n11 * n22 - p12_21, n10 * n22 - p12_20
+        det = n00 * minor0 - n01 * minor1 + n02 * (p10_21 - n11 * n20)
         if channel == 1:
-            c0 = n11 * n22 - n12 * n21          # cof(0,0)
-            c1 = -(n01 * n22 - n02 * n21)       # cof(1,0)
-            c2 = n01 * n12 - n02 * n11          # cof(2,0)
-        else:
-            c0 = -(n10 * n22 - n12 * n20)       # cof(0,1)
-            c1 = n00 * n22 - n02 * n20          # cof(1,1)
-            c2 = -(n00 * n12 - n02 * n10)       # cof(2,1)
-        return det, c0 * v0 + c1 * v1 + c2 * v2
+            return det, minor0 * v0 + -(n01 * n22 - pc1) * v1 + (pc2 - n02 * n11) * v2
+        return det, -minor1 * v0 + (n00 * n22 - pc1) * v1 + -(n00 * n12 - pc2) * v2
 
     def resolve_rounding_zero(e: float, num: complex, floor_d: float) -> complex:
         """The amplitude where det sits below its rounding floor: a pole
@@ -88,8 +86,7 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
         accuracy ~1e-5, better where the amplitude is locally flat)."""
         s = max(s_mat, abs(e))
         if abs(num) >= 8.0 * _EPS * (s * s) * v_max:
-            raise PoleHit(
-                f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
+            raise PoleHit(f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
         h = 1e-9 * max(1.0, abs(e))
         for _ in range(6):
             det_off, num_off = det_and_numerator(complex(e + h))
@@ -103,6 +100,8 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
         floor_d = 8.0 * _EPS * np.maximum(s_mat, np.abs(x)) ** 3
         # a NaN det is not tiny: its ratio is reported as non-finite, not as a pole
         tiny = np.abs(det) < floor_d
+        if not tiny.any():
+            return num / det
         amps = num / np.where(tiny, 1.0, det)
         for i in np.flatnonzero(tiny):
             amps[i] = resolve_rounding_zero(float(x[i]), complex(num[i]), float(floor_d[i]))
@@ -247,6 +246,12 @@ _SECTIONS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _values(f, x: np.ndarray) -> np.ndarray:
+    """f on the abscissae x as floats of x's shape (a constant is broadcast)."""
+    vals = np.asarray(f(x), dtype=float)
+    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
+
+
 def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
     """Abscissae golden section may ask for in its next depth steps from
     bracket (a, b), both outcomes followed with the loop's own float
@@ -272,7 +277,8 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     section to relative 1e-12 on the abscissa, then the two crossings at
     height/e to 1e-12*|window|, each bracketed by the scan and cut into
     _SECTIONS parts per round until it is within tolerance or stops
-    shrinking.  A line takes about 12 calls of f.
+    shrinking.  A round is one call of f on the open brackets, whose kept
+    sections are chosen in plain Python.  A line takes about 12 calls of f.
 
     f must map a numpy array of abscissae elementwise (a constant return
     value is broadcast).  A golden-section call evaluates the point a step
@@ -297,7 +303,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, np.array(inside)]))
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    ys = _values(f, xs)
     if not np.all(np.isfinite(ys)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
@@ -316,9 +322,9 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 
     im = int(np.argmax(ys))
     if ys[im] >= math.e ** 2 * floor(xs[im]):
-        base, work_ys = None, ys
+        base, work_ys, feature = None, ys, f
     else:
-        base, work_ys = floor, ys - floor(xs)
+        base, work_ys, feature = floor, ys - floor(xs), lambda x: f(x) - floor(x)
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
         raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
@@ -344,15 +350,11 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
         if x not in memo:
             pts = np.array([x] + ahead(), dtype=float)
             try:
-                vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
+                memo.update(zip(pts.tolist(), _values(feature, pts).tolist()))
             except Exception:
                 # f may fail at a point the search never visits, and such a
                 # point must not decide the outcome: evaluate x alone
-                memo[x] = f(x) if base is None else f(x) - base(x)
-            else:
-                if base is not None:
-                    vals = vals - base(pts)
-                memo.update(zip(pts.tolist(), vals.tolist()))
+                memo[x] = feature(x)
         return memo[x]
 
     # golden-section refinement on the three-point bracket
@@ -378,7 +380,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     target = height * _INV_E
     cross_tol = 1e-12 * (hi - lo)
 
-    # (inner, outer) ends of the right and left crossing brackets, from the scan
+    # [inner, outer] ends of the right and left crossing brackets, from the scan
     ends = []
     for side, step, edge in ((xs > e_peak, 1, hi), (xs < e_peak, -1, lo)):
         out = np.flatnonzero(side & (work_ys <= target))
@@ -386,25 +388,23 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
             raise NoPeak(f"spectrum never falls to 1/e of the peak before the "
                          f"window edge at {edge!r}")
         j = out[0] if step > 0 else out[-1]
-        ends.append([xs[j - step] if side[j - step] else e_peak, xs[j]])
-    ends = np.array(ends)
+        ends.append([float(xs[j - step]) if side[j - step] else e_peak, float(xs[j])])
     fractions = np.arange(1, _SECTIONS) / _SECTIONS
-    open_ = np.abs(ends[:, 1] - ends[:, 0]) > cross_tol
-    while open_.any():
-        x_in, x_out = ends[open_, :1], ends[open_, 1:]
-        nodes = np.hstack([x_in, x_in + (x_out - x_in) * fractions, x_out])
-        pts = nodes[:, 1:-1].ravel()
-        vals = np.broadcast_to(np.asarray(f(pts), dtype=float), pts.shape)
-        if base is not None:
-            vals = vals - base(pts)
-        # keep the section ending at the first node at or below target
-        below = vals.reshape(len(nodes), -1) <= target
-        k = np.where(below.any(axis=1), below.argmax(axis=1), _SECTIONS - 1)
-        kept = np.take_along_axis(nodes, np.stack([k, k + 1], axis=1), axis=1)
-        shrunk = (kept != ends[open_]).any(axis=1)
-        ends[open_] = kept
-        open_[open_] = shrunk & (np.abs(kept[:, 1] - kept[:, 0]) > cross_tol)
-    right, left = (float(0.5 * (x_in + x_out)) for x_in, x_out in ends)
+    open_ = [end for end in ends if abs(end[1] - end[0]) > cross_tol]
+    while open_:
+        x_in, x_out = np.array(open_).T[:, :, None]
+        nodes = x_in + (x_out - x_in) * fractions
+        below = (_values(feature, nodes.ravel()) <= target).reshape(nodes.shape).tolist()
+        still = []
+        for end, inner, row in zip(open_, nodes.tolist(), below):
+            # keep the section ending at the first node at or below target
+            k = (row + [True]).index(True)
+            kept = ([end[0]] + inner + [end[1]])[k:k + 2]
+            if kept != end and abs(kept[1] - kept[0]) > cross_tol:
+                still.append(end)
+            end[:] = kept
+        open_ = still
+    right, left = (0.5 * (x0 + x1) for x0, x1 in ends)
     return PeakMetrics(e_peak=float(e_peak), height=float(height), width_w=right - left,
                        left_cross=left, right_cross=right, refined=True,
                        baseline=float(base(e_peak)) if base is not None else 0.0)

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -610,6 +613,23 @@ def test_overflow_is_a_numerical_error(tmp_path, capsys, command, payload, messa
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"error: {message}")
     assert "Traceback" not in captured.err
+
+
+def test_near_overflow_coupling_is_an_error_not_a_crash(tmp_path):
+    # a Gaussian v3 of amplitude 1e154 fed difference quotients of about
+    # 1e308 to QUADPACK, which killed the interpreter with SIGBUS (exit
+    # 135); a child process keeps such a crash from taking the suite along
+    src = os.path.dirname(os.path.dirname(os.path.abspath(errors.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    command, payload = _derive_cfg(
+        v3={"shape": "gaussian", "amplitude": 1e154, "center": 1.05, "width": 0.60})
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bic_lab.cli", command,
+                           "--config", write_cfg(tmp_path, "cfg.json", payload)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: v3 is not finite in e_sh_f; v3 is not finite in gamma_f"]
 
 
 def _extreme_lambda1(**shape):

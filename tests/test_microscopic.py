@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import bic_lab
+from bic_lab.discretized import GridSpec, discretize
 from bic_lab.errors import (ConvergenceFailure, DivergentTail, SingularEndpoint,
                             ValidationError, ZeroCross, ZeroWidth)
 from bic_lab.microscopic import (
@@ -416,6 +417,51 @@ def test_non_finite_derived_field_names_its_coupling():
         derive_couplings(model)
     assert info.value.violations == ["lambda1 is not finite in e_sh_1",
                                      "lambda1 is not finite in gamma_1"]
+
+
+def _complex_valued(shape):
+    return lambda e: shape(e) * (1.0 + 0.5j)
+
+
+def _scalar_only(shape):
+    """shape through math.exp: it takes the floats quad passes, not an array."""
+    def scalar(e):
+        return shape.amplitude * math.exp(-((e - shape.center) ** 2) / (2.0 * shape.width ** 2))
+    return scalar
+
+
+def _wrong_shape(shape):
+    return lambda e: np.stack([shape(e), shape(e)])
+
+
+@pytest.mark.parametrize("breach,at_node,on_grid", [
+    (_complex_valued, "is not real at E=", r"is not real on the collision grid \(complex128"),
+    (_scalar_only, None, "is not elementwise on the collision grid: "),
+    (_wrong_shape, "is not elementwise at E=", "is not elementwise on the collision grid "
+                                               r"\(values of shape \(2, 60\)\)$"),
+], ids=["complex", "scalar_only", "wrong_shape"])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "v3"])
+def test_coupling_contract_breach_is_a_validation_error(name, breach, at_node, on_grid):
+    # these ended in a bare TypeError or ComplexWarning from derive_couplings,
+    # and in a bare TypeError, ComplexWarning or ValueError from discretize
+    base = reference_gaussian_model()
+    model = replace(base, **{name: breach(getattr(base, name))})
+    if at_node is None:
+        # the quadrature nodes are floats, on which a scalar-only coupling is fine
+        assert all(math.isfinite(v) for v in vars(derive_couplings(model)).values())
+    else:
+        with pytest.raises(ValidationError, match=rf"^{name} {at_node}"):
+            derive_couplings(model)
+    with pytest.raises(ValidationError, match=rf"^{name} {on_grid}"):
+        discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
+
+
+def test_pv_integrand_beyond_the_float_sums_is_nan():
+    # |integrand| x |range| above 2^1020 leaves QUADPACK's sums no headroom
+    # (near 1e308 they have crashed the interpreter): a linear f has the
+    # difference quotient -slope, here on the range [0, 2]
+    assert pv_integral(lambda e: 2.0 ** 1018 * e, 1.0, 2.0) == pytest.approx(-(2.0 ** 1019))
+    assert math.isnan(pv_integral(lambda e: 2.0 ** 1020 * e, 1.0, 2.0))
 
 
 def test_pv_subtracted_piece_that_fails_is_a_convergence_failure():

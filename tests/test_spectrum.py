@@ -392,6 +392,92 @@ def test_a_point_has_one_value_in_every_batch(fig4_bic):
 
 
 # ---------------------------------------------------------------------------
+# _amplitude takes the point-free products once per matrix and shifts the
+# diagonal as one (3, N) array; every bit must stay that of the plain
+# cofactor formula, kept here as the oracle
+
+
+def _oracle_amplitude(mat, v, channel, x):
+    """The amplitude at the points x from the cofactor formula, every
+    product taken per call; also the number of rounding-zero points."""
+    m00, m11, m22 = mat[0, 0], mat[1, 1], mat[2, 2]
+    n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
+    n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
+    eps = float(np.finfo(float).eps)
+    s_mat = max(1.0, float(np.max(np.abs(mat))))
+    v_max = float(np.max(np.abs(v)))
+
+    def det_and_numerator(e):
+        e = np.asarray(e, dtype=complex)
+        n00, n11, n22 = e - m00, e - m11, e - m22
+        det = (n00 * (n11 * n22 - n12 * n21)
+               - n01 * (n10 * n22 - n12 * n20)
+               + n02 * (n10 * n21 - n11 * n20))
+        if channel == 1:
+            c0 = n11 * n22 - n12 * n21
+            c1 = -(n01 * n22 - n02 * n21)
+            c2 = n01 * n12 - n02 * n11
+        else:
+            c0 = -(n10 * n22 - n12 * n20)
+            c1 = n00 * n22 - n02 * n20
+            c2 = -(n00 * n12 - n02 * n10)
+        return det, c0 * v[0] + c1 * v[1] + c2 * v[2]
+
+    def resolve(e, num, floor_d):
+        s = max(s_mat, abs(e))
+        if abs(num) >= 8.0 * eps * (s * s) * v_max:
+            raise PoleHit(f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
+        h = 1e-9 * max(1.0, abs(e))
+        for _ in range(6):
+            det_off, num_off = det_and_numerator(complex(e + h))
+            if abs(complex(det_off)) >= 1e5 * floor_d:
+                return complex(num_off) / complex(det_off)
+            h *= 32.0
+        raise PoleHit(f"determinant stays at rounding level near E_tilde={e!r}")
+
+    det, num = det_and_numerator(x)
+    floor_d = 8.0 * eps * np.maximum(s_mat, np.abs(x)) ** 3
+    tiny = np.abs(det) < floor_d
+    amps = num / np.where(tiny, 1.0, det)
+    for i in np.flatnonzero(tiny):
+        amps[i] = resolve(float(x[i]), complex(num[i]), float(floor_d[i]))
+    return amps, int(tiny.sum())
+
+
+def _bits(fn):
+    """The bits of fn(), or the type and message of what it raised."""
+    try:
+        return fn().view(np.uint64).tolist()
+    except PoleHit as exc:
+        return type(exc), str(exc)
+
+
+def test_amplitude_is_bit_equal_to_the_cofactor_oracle(rng, fig4_bic):
+    cases = []
+    for k in range(500):
+        p = random_params(rng, coherent=bool(k % 2))
+        eigenvalues = eigensystem(build(p)).eigenvalues
+        x = np.concatenate([rng.uniform(-12.0, 12.0, 24), eigenvalues.real,
+                            eigenvalues.real + rng.normal(0.0, 1e-3, 3)])
+        cases.append((p, x))
+    # exact bound states: E = lambda takes the rounding-zero path
+    bics = [fig4_bic] + [solve_bic(**d) for d in _FAR_OUT_BIC_DESIGNS]
+    cases += [(sol.params, np.array([sol.lam - 0.5, sol.lam, sol.lam + 1e-12, sol.lam + 0.5]))
+              for sol in bics]
+    resolved = 0
+    for p, x in cases:
+        mat, v = build(p), coupling_vector(p)
+        for channel in (1, 2):
+            assert _bits(lambda: _amplitude(mat, v, channel)(x)) == \
+                _bits(lambda: _oracle_amplitude(mat, v, channel, x)[0])
+            try:
+                resolved += _oracle_amplitude(mat, v, channel, x)[1]
+            except PoleHit:
+                pass
+    assert resolved >= 2 * len(bics)
+
+
+# ---------------------------------------------------------------------------
 # refine_peak evaluates several search steps per call of f; its result must
 # be that of the point-by-point search, kept here as the oracle
 
