@@ -43,11 +43,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
+from .errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence, GridCoverage,
                      ProbeOnSpectrum, ValidationError, ZeroWidth,
                      _overflow_is_convergence_failure)
 from .hamiltonian import build, eigensystem
-from .microscopic import CouplingModel, FlatCoupling, _coupling_values
+from .microscopic import CouplingModel, FlatCoupling, _coupling_values, _quad
 from .params import DimensionlessParams
 
 _TAIL_FRACTION = 1e-8
@@ -84,19 +84,21 @@ def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
     return centers, width
 
 
-def _coverage_fraction(f, lo: float, hi: float, held: float) -> float:
-    """Weight of f^2 outside [lo, hi] relative to that weight plus held,
-    the weight the grid holds (sum_j f(E_j)^2 dE over its bins); a held
-    weight that overflowed is an OverflowError.  Each tail is one quad
-    call at its default tolerances (1.49e-8 absolute and relative); the
-    tail past hi is QUADPACK's infinite-range rule QAGI."""
-    from scipy.integrate import quad  # imported on use, see microscopic._quad
+def _coverage_fraction(name: str, fn, lo: float, hi: float, held: float) -> float:
+    """Weight of fn^2 outside [lo, hi] relative to that weight plus held,
+    the weight the grid holds (sum_j fn(E_j)^2 dE over its bins); fn is
+    the coupling called name, read through _coupling_values, and a held
+    weight that overflowed is an OverflowError.  Each tail is one quad at
+    its default tolerances (1.49e-8 absolute and relative), past hi by
+    QUADPACK's infinite-range rule QAGI; a QUADPACK message is
+    DivergentTail there and ConvergenceFailure below lo."""
 
     def f2(e):
-        return float(f(e)) ** 2
+        return _coupling_values(name, fn, e) ** 2
 
-    below, _ = quad(f2, 0.0, lo, limit=200) if lo > 0.0 else (0.0, 0.0)
-    above, _ = quad(f2, hi, math.inf, limit=200)
+    below = (_quad(ConvergenceFailure, f"|{name}|^2 below E={lo:.3e}", f2, 0.0, lo, limit=200)
+             if lo > 0.0 else 0.0)
+    above = _quad(DivergentTail, f"|{name}|^2 past E={hi:.3e}", f2, hi, math.inf, limit=200)
     total = below + held + above
     if math.isinf(total):
         raise OverflowError(f"held weight of f^2 is {held!r}")
@@ -107,10 +109,11 @@ def _coverage_fraction(f, lo: float, hi: float, held: float) -> float:
 class DiscretizedModel:
     """Discretized full Hamiltonian in factored form.
 
-    h_pp      3x3 block of the discrete states (diagonal energies plus
-              the direct bound-bound couplings)
-    coupling  3 x n_q block C of P-Q couplings (rows: e1, e2, c)
-    diag_q    n_q bin energies
+    h_pp       3x3 block of the discrete states (diagonal energies plus
+               the direct bound-bound couplings)
+    coupling   3 x n_q block C of P-Q couplings (rows: e1, e2, c)
+    diag_q     n_q bin energies
+    bin_width  n_q bin widths: dE on the collision bins, dk on the photon bins
     The assembled matrix [[h_pp, C], [C^T, diag(diag_q)]] is available
     from matrix() as a sparse array; it is symmetric real, hence exactly
     Hermitian, and has no continuum-continuum coupling by construction.
@@ -119,9 +122,7 @@ class DiscretizedModel:
     h_pp: np.ndarray
     coupling: np.ndarray
     diag_q: np.ndarray
-    e_centers: np.ndarray
-    e_width: float
-    k_width: float = 0.0
+    bin_width: np.ndarray
 
     @property
     def n_q(self) -> int:
@@ -157,15 +158,15 @@ def discretize(model: CouplingModel, grid: GridSpec,
                e1_rot: float = 0.0, e2_rot: float = 0.0) -> DiscretizedModel:
     """Assemble the discretized Hamiltonian for a coupling model.
 
-    e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of
-    the dressed states.  A coupling that breaks the CouplingModel
-    contract on the grid is a ValidationError, raised before any
-    quadrature.  GridCoverage is raised when more than 1e-8 of any
-    decaying coupling's weight falls outside its grid, the weight inside
-    being what its bins hold (sum_j C_nj^2, from the rows built anyway),
-    so only the tails outside the grid are integrated; flat couplings are
-    exempt (they model an idealized wide-band limit and carry no
-    normalizable weight).
+    e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of the
+    dressed states.  A coupling that breaks the CouplingModel contract on
+    the grid is a ValidationError, raised before any quadrature, as is one
+    that breaks it at a node of a tail outside the grid.  GridCoverage is
+    raised when more than 1e-8 of any decaying coupling's weight falls
+    outside its grid, the weight inside being what its bins hold (sum_j
+    C_nj^2, from the rows built anyway), so only the tails outside the grid
+    are integrated; flat couplings are exempt (they model an idealized
+    wide-band limit and carry no normalizable weight).
     """
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
     root_de = math.sqrt(e_width)
@@ -177,7 +178,7 @@ def discretize(model: CouplingModel, grid: GridSpec,
     for name, fn, weight in zip(names, fns, held):
         if isinstance(fn, FlatCoupling):
             continue
-        frac = _coverage_fraction(fn, grid.e_min, grid.e_max, float(weight))
+        frac = _coverage_fraction(name, fn, grid.e_min, grid.e_max, float(weight))
         if frac > _TAIL_FRACTION:
             raise GridCoverage(
                 f"collision grid misses {frac:.3e} of |{name}|^2 "
@@ -188,38 +189,19 @@ def discretize(model: CouplingModel, grid: GridSpec,
         [0.0, e2_rot, model.omega23],
         [model.omega13, model.omega23, model.e3],
     ])
-    blocks = [rows]
-    diag = [e_centers]
-    k_width = 0.0
+    coupling, diag_q, bin_width = rows, e_centers, np.full(grid.n_e, e_width)
     if grid.n_k > 0:
         k_centers, k_width = _midpoint_grid(grid.k_min, grid.k_max, grid.n_k)
-        root2_dk = math.sqrt(2.0 * k_width)
         p = model.dipole_overlap
         ortho = math.sqrt(max(0.0, 1.0 - p * p))
-        ones = np.ones_like(k_centers)
-        zeros = np.zeros_like(k_centers)
-        # continuum shared with |e1>; |e2> couples with overlap weight p
-        blocks.append(np.vstack([
-            model.v1f * root2_dk * ones,
-            model.v2f * p * root2_dk * ones,
-            zeros,
-        ]))
-        diag.append(k_centers)
-        # orthogonal complement continuum seen only by |e2>
-        blocks.append(np.vstack([
-            zeros,
-            model.v2f * ortho * root2_dk * ones,
-            zeros,
-        ]))
-        diag.append(k_centers)
-    return DiscretizedModel(
-        h_pp=h_pp,
-        coupling=np.hstack(blocks),
-        diag_q=np.concatenate(diag),
-        e_centers=e_centers,
-        e_width=e_width,
-        k_width=k_width,
-    )
+        # one column per photon continuum: the one shared with |e1>, which
+        # |e2> sees with overlap weight p, and its complement, |e2>'s alone
+        photon = np.array([[model.v1f, 0.0], [model.v2f * p, model.v2f * ortho],
+                           [0.0, 0.0]]) * math.sqrt(2.0 * k_width)
+        coupling = np.hstack([rows, np.repeat(photon, grid.n_k, axis=1)])
+        diag_q = np.concatenate([e_centers, k_centers, k_centers])
+        bin_width = np.concatenate([bin_width, np.full(2 * grid.n_k, k_width)])
+    return DiscretizedModel(h_pp=h_pp, coupling=coupling, diag_q=diag_q, bin_width=bin_width)
 
 
 @dataclass(frozen=True)
@@ -316,7 +298,7 @@ class PoleComparison:
     reference: np.ndarray    # (3,) eigenvalues of the constant H_eff (energy units)
     poles: np.ndarray        # (3,) self-consistent poles z = eig(H_PP + Sigma(Re z))
     deviations: np.ndarray   # (3,) absolute |reference - pole|
-    smoothing: float         # the i*eps used when sampling Sigma near the axis
+    smoothing: float         # the i*eps of the collision bins when sampling Sigma
 
     @property
     def max_deviation(self) -> float:
@@ -344,17 +326,15 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     stops at a step <= 1e-12 * max(1, |x|) and returns lam_k at the last
     x evaluated.  FixedPointDivergence is raised on a non-finite step or
     no root within _MAX_ITER = 500 steps, and ZeroWidth when the model's
-    Gamma_F vanishes.
+    Gamma_F, from v3(E3) held to the CouplingModel contract, vanishes.
     """
-    gamma_f = 2.0 * math.pi * float(model.v3(model.e3)) ** 2
+    gamma_f = 2.0 * math.pi * _coupling_values("v3", model.v3, model.e3) ** 2
     if gamma_f <= 0.0:
         raise ZeroWidth(f"Gamma_F={gamma_f!r} must be positive")
     ef = gamma_f / 2.0
     reference = eigensystem(build(params)).eigenvalues * ef
 
-    eps_e = 10.0 * dm.e_width
-    eps_bins = np.full(dm.n_q, eps_e)
-    eps_bins[dm.e_centers.size:] = 10.0 * dm.k_width
+    eps_bins = 10.0 * dm.bin_width
 
     poles = np.empty(3, dtype=complex)
     for k, z0 in enumerate(reference):
@@ -380,7 +360,7 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
         reference=reference,
         poles=poles,
         deviations=np.abs(reference - poles),
-        smoothing=float(eps_e),
+        smoothing=float(eps_bins[0]),
     )
 
 

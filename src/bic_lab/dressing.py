@@ -39,12 +39,13 @@ def dress(omega_m: float, delta_m: float,
 
     When both bare widths are supplied, which must then be positive
     (else ZeroLinewidth), the feasibility is the figure of merit
-    splitting / sqrt(gamma1_bare * gamma2_bare).  Values of about 1 or
-    below are favourable: the vacuum-induced cross damping between the
-    two dressed states survives only when their spacing is comparable to
-    or smaller than the geometric mean of the widths.  At values >> 1 the
-    cross terms oscillate faster than they decay and the secular
-    approximation drops them.
+    splitting / (sqrt(gamma1_bare) sqrt(gamma2_bare)), whose denominator
+    never underflows to 0 (a ratio past the float range is inf).  Values
+    of about 1 or below are favourable: the vacuum-induced cross damping
+    between the two dressed states survives only when their spacing is
+    comparable to or smaller than the geometric mean of the widths.  At
+    values >> 1 the cross terms oscillate faster than they decay and the
+    secular approximation drops them.
     """
     if omega_m == 0.0 and delta_m == 0.0:
         raise DegenerateDressing("Omega_m = Delta_m = 0 leaves the dressed basis undefined")
@@ -55,7 +56,7 @@ def dress(omega_m: float, delta_m: float,
         if gamma1_bare <= 0.0 or gamma2_bare <= 0.0:
             raise ZeroLinewidth(
                 f"bare widths must be positive, got {gamma1_bare!r}, {gamma2_bare!r}")
-        feas = splitting / math.sqrt(gamma1_bare * gamma2_bare)
+        feas = splitting / (math.sqrt(gamma1_bare) * math.sqrt(gamma2_bare))
     return DressedPair(
         theta=theta,
         cos_theta=math.cos(theta),

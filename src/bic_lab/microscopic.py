@@ -148,19 +148,25 @@ class CouplingModel:
 
 def _coupling_values(name: str, fn, e):
     """fn(e) for the coupling called name, held to the CouplingModel
-    contract: a breach, a TypeError from the call included, is a
-    ValidationError naming the coupling.  A scalar e is a quadrature
-    node, an array e the collision grid."""
+    contract: a breach, or any exception the call raises, is a
+    ValidationError naming the coupling (and the exception's type).  A
+    scalar e is a quadrature node, an array e the collision grid."""
     try:
-        out, raised = fn(e), ""
-    except TypeError as exc:  # e.g. math.exp of an array: a scalar-only coupling
-        out, raised = None, f": {exc}"
+        out, raised = fn(e), None
+    except Exception as exc:
+        out, raised = None, exc
     if type(e) is float and type(out) is float and math.isfinite(out):
         return out  # a quadrature node, at the cost of the finiteness check
     where = f"at E={e!r}" if np.ndim(e) == 0 else "on the collision grid"
-    vals = np.asarray(out)
-    if raised or vals.shape != np.shape(e):
-        problem = f"is not elementwise {where}" + (raised or f" (values of shape {vals.shape})")
+    try:
+        vals = np.asarray(out)
+    except ValueError as exc:  # a ragged sequence of values
+        raised = exc
+    if raised is not None:  # the first two: e.g. math.exp or `a < e < b` of an array
+        what = "is not elementwise" if isinstance(raised, (TypeError, ValueError)) else "raised"
+        problem = f"{what} {where}: {type(raised).__name__}: {raised}"
+    elif vals.shape != np.shape(e):
+        problem = f"is not elementwise {where} (values of shape {vals.shape})"
     elif vals.dtype.kind not in "iuf":
         problem = f"is not real {where} ({vals.dtype} values)"
     elif not np.isfinite(vals).all():

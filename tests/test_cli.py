@@ -68,6 +68,17 @@ def test_dress_json_and_csv(tmp_path):
     assert float(row.split(",")[0]) == pytest.approx(0.686700383472508)
 
 
+@pytest.mark.parametrize("width", [1e-308, 5e-324])
+def test_dress_with_tiny_widths_has_an_unbounded_feasibility(tmp_path, capsys, width):
+    # gamma1_bare * gamma2_bare underflowed to 0: a ZeroDivisionError traceback
+    command, payload = _dress_cfg(omega_m=1e308, delta_m=1e308,
+                                  gamma1_bare=width, gamma2_bare=width)
+    assert main([command, "--config", write_cfg(tmp_path, "dress.json", payload)]) == 0
+    rec = strict_loads(capsys.readouterr().out)
+    assert rec["feasibility"] is None  # inf, which strict JSON writes as null
+    assert rec["splitting"] == math.hypot(1e308, 1e308)
+
+
 def test_solve_frozen_example(tmp_path):
     cfg = write_cfg(tmp_path, "solve.json", {
         "params": {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54,
@@ -602,6 +613,13 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
      "non-finite resolvent deviations [nan]"),
     (*_solve_cfg(delta=-1e300), "BIC residuals"),
     (*_solve_cfg(g12=-1e300), "BIC residuals"),
+    # a Wigner tail whose weight diverges: exit 0 with quad's bare warning
+    # on stderr, or under -W error a traceback
+    ("validate", dict(_validate_cfg()[1], microscopic=dict(
+        gaussian_model_cfg()["microscopic"],
+        lambda1={"shape": "wigner", "amplitude": 0.1, "scale": 1e300})),
+     "|lambda1|^2 past E=4.500e+00 did not converge: "
+     "The integral is probably divergent, or slowly convergent."),
 ])
 @pytest.mark.filterwarnings("error")
 def test_overflow_is_a_numerical_error(tmp_path, capsys, command, payload, message):

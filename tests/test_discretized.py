@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -15,8 +16,8 @@ from bic_lab.discretized import (
     resolvent_check,
     smoothed_kernel_sum,
 )
-from bic_lab.errors import (ConvergenceFailure, FixedPointDivergence, GridCoverage,
-                            ProbeOnSpectrum, ValidationError, ZeroWidth)
+from bic_lab.errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence,
+                            GridCoverage, ProbeOnSpectrum, ValidationError, ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -105,6 +106,50 @@ def test_dipole_overlap_splits_photon_channels():
     # ...while the cross damping picks up exactly the overlap factor
     cross = np.sum(shared[0, :] * shared[1, :])
     assert cross == pytest.approx(0.6 * 2.0 * 0.03 * 0.02 * 2.0, rel=1e-12)
+
+
+def _oracle_bins(model, grid):
+    """coupling, diag_q and the per-bin smoothing as discretize and
+    compare_pole_approximation assembled them from two vstacked photon
+    blocks of ones and zeros and three width fields."""
+    e_width = (grid.e_max - grid.e_min) / grid.n_e
+    e_centers = grid.e_min + (np.arange(grid.n_e) + 0.5) * e_width
+    blocks = [np.vstack([f(e_centers) * math.sqrt(e_width)
+                         for f in (model.lambda1, model.lambda2, model.v3)])]
+    diag = [e_centers]
+    k_width = 0.0
+    if grid.n_k > 0:
+        k_width = (grid.k_max - grid.k_min) / grid.n_k
+        k_centers = grid.k_min + (np.arange(grid.n_k) + 0.5) * k_width
+        root2_dk = math.sqrt(2.0 * k_width)
+        p = model.dipole_overlap
+        ortho = math.sqrt(max(0.0, 1.0 - p * p))
+        ones, zeros = np.ones_like(k_centers), np.zeros_like(k_centers)
+        blocks.append(np.vstack([model.v1f * root2_dk * ones,
+                                 model.v2f * p * root2_dk * ones, zeros]))
+        blocks.append(np.vstack([zeros, model.v2f * ortho * root2_dk * ones, zeros]))
+        diag += [k_centers, k_centers]
+    eps_bins = np.full(grid.n_e + 2 * grid.n_k, 10.0 * e_width)
+    eps_bins[grid.n_e:] = 10.0 * k_width
+    return np.hstack(blocks), np.concatenate(diag), eps_bins
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n_k", [0, 1, 30])
+@pytest.mark.parametrize("overlap", [-1.0, -0.3, 0.0, 0.6, 1.0])
+def test_bins_keep_the_bits_of_the_block_assembly(overlap, n_k):
+    base = replace(reference_gaussian_model(), dipole_overlap=overlap)
+    g = GaussianCoupling(amplitude=0.1, center=2.5, width=0.3)
+    for model, e_min in ((base, 0.0), (replace(base, lambda1=g, lambda2=g, v3=g), 0.5)):
+        grid = GridSpec(e_min=e_min, e_max=4.5, n_e=60, k_min=0.2, k_max=3.0, n_k=n_k)
+        dm = discretize(model, grid, e1_rot=0.9, e2_rot=1.1)
+        coupling, diag_q, eps_bins = _oracle_bins(model, grid)
+        assert _same_bits(dm.coupling, coupling)
+        assert _same_bits(dm.diag_q, diag_q)
+        assert _same_bits(10.0 * dm.bin_width, eps_bins)
 
 
 def test_grid_coverage_guard():
@@ -207,13 +252,51 @@ def test_coverage_fraction_vs_erfc(rng):
         for n_e in (8, 50, 400):
             centers = lo + (np.arange(n_e) + 0.5) * (hi - lo) / n_e
             held = float(np.sum(f(centers) ** 2)) * (hi - lo) / n_e
-            got = discretized._coverage_fraction(f, lo, hi, held)
+            got = discretized._coverage_fraction("lambda1", f, lo, hi, held)
             want = outside / (outside + held)
             if want > 1e-12:
                 checked += 1
                 assert got == pytest.approx(want, rel=1e-6)
             assert (got > discretized._TAIL_FRACTION) == (exact > discretized._TAIL_FRACTION)
     assert checked > 600
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("name", ["lambda1", "lambda2", "v3"])
+def test_coupling_not_finite_past_the_grid_is_a_validation_error(name, warn):
+    # finite on the grid, NaN above E = 5: the NaN coverage fraction passed
+    # the guard (NaN > 1e-8 is false), or under -W error quad's bare
+    # IntegrationWarning escaped
+    base = reference_gaussian_model()
+    shape = getattr(base, name)
+
+    def broken(e):
+        return np.where(np.asarray(e) > 5.0, np.nan, shape(e))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        with pytest.raises(ValidationError, match=rf"^{name} is not finite at E="):
+            discretize(replace(base, **{name: broken}), GridSpec(e_min=0.0, e_max=4.5, n_e=60))
+
+
+def test_coverage_tail_failures_name_their_coupling():
+    # a Wigner tail of scale 1e300 has no finite weight past the grid
+    model = replace(reference_gaussian_model(), lambda1=WignerCoupling(amplitude=0.1, scale=1e300))
+    with pytest.raises(DivergentTail, match=r"^[|]lambda1[|]\^2 past E=4\.500e\+00 did not "
+                                            "converge: The integral is probably divergent"):
+        discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
+    # a fast oscillation below the grid exhausts the 200 subdivisions there
+    g = GaussianCoupling(amplitude=0.1, center=2.5, width=0.3)
+
+    def oscillating(e):
+        e = np.asarray(e, dtype=float)
+        out = g(e) + np.where(e < 0.5, 0.1 * np.sin(1e4 * e), 0.0)
+        return out if out.ndim else float(out)
+
+    model = replace(model, lambda1=g, lambda2=g, v3=oscillating)
+    with pytest.raises(ConvergenceFailure, match=r"^[|]v3[|]\^2 below E=5\.000e-01 did not "
+                                                 r"converge: The maximum number of subdivisions"):
+        discretize(model, GridSpec(e_min=0.5, e_max=4.5, n_e=60))
 
 
 def test_sigma_single_bin_closed_form():
@@ -543,6 +626,21 @@ def test_resolvent_check_matches_a_fresh_shifted_matrix_per_probe():
         reduced = np.linalg.inv(z * np.eye(3) - dm.h_pp - dm.sigma(z))
         want.append(float(np.max(np.abs(full - reduced)) / np.max(np.abs(full))))
     assert resolvent_check(dm, probes).deviations == want
+
+
+def test_pole_comparison_reads_the_feshbach_width_through_the_contract():
+    # v3 is NaN at E3 alone, which no bin centre and no tail node reaches:
+    # Gamma_F was NaN, which the positivity check let through
+    model = reference_gaussian_model()
+    params = to_dimensionless(derive_couplings(model), model, e1=0.9, e2=1.1)
+
+    def nan_at_e3(e):
+        return np.where(np.asarray(e) == model.e3, np.nan, model.v3(e))
+
+    broken = replace(model, v3=nan_at_e3)
+    dm = discretize(broken, GridSpec(e_min=0.0, e_max=4.5, n_e=60), e1_rot=0.9, e2_rot=1.1)
+    with pytest.raises(ValidationError, match=r"^v3 is not finite at E=1\.0$"):
+        compare_pole_approximation(dm, broken, params)
 
 
 def test_pole_comparison_needs_a_feshbach_width():

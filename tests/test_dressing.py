@@ -61,3 +61,14 @@ def test_dress_without_widths_skips_feasibility():
     pair = dress(50.0, 10.0)
     assert isinstance(pair, DressedPair)
     assert pair.feasibility is None
+
+
+@pytest.mark.parametrize("g1,g2", [(1e-308, 1e-308), (5e-324, 5e-324), (5e-324, 1e308)])
+def test_feasibility_of_tiny_widths_does_not_underflow(g1, g2):
+    # sqrt(gamma1_bare * gamma2_bare) underflowed to 0 for the first two
+    # pairs, a ZeroDivisionError; the geometric mean sqrt(g1) sqrt(g2) is
+    # positive for positive widths, and a ratio past the float range is inf
+    mean = math.sqrt(g1) * math.sqrt(g2)
+    assert mean > 0.0
+    assert dress(3.0, 4.0, g1, g2).feasibility == 5.0 / mean
+    assert dress(1e308, 1e308, g1, g2).feasibility == math.inf

@@ -434,16 +434,29 @@ def _wrong_shape(shape):
     return lambda e: np.stack([shape(e), shape(e)])
 
 
+def _raising_at_nodes(shape):
+    """shape on arrays, a RuntimeError at the floats quad passes."""
+    def raising(e):
+        if np.ndim(e) == 0:
+            raise RuntimeError("no scalar evaluation")
+        return shape(e)
+    return raising
+
+
 @pytest.mark.parametrize("breach,at_node,on_grid", [
     (_complex_valued, "is not real at E=", r"is not real on the collision grid \(complex128"),
     (_scalar_only, None, "is not elementwise on the collision grid: "),
     (_wrong_shape, "is not elementwise at E=", "is not elementwise on the collision grid "
                                                r"\(values of shape \(2, 60\)\)$"),
-], ids=["complex", "scalar_only", "wrong_shape"])
+    # discretize meets it in a tail's quad: the RuntimeError escaped both bare
+    (_raising_at_nodes, r"raised at E=[0-9.e+-]+: RuntimeError: no scalar evaluation$",
+     r"raised at E=[0-9.e+-]+: RuntimeError: no scalar evaluation$"),
+], ids=["complex", "scalar_only", "wrong_shape", "raising"])
 @pytest.mark.parametrize("name", ["lambda1", "lambda2", "v3"])
 def test_coupling_contract_breach_is_a_validation_error(name, breach, at_node, on_grid):
     # these ended in a bare TypeError or ComplexWarning from derive_couplings,
-    # and in a bare TypeError, ComplexWarning or ValueError from discretize
+    # and in a bare TypeError, ComplexWarning or ValueError from discretize;
+    # a coupling that raises anything else ended in that exception
     base = reference_gaussian_model()
     model = replace(base, **{name: breach(getattr(base, name))})
     if at_node is None:
