@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateVector, SingularSolve,
-                     ValidationError)
+                     ValidationError, _numerical)
 from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams
 
@@ -43,6 +43,7 @@ class BicSolution:
     params: DimensionlessParams
 
 
+@_numerical
 def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
               gamma1: float, gamma2: float,
               g12: float | None = None, inv_kca: float = 0.0) -> BicSolution:
@@ -128,6 +129,7 @@ class CertificationReport:
     vic_residual: float    # eta^2 - gamma1*gamma2, zero at maximal coherence
 
 
+@_numerical
 def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationReport:
     """Check numerically whether A + i*B has a (near-)real eigenvalue.
 

@@ -313,7 +313,8 @@ def _run_sweep(cfg: dict, args) -> None:
     if (etas is None) == (rng is None):
         raise ValidationError(["sweep: needs exactly one of 'eta_list' and 'eta_range'"])
     if etas is None:
-        etas = list(np.linspace(rng["start"], rng["stop"], rng["n"]))
+        with np.errstate(all="ignore"):  # an overflowed eta fails validate below
+            etas = np.linspace(rng["start"], rng["stop"], rng["n"]).tolist()
     # every swept set is computed, so every one meets the chosen mode
     for eta in etas:
         validate(params.replace(eta=eta), mode=cfg["validation_mode"])
@@ -544,11 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # every overflow ends in a checked BicLabError, so numpy's floating
-        # point warnings would only put source lines before the error line
-        with np.errstate(all="ignore"):
-            cfg = _load_config(args) if args.subcommand in _CONFIGS else None
-            args.handler(cfg, args)
+        cfg = _load_config(args) if args.subcommand in _CONFIGS else None
+        args.handler(cfg, args)
         return 0
     except BicLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,8 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence, GridCoverage,
-                     ProbeOnSpectrum, ValidationError, ZeroWidth,
-                     _overflow_is_convergence_failure)
+                     ProbeOnSpectrum, ValidationError, ZeroWidth, _numerical)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling, _coupling_values, _quad
 from .params import DimensionlessParams
@@ -153,7 +152,7 @@ class DiscretizedModel:
         return weights @ self.coupling.T
 
 
-@_overflow_is_convergence_failure
+@_numerical
 def discretize(model: CouplingModel, grid: GridSpec,
                e1_rot: float = 0.0, e2_rot: float = 0.0) -> DiscretizedModel:
     """Assemble the discretized Hamiltonian for a coupling model.
@@ -173,8 +172,7 @@ def discretize(model: CouplingModel, grid: GridSpec,
     names, fns = ("lambda1", "lambda2", "v3"), (model.lambda1, model.lambda2, model.v3)
     rows = np.vstack([_coupling_values(name, fn, e_centers) * root_de
                       for name, fn in zip(names, fns)])
-    with np.errstate(over="ignore"):  # an overflow is reported by _coverage_fraction
-        held = np.sum(rows ** 2, axis=1)
+    held = np.sum(rows ** 2, axis=1)  # an overflow is reported by _coverage_fraction
     for name, fn, weight in zip(names, fns, held):
         if isinstance(fn, FlatCoupling):
             continue
@@ -216,6 +214,7 @@ class ResolventReport:
         return max(self.deviations)
 
 
+@_numerical
 def resolvent_check(dm: DiscretizedModel,
                     probes: Sequence[complex] | None = None) -> ResolventReport:
     """Verify P (z-H)^-1 P = (z - H_PP - Sigma(z))^-1 at each probe.
@@ -244,8 +243,7 @@ def resolvent_check(dm: DiscretizedModel,
     singular 3x3 is a ConvergenceFailure.
     """
     if probes is None:
-        with np.errstate(over="ignore"):  # an overflow is reported just below
-            gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
+        gamma_scale = 2.0 * math.pi * float(np.max(np.sum(dm.coupling ** 2, axis=1)))
         if not math.isfinite(gamma_scale):
             raise ConvergenceFailure(
                 f"coupling scale 2 pi max_n sum_q C_nq^2 overflowed ({gamma_scale!r}): "
@@ -310,6 +308,7 @@ def _eig3_nearest(mat: np.ndarray, z0: complex) -> complex:
     return complex(lams[np.argmin(np.abs(lams - z0))])
 
 
+@_numerical
 def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
                                params: DimensionlessParams) -> PoleComparison:
     """Locate discretized resonance poles and compare with constant H_eff.
@@ -337,7 +336,7 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     eps_bins = 10.0 * dm.bin_width
 
     poles = np.empty(3, dtype=complex)
-    for k, z0 in enumerate(reference):
+    for k, z0 in enumerate(reference.tolist()):
         x, lam, x_prev, g_prev = float(z0.real), complex(z0), None, 0.0
         for _ in range(_MAX_ITER):
             mat = dm.h_pp + dm.sigma(x + 1j * eps_bins)

@@ -8,6 +8,8 @@ library callers can read too.
 
 import functools
 
+import numpy as np
+
 
 class BicLabError(Exception):
     """Base class for all library-specific errors."""
@@ -105,12 +107,14 @@ class FixedPointDivergence(BicLabError):
     """The self-consistent pole search left its basin or exceeded its budget."""
 
 
-def _overflow_is_convergence_failure(fn):
-    """Re-raise an OverflowError from fn as ConvergenceFailure.
-
-    Python float arithmetic (``x ** 2`` on a coupling value) raises where
-    numpy would return inf, so an overflow is still a numerical failure.
-    """
+def _numerical(fn):
+    """The floating-point boundary of a public numerical entry point: numpy's
+    float warnings are off inside fn, whose overflows end in checked
+    BicLabErrors, and Python float arithmetic's OverflowError becomes a
+    ConvergenceFailure naming fn.  Left bare on purpose: build, which checks
+    nothing and returns its matrix, NaN included, and pv_integral,
+    refine_peak and smoothed_kernel_sum, whose f is the caller's code."""
+    @np.errstate(all="ignore")
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:

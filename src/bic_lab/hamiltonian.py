@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, _numerical
 from .params import DimensionlessParams
 
 #: eigenvalue residual tolerance, relative to ||A + iB||_F
@@ -139,6 +139,7 @@ class ComplexEigenSet:
     residuals: np.ndarray
 
 
+@_numerical
 def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     """All three complex eigenpairs of the matrix m = A + i*B.
 

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ValidationError,
-                     ZeroCross, ZeroWidth, _overflow_is_convergence_failure)
+                     ZeroCross, ZeroWidth, _numerical)
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
@@ -287,7 +287,7 @@ _SOURCES = (("lambda1",), ("lambda2",), ("v3",), ("lambda1", "lambda2"),
             ("lambda1", "v3"), ("lambda2", "v3")) * 2
 
 
-@_overflow_is_convergence_failure
+@_numerical
 def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     """Evaluate every shift, width and coherence of the elimination.
 

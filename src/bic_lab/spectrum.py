@@ -25,19 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
-                     ValidationError)
+                     ValidationError, _numerical)
 from .hamiltonian import build, eigensystem
 from .params import DimensionlessParams, _passive
 
 _INV_E = 1.0 / math.e
 _EPS = float(np.finfo(float).eps)
-
-
-#: decorates the public entry points, so it is entered once per call: far
-#: out on the real axis the evaluator's products overflow to inf/NaN, which
-#: the callers report as ConvergenceFailure, and numpy's RuntimeWarnings
-#: would only repeat that
-_quiet = np.errstate(all="ignore")
 
 
 def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
@@ -140,7 +133,7 @@ class SpectrumSeries:
     values: np.ndarray
 
 
-@_quiet
+@_numerical
 def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
                     n_points: int, channel: int = 1) -> SpectrumSeries:
     """Spectrum on a uniform grid with pole-aware local refinement.
@@ -327,7 +320,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
         base, work_ys, feature = floor, ys - floor(xs), lambda x: f(x) - floor(x)
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
-        raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
+        raise NoPeak(f"maximum sits on the window edge at {float(xs[im])!r}; no interior peak")
     top = work_ys[im]
     # a feature below the rounding noise of the subtraction is no feature
     if top <= 1e-12 * float(np.max(np.abs(ys))):
@@ -339,7 +332,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
             valley = work_ys[tall[a]:tall[b] + 1].min()
             if valley <= min(work_ys[tall[a]], work_ys[tall[b]]) * (1.0 - 1e-6):
                 raise MultiPeak(
-                    f"two separated maxima near {xs[tall[a]]!r} and {xs[tall[b]]!r} "
+                    f"two separated maxima near {float(xs[tall[a]])!r} and {float(xs[tall[b]])!r} "
                     "are within 1/e of each other; narrow the window")
 
     # every golden-section step asks work for one point
@@ -414,7 +407,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
 LORENTZ_WIDTH_FACTOR = 2.0 * math.sqrt(math.e - 1.0)
 
 
-@_quiet
+@_numerical
 def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
     """Peak metrics of the resonance of the least-damped eigenvalue E1.
 
@@ -521,7 +514,7 @@ def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                     re_e1=float(e1.real), im_e1=float(e1.imag), error=err)
 
 
-@_quiet
+@_numerical
 def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
               channel: int = 1,
               window: tuple[float, float] | None = None) -> EtaSweepResult:

@@ -468,6 +468,9 @@ def test_integer_fields_accept_integral_floats(tmp_path, capsys):
      "params.g12: not a number"),
     ("derive", {"microscopic": dict(gaussian_model_cfg()["microscopic"], e_max=float("nan"))},
      "microscopic.e_max: must be finite"),
+    # the range's step overflows: its etas are NaN, printed as plain floats
+    (*_sweep_cfg(eta_list=None, eta_range={"start": -1.7e308, "stop": 1.7e308, "n": 3}),
+     "eta=nan is not finite"),
 ])
 def test_non_finite_or_non_numeric_floats_are_config_errors(tmp_path, capsys, command,
                                                              payload, message):

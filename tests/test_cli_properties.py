@@ -13,7 +13,6 @@ import copy
 import io
 import math
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +71,6 @@ def _mutated_configs(draw):
     return command.split()[0], cfg
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(derandomize=True, database=None, deadline=None, max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_mutated_configs())

@@ -207,8 +207,9 @@ def test_refine_peak_multipeak():
         return (1.0 / ((x - 0.3) ** 2 + 1e-4)
                 + 1.0 / ((x - 0.7) ** 2 + 1e-4))
 
-    with pytest.raises(MultiPeak):
+    with pytest.raises(MultiPeak) as exc:
         refine_peak(f, (0.0, 1.0))
+    assert "np." not in str(exc.value)  # the maxima print as plain floats
 
 
 def test_refine_peak_narrow_line_found_off_grid():
@@ -534,7 +535,7 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
 
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
-        raise NoPeak(f"maximum sits on the window edge at {xs[im]!r}; no interior peak")
+        raise NoPeak(f"maximum sits on the window edge at {float(xs[im])!r}; no interior peak")
     top = work_ys[im]
     if top <= 1e-12 * float(np.max(np.abs(ys))):
         raise NoPeak("window contains no feature above its local floor")
@@ -544,7 +545,7 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
             valley = work_ys[tall[a]:tall[b] + 1].min()
             if valley <= min(work_ys[tall[a]], work_ys[tall[b]]) * (1.0 - 1e-6):
                 raise MultiPeak(
-                    f"two separated maxima near {xs[tall[a]]!r} and {xs[tall[b]]!r} "
+                    f"two separated maxima near {float(xs[tall[a]])!r} and {float(xs[tall[b]])!r} "
                     "are within 1/e of each other; narrow the window")
     a, b = xs[im - 1], xs[im + 1]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -667,6 +668,7 @@ def test_refine_peak_matches_point_by_point_search():
         if isinstance(want, PeakMetrics):
             kinds["baseline" if want.baseline != 0.0 else "raw"] += 1
         else:
+            assert "np." not in got[1], got  # messages print plain floats
             kinds["error"] += 1
     # every branch of the search is exercised
     assert min(kinds.values()) >= 10, kinds
@@ -768,7 +770,7 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
 
 def test_non_finite_spectrum_is_a_convergence_failure(fig4):
     # an overflowing spectrum is a numerical failure, not a malformed series
-    with np.errstate(all="ignore"), pytest.raises(ConvergenceFailure, match="non-finite"):
+    with pytest.raises(ConvergenceFailure, match="non-finite"):
         spectrum_series(fig4, 6.0, 1e300, 11)
     with pytest.raises(ConvergenceFailure, match="non-finite"):
         refine_peak(lambda x: np.where(x > 0.5, np.inf, 1.0), (0.0, 1.0))
