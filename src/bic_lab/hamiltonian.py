@@ -18,7 +18,9 @@ under H_eff = (hbar*Gamma_F/2) * (A + i*B) with A, B real symmetric:
 energies E_tilde in units of hbar*Gamma_F/2.
 
 The eigenvalues are a closed-form Cardano solve of the characteristic
-cubic followed by a Newton polish.  They stay closed-form because the
+cubic followed by a Newton polish that keeps its best iterate and stops
+at its first repeated iterate, after which the steps would only cycle
+through iterates already scored.  They stay closed-form because the
 pinned reference outputs of ``reproduce`` depend on their exact bits:
 LAPACK eigenvalues, even Newton-polished, move those outputs by up to
 8e-9 relative.  The three eigenvectors come from one batched singular
@@ -38,6 +40,7 @@ from .params import DimensionlessParams
 
 #: eigenvalue residual tolerance, relative to ||A + iB||_F
 RESIDUAL_RTOL = 1e-10
+_EYE, _COLS = np.eye(3), np.arange(3)
 
 
 def build(params: DimensionlessParams) -> np.ndarray:
@@ -103,20 +106,29 @@ def cubic_roots(c2: complex, c1: complex, c0: complex) -> list[complex]:
 
 
 def _polish_root(x: complex, c2: complex, c1: complex, c0: complex) -> complex:
-    """Newton refinement of one cubic root; keeps the best iterate seen."""
-    best, best_f = x, abs(((x - c2) * x + c1) * x - c0)
+    """Newton refinement of one cubic root; keeps the best iterate seen.
+
+    An iterate depends only on the one before it, so after the first
+    repeated iterate the rest only repeat and cannot strictly lower the
+    best residual: stopping there returns what all 40 steps would.
+    """
+    two_c2 = 2.0 * c2
+    f = ((x - c2) * x + c1) * x - c0
+    best, best_f = x, abs(f)
+    seen = {x}
     for _ in range(40):
-        f = ((x - c2) * x + c1) * x - c0
-        fp = (3.0 * x - 2.0 * c2) * x + c1
+        fp = (3.0 * x - two_c2) * x + c1
         if fp == 0:
             break
         step = f / fp
         x = x - step
-        fx = abs(((x - c2) * x + c1) * x - c0)
+        f = ((x - c2) * x + c1) * x - c0
+        fx = abs(f)
         if fx < best_f:
             best, best_f = x, fx
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+        if abs(step) <= 1e-16 * (1.0 + abs(x)) or x in seen:
             break
+        seen.add(x)
     return best
 
 
@@ -165,11 +177,14 @@ def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     lams = np.array(roots, dtype=complex)
     # the right singular vector of the smallest singular value of
     # M - lam I is the unit vector with the least residual
-    _, _, vh = np.linalg.svd(m - lams[:, None, None] * np.eye(3))
+    _, _, vh = np.linalg.svd(m - lams[:, None, None] * _EYE)
     vecs = vh[:, -1, :].conj().T
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(3)]
-    vecs = vecs * (lead.conj() / np.abs(lead))
-    residuals = np.linalg.norm(m @ vecs - vecs * lams, axis=0)
+    mags = np.abs(vecs)
+    lead = np.argmax(mags > 1e-12, axis=0)
+    vecs = vecs * (vecs[lead, _COLS].conj() / mags[lead, _COLS])
+    # np.linalg.norm(r, axis=0), written out as numpy computes it
+    r = m @ vecs - vecs * lams
+    residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
     if np.max(residuals) > RESIDUAL_RTOL * scale:
         raise ConvergenceFailure(
             f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "

@@ -36,6 +36,7 @@ VALIDATION_MODES = ("permissive", "physical", "strict")
 
 # absolute slack for the strict equalities and the physical inequalities
 _EQ_TOL = 1e-12
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,20 @@ class DimensionlessParams:
 
     def __post_init__(self):
         problems = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if v is None and f.name in ("g12", "eta"):
+        for name in _FIELD_NAMES:
+            v = getattr(self, name)
+            if type(v) is float and abs(v) <= _FLOAT_MAX:  # stored as given
+                continue
+            if v is None and name in ("g12", "eta"):
                 continue
             # float and int first: the numbers.Real check alone is slow
             if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
-                problems.append(f"{f.name}={v!r} is not a real number")
-            elif not abs(v) <= sys.float_info.max:
-                problems.append(f"{f.name}={v!r} is not finite")
+                problems.append(f"{name}={v!r} is not a real number")
+            elif not abs(v) <= _FLOAT_MAX:
+                # float(v) drops a numpy repr; an int past the float range keeps its own
+                problems.append(f"{name}={float(v) if isinstance(v, float) else v!r} is not finite")
             else:
-                object.__setattr__(self, f.name, float(v))
+                object.__setattr__(self, name, float(v))
         if problems:
             raise ValidationError(problems)
         if self.g1 < 0.0 or self.g2 < 0.0:
@@ -103,6 +107,10 @@ class DimensionlessParams:
 
     def as_dict(self) -> dict:
         return {k: float(getattr(self, k)) for k in PARAM_KEYS}
+
+
+#: the constructor's field names in declaration order
+_FIELD_NAMES = tuple(f.name for f in fields(DimensionlessParams))
 
 
 def _passive(params: DimensionlessParams) -> bool:

@@ -31,6 +31,8 @@ from .params import DimensionlessParams, _passive
 
 _INV_E = 1.0 / math.e
 _EPS = float(np.finfo(float).eps)
+#: spectrum_series' fine core around a pole, in units of its half width
+_CORE_OFFSETS = np.linspace(-2.0, 2.0, 129)
 
 
 def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
@@ -158,13 +160,13 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     eig = eigensystem(mat)
     f = _spectrum(params, mat, eig.eigenvalues[0], channel)
     extras = []
-    for lam in eig.eigenvalues:
-        re, im = float(lam.real), abs(float(lam.imag))
+    for lam in eig.eigenvalues.tolist():
+        re, im = lam.real, abs(lam.imag)
         if not (e_min < re < e_max) or im >= spacing:
             continue
         w = max(im, span / 1e8)
         half_width = 1.311 * w  # half of the Lorentzian 1/e full width
-        core = re + np.linspace(-2.0, 2.0, 129) * half_width
+        core = re + _CORE_OFFSETS * half_width
         bridges = []
         step = 2.0 * half_width
         while step < 2.0 * spacing:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from bic_lab.bic import solve_bic
 from bic_lab.errors import ConvergenceFailure
 from bic_lab.hamiltonian import (
     RESIDUAL_RTOL,
+    ComplexEigenSet,
+    _polish_root,
     build,
     char_coeffs,
     cubic_roots,
@@ -83,8 +87,6 @@ def test_cubic_roots_triple_root():
 def test_cubic_roots_wide_scale_split():
     # roots spanning 12 decades: raw Cardano alone loses the small root
     # to the depressed-cubic shift, the Newton polish recovers it
-    from bic_lab.hamiltonian import _polish_root
-
     r_true = [1e6, 1.0, 1e-6]
     c2 = sum(r_true)
     c1 = r_true[0] * r_true[1] + r_true[0] * r_true[2] + r_true[1] * r_true[2]
@@ -208,3 +210,140 @@ def test_eigensystem_overflow_is_a_convergence_failure(key, value, fig4_bic):
     params = fig4_bic.params.replace(**{key: value})
     with pytest.raises(ConvergenceFailure, match="root sum"):
         eigensystem(build(params))
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit oracles: the Newton polish run without the repeat rule (up to
+# its 40-step cap), and the eigenvector step written with np.linalg.norm
+
+
+def _polish_root_40(x, c2, c1, c0):
+    best, best_f = x, abs(((x - c2) * x + c1) * x - c0)
+    for _ in range(40):
+        f = ((x - c2) * x + c1) * x - c0
+        fp = (3.0 * x - 2.0 * c2) * x + c1
+        if fp == 0:
+            break
+        step = f / fp
+        x = x - step
+        fx = abs(((x - c2) * x + c1) * x - c0)
+        if fx < best_f:
+            best, best_f = x, fx
+        if abs(step) <= 1e-16 * (1.0 + abs(x)):
+            break
+    return best
+
+
+def _eigensystem_oracle(m):
+    """(eigenvalues, eigenvectors, residuals) of eigensystem, from the
+    40-step polish and the eigenvector step written with np.linalg.norm."""
+    c2, c1, c0 = char_coeffs(m)
+    roots = [_polish_root_40(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
+    roots.sort(key=lambda z: (-z.imag, z.real))
+    scale = max(float(np.linalg.norm(m)), 1.0)
+    if not abs(sum(roots) - c2) <= 1e-8 * scale:
+        raise ConvergenceFailure(
+            f"root sum {complex(sum(roots))} deviates from trace {complex(c2)}")
+    lams = np.array(roots, dtype=complex)
+    _, _, vh = np.linalg.svd(m - lams[:, None, None] * np.eye(3))
+    vecs = vh[:, -1, :].conj().T
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(3)]
+    vecs = vecs * (lead.conj() / np.abs(lead))
+    residuals = np.linalg.norm(m @ vecs - vecs * lams, axis=0)
+    if np.max(residuals) > RESIDUAL_RTOL * scale:
+        raise ConvergenceFailure(
+            f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "
+            f"{RESIDUAL_RTOL * scale:.3e}")
+    return lams, vecs, residuals
+
+
+def _bits(z):
+    return np.complex128(z).tobytes()
+
+
+def _eigensystem_outcome(fn, m):
+    try:
+        return fn(m)
+    except ConvergenceFailure as e:
+        return type(e), str(e)
+
+
+def _assert_eigensystem_matches_oracle(m):
+    """Returns the error message both raise, or None."""
+    c2, c1, c0 = char_coeffs(m)
+    for r in cubic_roots(c2, c1, c0):
+        assert _bits(_polish_root(r, c2, c1, c0)) == _bits(_polish_root_40(r, c2, c1, c0))
+    want = _eigensystem_outcome(_eigensystem_oracle, m)
+    got = _eigensystem_outcome(eigensystem, m)
+    if isinstance(want[0], type):
+        assert got == want
+        return want[1]
+    assert isinstance(got, ComplexEigenSet)
+    for a, b in zip((got.eigenvalues, got.eigenvectors, got.residuals), want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return None
+
+
+_FIG3_DESIGN = dict(g1=4.0, g2=2.0, q1=-0.8, q2=-0.6, delta=0.1, gamma1=0.01, gamma2=0.01)
+_FIG4_DESIGN = dict(g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+
+
+def test_eigensystem_bits_on_jittered_bic_designs_and_their_twins():
+    rng = np.random.default_rng(26)
+    for i in range(150):
+        base = (_FIG3_DESIGN, _FIG4_DESIGN)[i % 2]
+        design = {k: v * rng.uniform(0.9, 1.1) for k, v in base.items()}
+        params = solve_bic(**design).params
+        for p in (params, params.replace(eta=0.0)):
+            assert _assert_eigensystem_matches_oracle(build(p)) is None
+
+
+def test_eigensystem_bits_and_messages_near_a_triple_root():
+    rng = np.random.default_rng(261)
+    messages = []
+    for _ in range(600):
+        lam = complex(*rng.normal(size=2))
+        a = rng.normal(size=(3, 3))
+        b = rng.normal(size=(3, 3))
+        eps = 10.0 ** rng.uniform(-9.0, -3.0)
+        messages.append(_assert_eigensystem_matches_oracle(
+            lam * np.eye(3) + eps * ((a + a.T) + 1j * (b + b.T))))
+    # both guards fire on this family, and each gives the oracle's message
+    assert sum(m is not None and m.startswith("root sum ") for m in messages) >= 30
+    assert sum(m is not None and m.startswith("eigen residual ") for m in messages) >= 30
+    assert messages.count(None) >= 30
+
+
+def test_eigensystem_bits_near_an_exceptional_point():
+    # [[1, i], [i, -1]] is nilpotent; small symmetric perturbations split it
+    rng = np.random.default_rng(262)
+    for _ in range(300):
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0], m[1, 1], m[0, 1], m[1, 0] = 1.0, -1.0, 1j, 1j
+        m[2, 2] = 5.0 * complex(*rng.normal(size=2))
+        p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        eps = 10.0 ** rng.uniform(-12.0, -2.0)
+        _assert_eigensystem_matches_oracle(rng.uniform(0.1, 10.0) * m + eps * (p + p.T))
+
+
+def test_nan_roots_polish_and_fail_as_before(fig4):
+    # the characteristic coefficients overflow, so every root is NaN
+    m = build(fig4.replace(g1=1e300))
+    with np.errstate(all="ignore"):
+        assert all(cmath.isnan(r) for r in cubic_roots(*char_coeffs(m)))
+        message = _assert_eigensystem_matches_oracle(m)
+    assert message.startswith("root sum (nan+nanj) deviates from trace ")
+
+
+def test_polish_bits_on_python_complex_inputs(rng):
+    r_true = [1e6, 1.0, 1e-6]
+    cases = [(sum(r_true), r_true[0] * r_true[1] + r_true[0] * r_true[2] + r_true[1] * r_true[2],
+              r_true[0] * r_true[1] * r_true[2])]
+    cases += [tuple(complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-6, 6)
+                    for _ in range(3)) for _ in range(300)]
+    for c2, c1, c0 in cases:
+        c2, c1, c0 = complex(c2), complex(c1), complex(c0)
+        for r in cubic_roots(c2, c1, c0):
+            got = _polish_root(complex(r), c2, c1, c0)
+            assert type(got) is complex
+            assert _bits(got) == _bits(_polish_root_40(complex(r), c2, c1, c0))

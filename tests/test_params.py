@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from bic_lab.errors import ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import (
+    _FIELD_NAMES,
     PARAM_KEYS,
     DimensionlessParams,
     validate,
 )
+from bic_lab.recipes import fig4_params
 from conftest import random_params
 
 
@@ -138,6 +141,31 @@ def test_constructor_rejects_bools_nulls_and_non_numbers(key, value):
                 gamma1=1.0, gamma2=1.0)
     with pytest.raises(ValidationError, match=key):
         DimensionlessParams(**dict(base, **{key: value}))
+
+
+def test_field_names_follow_the_dataclass_order():
+    assert _FIELD_NAMES == tuple(f.name for f in dataclasses.fields(DimensionlessParams))
+
+
+@pytest.mark.parametrize("value", [np.float64(3.0), 3, np.int64(3)])
+def test_constructor_stores_real_numbers_as_python_floats(value):
+    p = fig4_params().replace(q1=value)
+    assert type(p.q1) is float and p.q1 == 3.0
+
+
+def test_constructor_lists_nonfinite_values_in_field_order():
+    base = dict(g1=1.0, g2=1.0, q1=0.0, q2=0.0, delta1=0.0, delta2=0.0, delta=0.0)
+    with pytest.raises(ValidationError) as exc:
+        DimensionlessParams(**dict(base, delta=10 ** 400, g2=float("nan"),
+                                   g1=-math.inf, inv_kca=np.float64(math.inf)))
+    assert exc.value.violations == [
+        "g1=-inf is not finite", "g2=nan is not finite",
+        f"delta={10 ** 400!r} is not finite", "inv_kca=inf is not finite"]
+
+
+def test_nonfinite_numpy_float_is_reported_without_its_numpy_repr():
+    with pytest.raises(ValidationError, match=r"^eta=nan is not finite$"):
+        fig4_params().replace(eta=np.float64("nan"))
 
 
 def test_null_coherences_take_their_defaults():
