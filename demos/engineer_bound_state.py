@@ -26,8 +26,8 @@ def main() -> None:
     sol = solve_bic(g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1,
                     gamma1=1.0, gamma2=1.0)
     print("closed-form detunings that decouple one dressed superposition")
-    print(f"  delta1 = {sol.delta1:.6f}")
-    print(f"  delta2 = {sol.delta2:.6f}")
+    print(f"  delta1 = {sol.params.delta1:.6f}")
+    print(f"  delta2 = {sol.params.delta2:.6f}")
     print(f"  eigenvalue lambda = {sol.lam:.6f}")
     print(f"  residuals  |A x - lambda x| = {sol.residual_a:.2e},"
           f"  |B x| = {sol.residual_b:.2e}")
@@ -35,14 +35,14 @@ def main() -> None:
 
     report = certify(sol.params)
     print("certification (independent full diagonalization)")
-    print(f"  is_bic = {report.is_bic}, min |Im E~| = {report.min_abs_im:.2e}")
+    print(f"  is_bic = {report.is_bic}, min |Im E~| = {abs(report.eigenvalue.imag):.2e}")
     for lam in eigensystem(build(sol.params)).eigenvalues:
         print(f"    E~ = {lam.real:+.6f} {lam.imag:+.6f}i")
     print()
 
     broken = certify(sol.params.replace(eta=0.0))
     print("same detunings without the vacuum cross-decay")
-    print(f"  is_bic = {broken.is_bic}, min |Im E~| = {broken.min_abs_im:.2e}")
+    print(f"  is_bic = {broken.is_bic}, min |Im E~| = {abs(broken.eigenvalue.imag):.2e}")
     print("  the state decays as soon as the two emission pathways stop interfering")
 
 

@@ -52,13 +52,13 @@ def main() -> None:
     sol = solve_bic(params.g1, params.g2, params.q1, params.q2, params.delta,
                     params.gamma1, params.gamma2, inv_kca=params.inv_kca)
     print("detunings that would support a bound state")
-    print(f"  delta1 = {sol.delta1:+.4f}, delta2 = {sol.delta2:+.4f},"
+    print(f"  delta1 = {sol.params.delta1:+.4f}, delta2 = {sol.params.delta2:+.4f},"
           f" lambda = {sol.lam:+.4f}")
     print(f"  they need eta = sqrt(gamma1*gamma2) = {sol.params.eta:.6f};"
           f" dipole overlap {model.dipole_overlap} derives eta = {params.eta:.6f}")
     report = certify(sol.params.replace(eta=params.eta))
     print(f"  certified at the derived eta: is_bic = {report.is_bic},"
-          f" min |Im E~| = {report.min_abs_im:.2e} (not a bound state)")
+          f" min |Im E~| = {abs(report.eigenvalue.imag):.2e} (not a bound state)")
     print()
 
     # parallel transition dipoles make the vacuum cross-decay fully coherent
@@ -68,7 +68,7 @@ def main() -> None:
     print("bound state supported by the same model with parallel dipoles")
     print(f"  dipole overlap 1.0 derives eta = {coherent.eta:.6f}")
     print(f"  certified: is_bic = {report.is_bic},"
-          f" min |Im E~| = {report.min_abs_im:.2e}")
+          f" min |Im E~| = {abs(report.eigenvalue.imag):.2e}")
 
 
 if __name__ == "__main__":

@@ -25,17 +25,15 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateVector, SingularSolve,
                      ValidationError, _numerical)
-from .hamiltonian import build, eigensystem
+from .hamiltonian import _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
 
 
 @dataclass(frozen=True)
 class BicSolution:
-    """Closed-form BIC: eigenvalue, required detunings and residuals."""
+    """Closed-form BIC: eigenvalue, residuals, and params with the detunings."""
 
     lam: float
-    delta1: float
-    delta2: float
     x: np.ndarray          # unnormalized common eigenvector (x1, x2, 1)
     c: float               # its norm
     residual_a: float      # ||A X - lam X|| for the unit vector X
@@ -112,19 +110,16 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
         raise ConvergenceFailure(
             f"BIC residuals ||AX - lam X|| = {residual_a:.3e}, ||BX|| = {residual_b:.3e} "
             f"exceed 1e-12 * max(1, ||A||_F, ||B||_F) = {tol:.3e}")
-    return BicSolution(lam=float(lam), delta1=float(delta1), delta2=float(delta2),
-                       x=x, c=c, residual_a=residual_a, residual_b=residual_b,
-                       params=params)
+    return BicSolution(lam=float(lam), x=x, c=c, residual_a=residual_a,
+                       residual_b=residual_b, params=params)
 
 
 @dataclass(frozen=True)
 class CertificationReport:
     """Spectral evidence for (or against) a real eigenvalue."""
 
-    is_bic: bool
-    min_abs_im: float
-    lambda_est: float      # real part of the least-damped eigenvalue
-    eigenvalue: complex    # the least-damped eigenvalue itself
+    is_bic: bool           # |Im eigenvalue| <= tol_im
+    eigenvalue: complex    # the eigenvalue nearest the real axis
     residual_b: float      # ||B v|| for its eigenvector
     vic_residual: float    # eta^2 - gamma1*gamma2, zero at maximal coherence
 
@@ -135,19 +130,18 @@ def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationR
 
     This is deliberately independent of the closed-form construction in
     ``solve_bic``: it diagonalizes the full complex matrix and inspects
-    the least-damped mode, so the two routes cross-check each other.
+    the mode nearest the real axis, so the two routes cross-check each
+    other.  A gain mode raises GainMode, as for a spectrum.
     """
     m = build(params)
     eig = eigensystem(m)
+    _refuse_gain(params, m, eig.eigenvalues[0])
     ims = np.abs(eig.eigenvalues.imag)
     k = int(np.argmin(ims))
-    lam = eig.eigenvalues[k]
     v = eig.eigenvectors[:, k]
     return CertificationReport(
         is_bic=bool(ims[k] <= tol_im),
-        min_abs_im=float(ims[k]),
-        lambda_est=float(lam.real),
-        eigenvalue=complex(lam),
+        eigenvalue=complex(eig.eigenvalues[k]),
         residual_b=float(np.linalg.norm(m.imag @ v)),
         vic_residual=params.eta ** 2 - params.gamma1 * params.gamma2,
     )

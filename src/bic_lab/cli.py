@@ -32,7 +32,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -276,12 +275,15 @@ def _emit_record(record: dict, args) -> None:
 
 
 def _run_dress(cfg: dict, args) -> None:
-    _emit_record(asdict(dress(**cfg["dressing"])), args)
+    pair = dress(**cfg["dressing"])
+    _emit_record({"theta": pair.theta, "cos_theta": math.cos(pair.theta),
+                  "sin_theta": math.sin(pair.theta), "splitting": pair.splitting,
+                  "feasibility": pair.feasibility}, args)
 
 
 def _run_solve(cfg: dict, args) -> None:
     sol = solve_bic(**cfg["params"])
-    _emit_record({"lambda": sol.lam, "delta1": sol.delta1, "delta2": sol.delta2,
+    _emit_record({"lambda": sol.lam, "delta1": sol.params.delta1, "delta2": sol.params.delta2,
                   "eta": sol.params.eta, "x1": float(sol.x[0]),
                   "x2": float(sol.x[1]), "c": sol.c,
                   "residual_a": sol.residual_a, "residual_b": sol.residual_b}, args)
@@ -289,10 +291,9 @@ def _run_solve(cfg: dict, args) -> None:
 
 def _run_certify(cfg: dict, args) -> None:
     report = certify(cfg["params"], tol_im=cfg["tol_im"])
-    _emit_record({"is_bic": report.is_bic, "min_abs_im": report.min_abs_im,
-                  "lambda_est": report.lambda_est,
-                  "re_E1": report.eigenvalue.real, "im_E1": report.eigenvalue.imag,
-                  "residual_b": report.residual_b,
+    lam = report.eigenvalue
+    _emit_record({"is_bic": report.is_bic, "min_abs_im": abs(lam.imag), "lambda_est": lam.real,
+                  "re_E1": lam.real, "im_E1": lam.imag, "residual_b": report.residual_b,
                   "vic_residual": report.vic_residual}, args)
 
 
@@ -303,7 +304,8 @@ def _run_spectrum(cfg: dict, args) -> None:
 
 def _sweep_rows(result) -> list[list]:
     return [[pt.eta, *((pt.metrics.e_peak, pt.metrics.height, pt.metrics.width_w)
-                       if pt.metrics else (math.nan,) * 3), pt.re_e1, pt.im_e1]
+                       if pt.metrics else (math.nan,) * 3),
+             float(pt.eigenvalues[0].real), pt.im_e1]
             for pt in result.points]
 
 
@@ -419,7 +421,7 @@ def _reproduce_fig4(args) -> None:
     lines = []
     by_eta = {pt.eta: pt for pt in result.points}
     e1_top = by_eta[1.0]
-    lines.append(_abs_line("fig4 Re E1(eta=1)", e1_top.re_e1,
+    lines.append(_abs_line("fig4 Re E1(eta=1)", float(e1_top.eigenvalues[0].real),
                            quoted["e1"].real, 0.02))
     lines.append(_ratio_line("fig4 |Im E1|(eta=1)", abs(e1_top.im_e1),
                              abs(quoted["e1"].imag), 3.0))

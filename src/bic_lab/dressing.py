@@ -16,11 +16,9 @@ from .errors import DegenerateDressing, ZeroLinewidth
 
 @dataclass(frozen=True)
 class DressedPair:
-    """Dressed-basis summary: angle, basis coefficients and splitting."""
+    """Dressed-basis summary: mixing angle, splitting and feasibility."""
 
     theta: float
-    cos_theta: float
-    sin_theta: float
     splitting: float
     feasibility: float | None = None
 
@@ -57,10 +55,4 @@ def dress(omega_m: float, delta_m: float,
             raise ZeroLinewidth(
                 f"bare widths must be positive, got {gamma1_bare!r}, {gamma2_bare!r}")
         feas = splitting / (math.sqrt(gamma1_bare) * math.sqrt(gamma2_bare))
-    return DressedPair(
-        theta=theta,
-        cos_theta=math.cos(theta),
-        sin_theta=math.sin(theta),
-        splitting=splitting,
-        feasibility=feas,
-    )
+    return DressedPair(theta=theta, splitting=splitting, feasibility=feas)

@@ -22,9 +22,10 @@ cubic followed by a Newton polish that keeps its best iterate and stops
 at its first repeated iterate, after which the steps would only cycle
 through iterates already scored.  They stay closed-form because the
 pinned reference outputs of ``reproduce`` depend on their exact bits:
-LAPACK eigenvalues, even Newton-polished, move those outputs by up to
-8e-9 relative.  The three eigenvectors come from one batched singular
-value decomposition of M - lam_k I.
+moving E1 by about one ulp, as LAPACK or any other route may, moves a
+fig5 ``width`` by up to 1.2e-3 relative through refine_peak's floor fit
+(ROADMAP.md, item 1b).  The three eigenvectors come from one batched
+singular value decomposition of M - lam_k I.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, _numerical
-from .params import DimensionlessParams
+from .errors import ConvergenceFailure, GainMode, _numerical
+from .params import DimensionlessParams, _passive
 
 #: eigenvalue residual tolerance, relative to ||A + iB||_F
 RESIDUAL_RTOL = 1e-10
@@ -59,6 +60,13 @@ def build(params: DimensionlessParams) -> np.ndarray:
         [s1, s2, 1.0],
     ])
     return a + 1j * b
+
+
+def _refuse_gain(params: DimensionlessParams, m: np.ndarray, e1: complex) -> None:
+    """Raise GainMode when B is not negative semidefinite and the least-damped
+    eigenvalue e1 of m grows beyond the rounding allowance 1e-12*max(1, ||M||_F)."""
+    if not _passive(params) and e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+        raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
 
 
 def char_coeffs(m: np.ndarray) -> tuple[complex, complex, complex]:

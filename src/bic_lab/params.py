@@ -71,11 +71,13 @@ class DimensionlessParams:
             # float and int first: the numbers.Real check alone is slow
             if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
                 problems.append(f"{name}={v!r} is not a real number")
-            elif not abs(v) <= _FLOAT_MAX:
-                # float(v) drops a numpy repr; an int past the float range keeps its own
-                problems.append(f"{name}={float(v) if isinstance(v, float) else v!r} is not finite")
+                continue
+            # float(v) drops a numpy repr; float() of a huge int or Fraction overflows
+            x = v if isinstance(v, numbers.Rational) else float(v)
+            if abs(x) <= _FLOAT_MAX:
+                object.__setattr__(self, name, float(x))
             else:
-                object.__setattr__(self, name, float(v))
+                problems.append(f"{name}={x!r} is not finite")
         if problems:
             raise ValidationError(problems)
         if self.g1 < 0.0 or self.g2 < 0.0:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                      ValidationError, _numerical)
-from .hamiltonian import build, eigensystem
-from .params import DimensionlessParams, _passive
+from .hamiltonian import _refuse_gain, build, eigensystem
+from .params import DimensionlessParams
 
 _INV_E = 1.0 / math.e
 _EPS = float(np.finfo(float).eps)
@@ -111,13 +111,11 @@ def _spectrum(params: DimensionlessParams, mat: np.ndarray, e1: complex,
     scalar, which is evaluated as a one-point array and so takes the same
     arithmetic as the same point inside a larger grid.
 
-    A gain mode raises GainMode: B is not negative semidefinite and the
-    least-damped e1 grows beyond the rounding allowance 1e-12*max(1, ||M||_F).
+    A gain mode (hamiltonian._refuse_gain) raises GainMode.
     """
     amplitude = _amplitude(
         mat, np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0]), channel)
-    if not _passive(params) and e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(mat))):
-        raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
+    _refuse_gain(params, mat, e1)
 
     def f(grid):
         x = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -201,7 +199,6 @@ class PeakMetrics:
 
     e_peak: float
     height: float
-    width_w: float
     left_cross: float
     right_cross: float
     refined: bool
@@ -212,6 +209,11 @@ class PeakMetrics:
             raise ValueError(
                 f"crossings must bracket the peak: {self.left_cross!r}, "
                 f"{self.e_peak!r}, {self.right_cross!r}")
+
+    @property
+    def width_w(self) -> float:
+        """The 1/e full width W, right_cross - left_cross."""
+        return self.right_cross - self.left_cross
 
 
 def _merge_plateaus(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -400,8 +402,8 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
             end[:] = kept
         open_ = still
     right, left = (0.5 * (x0 + x1) for x0, x1 in ends)
-    return PeakMetrics(e_peak=float(e_peak), height=float(height), width_w=right - left,
-                       left_cross=left, right_cross=right, refined=True,
+    return PeakMetrics(e_peak=float(e_peak), height=float(height), left_cross=left,
+                       right_cross=right, refined=True,
                        baseline=float(base(e_peak)) if base is not None else 0.0)
 
 
@@ -437,8 +439,8 @@ def _peak_metrics(params: DimensionlessParams, mat: np.ndarray,
         half = 0.5 * LORENTZ_WIDTH_FACTOR * abs(float(e1.imag))
         left = min(float(np.nextafter(c, -np.inf)), c - half)
         right = max(float(np.nextafter(c, np.inf)), c + half)
-        return PeakMetrics(e_peak=c, height=f(c), width_w=float(right - left),
-                           left_cross=left, right_cross=right, refined=False)
+        return PeakMetrics(e_peak=c, height=f(c), left_cross=left, right_cross=right,
+                           refined=False)
     if search_window is None:
         search_window = _auto_window(eigenvalues)
     return refine_peak(f, search_window, seeds=_pole_seeds(eigenvalues, search_window))
@@ -484,10 +486,12 @@ class EtaPoint:
 
     eta: float
     metrics: PeakMetrics | None
-    eigenvalues: np.ndarray
-    re_e1: float
-    im_e1: float
+    eigenvalues: np.ndarray  # of the swept set, least-damped E1 first
     error: str | None = None
+
+    @property
+    def im_e1(self) -> float:
+        return float(self.eigenvalues[0].imag)
 
 
 @dataclass(frozen=True)
@@ -504,16 +508,13 @@ def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                window: tuple[float, float] | None) -> EtaPoint:
     p = params.replace(eta=float(eta))
     mat = build(p)
-    eig = eigensystem(mat)
-    e1 = eig.eigenvalues[0]
+    eigenvalues = eigensystem(mat).eigenvalues
     try:
-        metrics = _peak_metrics(p, mat, eig.eigenvalues, channel, window)
+        metrics = _peak_metrics(p, mat, eigenvalues, channel, window)
         err = None
     except (NoPeak, MultiPeak, PoleHit, GainMode) as exc:
         metrics, err = None, f"{type(exc).__name__}: {exc}"
-    return EtaPoint(eta=float(eta), metrics=metrics,
-                    eigenvalues=eig.eigenvalues.copy(),
-                    re_e1=float(e1.real), im_e1=float(e1.imag), error=err)
+    return EtaPoint(eta=float(eta), metrics=metrics, eigenvalues=eigenvalues, error=err)
 
 
 @_numerical

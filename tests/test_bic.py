@@ -10,9 +10,9 @@ from bic_lab.bic import (
     certify,
     solve_bic,
 )
-from bic_lab.errors import DegenerateVector, SingularSolve, ValidationError
+from bic_lab.errors import DegenerateVector, GainMode, SingularSolve, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.recipes import fig3_params, fig5_params
+from bic_lab.recipes import fig3_params, fig4_params, fig5_params
 
 
 def test_vic_residual_zero_at_coherence():
@@ -67,8 +67,8 @@ def test_solve_bic_frozen_example(fig4_bic):
     sol = fig4_bic
     assert isinstance(sol, BicSolution)
     assert sol.lam == pytest.approx(6.762316255329463, rel=1e-14)
-    assert sol.delta1 == pytest.approx(6.421908049556006, rel=1e-14)
-    assert sol.delta2 == pytest.approx(6.6195917942265465, rel=1e-14)
+    assert sol.params.delta1 == pytest.approx(6.421908049556006, rel=1e-14)
+    assert sol.params.delta2 == pytest.approx(6.6195917942265465, rel=1e-14)
     assert sol.x[0] == pytest.approx(-3.1462643699419743, rel=1e-14)
     assert sol.x[1] == pytest.approx(3.1462643699419743, rel=1e-14)
     assert sol.c == pytest.approx(4.56047793231507, rel=1e-13)
@@ -107,8 +107,8 @@ def test_certify_confirms_constructed_bic(fig4_bic):
     sol = fig4_bic
     rep = certify(sol.params)
     assert rep.is_bic
-    assert rep.min_abs_im < 1e-12
-    assert rep.lambda_est == pytest.approx(sol.lam, rel=1e-12)
+    assert abs(rep.eigenvalue.imag) < 1e-12
+    assert rep.eigenvalue.real == pytest.approx(sol.lam, rel=1e-12)
     assert rep.residual_b < 1e-10
     assert rep.vic_residual == 0.0
 
@@ -116,13 +116,24 @@ def test_certify_confirms_constructed_bic(fig4_bic):
 def test_certify_frozen_deviated_fig3():
     rep = certify(fig3_params())
     assert not rep.is_bic
-    assert rep.min_abs_im == pytest.approx(1.1427791e-4, rel=1e-6)
-    assert rep.lambda_est == pytest.approx(1.2944198519681624, rel=1e-12)
+    assert abs(rep.eigenvalue.imag) == pytest.approx(1.1427791e-4, rel=1e-6)
+    assert rep.eigenvalue.real == pytest.approx(1.2944198519681624, rel=1e-12)
 
 
 def test_fig3_params_rejects_unknown_deviate():
     with pytest.raises(ValueError, match="^deviate must be 'g1' or 'g2', got 'none'$"):
         fig3_params(deviate="none")
+
+
+def test_certify_refuses_a_gain_mode():
+    # eta = 3 > sqrt(gamma1*gamma2) = 1: the eigenvalue nearest the real axis
+    # is damped, but the least-damped E1 grows, so no eigenvalue is certified
+    params = fig4_params(eta=3.0)
+    assert eigensystem(build(params)).eigenvalues[0].imag > 0.0
+    with pytest.raises(GainMode, match=r"^least-damped eigenvalue .* grows \(Im E1 > 0\)$"):
+        certify(params)
+    # a passive set with a finite decay is reported, not refused
+    assert not certify(fig4_params(eta=0.9)).is_bic
 
 
 def test_certify_tolerance_knob():

@@ -59,6 +59,9 @@ def test_dress_json_and_csv(tmp_path):
     assert rec["splitting"] == pytest.approx(50.99019513592785)
     # splitting / sqrt(gamma1_bare * gamma2_bare) = 50.990 / sqrt(24)
     assert rec["feasibility"] == pytest.approx(10.408329997330664)
+    assert rec["cos_theta"] == pytest.approx(math.cos(rec["theta"]))
+    assert rec["sin_theta"] == pytest.approx(math.sin(rec["theta"]))
+    assert rec["cos_theta"] ** 2 + rec["sin_theta"] ** 2 == pytest.approx(1.0, rel=1e-15)
 
     out_csv = tmp_path / "dress.csv"
     assert main(["dress", "--config", cfg, "--format", "csv",
@@ -379,6 +382,21 @@ def test_gain_mode_spectrum_exits_4(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: least-damped eigenvalue")
     assert captured.err.count("\n") == 1
+
+
+def test_gain_mode_certify_exits_4_as_spectrum_does(tmp_path, capsys):
+    # the eigenvalue of this set nearest the real axis is damped, and the
+    # least-damped one grows: certify refuses the set with spectrum's error
+    _, payload = _spectrum_cfg()
+    payload = dict(payload, params=dict(payload["params"], eta=3.0))
+    errors = []
+    for command, cfg in (("certify", {"params": payload["params"]}), ("spectrum", payload)):
+        assert main([command, "--config", write_cfg(tmp_path, "gain.json", cfg)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: least-damped eigenvalue (6.7194")
 
 
 def test_reproduce_takes_no_config(capsys):
@@ -771,3 +789,93 @@ def test_unwritable_out_is_an_io_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("io error: ")
     assert captured.err.count("\n") == 1
+
+
+# golden bytes: the exact reports and column order of dress, solve and
+# certify in both formats, and a sweep-eta table, for one fixed config each
+_GOLDEN_CONFIGS = {
+    "dress": {"dressing": {"omega_m": 50.0, "delta_m": 10.0,
+                           "gamma1_bare": 6.0, "gamma2_bare": 4.0}},
+    "solve": {"params": {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54,
+                         "delta": 0.1, "gamma1": 1.0, "gamma2": 1.0}},
+    # the fig3 set deviated in g2, without spontaneous emission
+    "certify": {"params": {"g1": 4.0, "g2": 1.91, "g12": 2.7640549922170505,
+                           "q1": -0.8, "q2": -0.6, "delta1": 0.45, "delta2": 1.88,
+                           "delta": 0.1, "gamma1": 0.0, "gamma2": 0.0, "eta": 0.0}},
+    # the fig4 set on 11 etas in [0.9, 1]
+    "sweep-eta": {"params": {"g1": 3.01, "g2": 2.0, "q1": -0.8, "q2": 0.54,
+                             "delta1": 6.4, "delta2": 6.6, "delta": 0.1,
+                             "gamma1": 1.0, "gamma2": 1.0, "eta": 1.0},
+                  "sweep": {"eta_range": {"start": 0.9, "stop": 1.0, "n": 11}}},
+}
+
+_GOLDEN = {
+    ("dress", "json"): """\
+{
+  "cos_theta": 0.7733421413379022,
+  "feasibility": 10.408329997330664,
+  "sin_theta": 0.6339889056055382,
+  "splitting": 50.99019513592785,
+  "theta": 0.686700383472508
+}
+""",
+    ("dress", "csv"): """\
+theta,cos_theta,sin_theta,splitting,feasibility
+0.68670038347250795,0.77334214133790224,0.63398890560553822,50.990195135927848,10.408329997330664
+""",
+    ("solve", "json"): """\
+{
+  "c": 4.56047793231507,
+  "delta1": 6.421908049556006,
+  "delta2": 6.6195917942265465,
+  "eta": 1.0,
+  "lambda": 6.762316255329463,
+  "residual_a": 0.0,
+  "residual_b": 3.201774212389272e-16,
+  "x1": -3.1462643699419743,
+  "x2": 3.1462643699419743
+}
+""",
+    ("solve", "csv"): """\
+lambda,delta1,delta2,eta,x1,x2,c,residual_a,residual_b
+6.7623162553294627,6.4219080495560057,6.6195917942265465,1,-3.1462643699419743,3.1462643699419743,4.5604779323150701,0,3.2017742123892718e-16
+""",
+    ("certify", "json"): """\
+{
+  "im_E1": -0.00011427791064806186,
+  "is_bic": false,
+  "lambda_est": 1.2944198519681624,
+  "min_abs_im": 0.00011427791064806186,
+  "re_E1": 1.2944198519681624,
+  "residual_b": 0.02810089611692277,
+  "vic_residual": 0.0
+}
+""",
+    ("certify", "csv"): """\
+is_bic,min_abs_im,lambda_est,re_E1,im_E1,residual_b,vic_residual
+false,0.00011427791064806186,1.2944198519681624,1.2944198519681624,-0.00011427791064806186,0.02810089611692277,0
+""",
+    ("sweep-eta", "csv"): """\
+eta,E_peak,height,width,re_E1,im_E1
+0.90000000000000002,6.7829196961533089,0.0011018647347870031,0.35026949479471625,6.7431974753522432,-0.095156045883262763
+0.91000000000000003,6.7777242678269918,0.0010947268522846429,0.29917981189016452,6.7432105576246233,-0.085640577207451773
+0.92000000000000004,6.7725149657237651,0.0010996859856717625,0.25280227076941486,6.7432222835318223,-0.076125105401696619
+0.93000000000000005,6.7673293508879304,0.00112047009901187,0.21073386596794208,6.7432326538158396,-0.066609623728479395
+0.94000000000000006,6.7622213388627923,0.0011635662885461258,0.17249932970885773,6.7432416692547488,-0.057094125475229962
+0.94999999999999996,6.7572724973037781,0.0012410870938675649,0.13761681220322508,6.7432493306624393,-0.047578603954280672
+0.95999999999999996,6.7526121486295247,0.0013781899359366183,0.10566560162529104,6.743255638888348,-0.038063052502838021
+0.96999999999999997,6.748451610870303,0.0016358479917973762,0.076333678373661229,6.7432605948172144,-0.028547464482950792
+0.97999999999999998,6.7451375934224069,0.0022041470194512636,0.049386581136553254,6.7432641993688147,-0.019031833281474307
+0.98999999999999999,6.7432053397494318,0.0040839115325406149,0.024375470381817976,6.7432664534977054,-0.0095161523100530526
+1,6.7432673581357818,111335.32155230232,1.0880045362426927e-06,6.7432673581929876,-4.1500508610123423e-07
+""",
+}
+
+
+@pytest.mark.parametrize("command,fmt", sorted(_GOLDEN))
+def test_reports_are_byte_identical_to_golden(tmp_path, capsys, command, fmt):
+    cfg = write_cfg(tmp_path, "cfg.json", _GOLDEN_CONFIGS[command])
+    assert main([command, "--config", cfg, "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == _GOLDEN[command, fmt]
+    assert captured.err == ""

@@ -52,9 +52,6 @@ def test_dress_frozen_example():
     assert pair.theta == pytest.approx(0.686700383472508, rel=1e-14)
     assert pair.splitting == pytest.approx(50.99019513592785, rel=1e-14)
     assert pair.feasibility == pytest.approx(10.408329997330664, rel=1e-14)
-    assert pair.cos_theta == pytest.approx(math.cos(pair.theta))
-    assert pair.sin_theta == pytest.approx(math.sin(pair.theta))
-    assert pair.cos_theta ** 2 + pair.sin_theta ** 2 == pytest.approx(1.0, rel=1e-15)
 
 
 def test_dress_without_widths_skips_feasibility():

@@ -179,7 +179,8 @@ def _sweep_against_50_digits(target, params, etas, ceiling):
     reference = {float(row["eta"]): {c: float(row[c]) for c in SWEEP_COLUMNS}
                  for row in _reference(target) if row["width"] != "nan"}
     code = {pt.eta: {"E_peak": pt.metrics.e_peak, "height": pt.metrics.height,
-                     "width": pt.metrics.width_w, "re_E1": pt.re_e1, "im_E1": pt.im_e1}
+                     "width": pt.metrics.width_w, "re_E1": float(pt.eigenvalues[0].real),
+                     "im_E1": pt.im_e1}
             for pt in sweep_eta(params, etas).points if pt.metrics is not None}
     assert reference.keys() == code.keys()
     with mp.workdps(50):

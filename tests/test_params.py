@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def test_field_names_follow_the_dataclass_order():
     assert _FIELD_NAMES == tuple(f.name for f in dataclasses.fields(DimensionlessParams))
 
 
-@pytest.mark.parametrize("value", [np.float64(3.0), 3, np.int64(3)])
+@pytest.mark.parametrize("value", [np.float64(3.0), 3, np.int64(3), np.float32(3.0),
+                                   np.float16(3.0)])
 def test_constructor_stores_real_numbers_as_python_floats(value):
     p = fig4_params().replace(q1=value)
     assert type(p.q1) is float and p.q1 == 3.0
@@ -157,10 +159,16 @@ def test_constructor_lists_nonfinite_values_in_field_order():
     base = dict(g1=1.0, g2=1.0, q1=0.0, q2=0.0, delta1=0.0, delta2=0.0, delta=0.0)
     with pytest.raises(ValidationError) as exc:
         DimensionlessParams(**dict(base, delta=10 ** 400, g2=float("nan"),
-                                   g1=-math.inf, inv_kca=np.float64(math.inf)))
+                                   g1=-math.inf, inv_kca=np.float64(math.inf),
+                                   gamma1=np.float32("nan"), eta=np.float32("inf"),
+                                   q2=Fraction(10 ** 400)))
+    # a float32 is checked as the Python float it is stored as; float() of
+    # a rational past the float range would overflow, so it keeps its repr
     assert exc.value.violations == [
         "g1=-inf is not finite", "g2=nan is not finite",
-        f"delta={10 ** 400!r} is not finite", "inv_kca=inf is not finite"]
+        f"q2={Fraction(10 ** 400)!r} is not finite",
+        f"delta={10 ** 400!r} is not finite", "gamma1=nan is not finite",
+        "eta=inf is not finite", "inv_kca=inf is not finite"]
 
 
 def test_nonfinite_numpy_float_is_reported_without_its_numpy_repr():

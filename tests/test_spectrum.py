@@ -264,8 +264,8 @@ def test_peak_metrics_analytic_branch_for_sub_resolution_pole(fig4_bic):
 
 def test_peak_metrics_crossings_bracket_invariant():
     with pytest.raises(ValueError, match="bracket"):
-        PeakMetrics(e_peak=1.0, height=1.0, width_w=0.1,
-                    left_cross=1.2, right_cross=1.3, refined=True)
+        PeakMetrics(e_peak=1.0, height=1.0, left_cross=1.2, right_cross=1.3,
+                    refined=True)
 
 
 def test_sweep_eta_order_and_error_capture():
@@ -276,7 +276,7 @@ def test_sweep_eta_order_and_error_capture():
         # the window excludes every resonance: recorded, not raised
         assert pt.metrics is None
         assert pt.error is not None and "NoPeak" in pt.error
-        assert np.isfinite(pt.re_e1) and np.isfinite(pt.im_e1)
+        assert np.isfinite(pt.eigenvalues[0].real) and np.isfinite(pt.im_e1)
     assert res.widths() == [None, None, None]
 
 
@@ -598,8 +598,7 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
     right = crossing(+1)
     left = crossing(-1)
     return PeakMetrics(e_peak=float(e_peak), height=float(height),
-                       width_w=float(right - left), left_cross=float(left),
-                       right_cross=float(right), refined=True,
+                       left_cross=float(left), right_cross=float(right), refined=True,
                        baseline=float(base(e_peak)) if base is not None else 0.0)
 
 
