@@ -465,11 +465,10 @@ def _reproduce_fig5(args) -> None:
     _emit_table(SWEEP_HEADER, _sweep_rows(result), args)
 
     lines = []
-    # quoted endpoints evaluated at their exact eta (the dense grid does
-    # not contain 0.999)
-    marks = sweep_eta(fig5_params(), sorted(quoted["widths"]))
-    for pt in marks.points:
-        want = quoted["widths"][pt.eta]
+    # the grid holds the quoted etas 0.9 and 0.99 exactly; 0.999 is swept alone
+    by_eta = {pt.eta: pt for pt in result.points + sweep_eta(fig5_params(), [0.999]).points}
+    for eta, want in sorted(quoted["widths"].items()):
+        pt = by_eta[eta]
         if pt.metrics is None:
             lines.append(f"FLAG fig5 W(eta={pt.eta:.4g}): {pt.error}")
         elif pt.eta == 0.999:
@@ -479,10 +478,9 @@ def _reproduce_fig5(args) -> None:
         else:
             lines.append(_ratio_line(f"fig5 W(eta={pt.eta:.4g})",
                                      pt.metrics.width_w, want, 3.0))
-    widths = {pt.eta: (pt.metrics.width_w if pt.metrics else None)
-              for pt in result.points}
-    missing = [e for e in sorted(widths) if widths[e] is None]
-    seq = [w for w in (widths[e] for e in sorted(widths)) if w is not None]
+    widths = result.widths()
+    missing = [eta for eta, w in zip(etas, widths) if w is None]
+    seq = [w for w in widths if w is not None]
     decreasing = not missing and all(a > b for a, b in zip(seq, seq[1:]))
     line = (("PASS" if decreasing else "FLAG")
             + " fig5 W(eta) strictly decreasing toward eta=1 over [0.9, 1]")

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -68,6 +69,11 @@ class GridSpec:
     n_k: int = 0
 
     def __post_init__(self):
+        counts = [f"{name} must be an integer, got {n!r}" for name, n in
+                  (("n_e", self.n_e), ("n_k", self.n_k))
+                  if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
+        if counts:
+            raise ValidationError(counts)
         if not (self.e_min >= 0.0 and self.e_max > self.e_min):
             raise ValidationError([f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid"])
         if self.n_e < 1:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, GainMode, _numerical
+from .errors import ConvergenceFailure, GainMode, ValidationError, _numerical
 from .params import DimensionlessParams, _passive
 
 #: eigenvalue residual tolerance, relative to ||A + iB||_F
@@ -163,13 +163,13 @@ class ComplexEigenSet:
 def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     """All three complex eigenpairs of the matrix m = A + i*B.
 
-    Raises ValueError unless m is 3x3, and ConvergenceFailure if the
+    Raises ValidationError unless m is 3x3, and ConvergenceFailure if the
     roots fail the trace check or any residual exceeds
     RESIDUAL_RTOL * max(||A + iB||_F, 1).
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
-        raise ValueError(f"the matrix must be 3x3, got shape {m.shape}")
+        raise ValidationError([f"the matrix must be 3x3, got shape {m.shape}"])
     c2, c1, c0 = char_coeffs(m)
     roots = [_polish_root(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
     roots.sort(key=lambda z: (-z.imag, z.real))

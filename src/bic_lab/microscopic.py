@@ -121,7 +121,8 @@ class CouplingModel:
     infinity, requiring decaying shapes).  v1f, v2f are the vacuum
     couplings at the two emitted-photon energies, dipole_overlap the
     cosine between the two transition dipoles, omega13/omega23 the
-    direct bound-bound couplings, e3 the quasi-bound energy.
+    direct bound-bound couplings, e3 the quasi-bound energy.  v1f, v2f,
+    omega13, omega23 and e3 must be finite; e_max = inf is the same as None.
     """
 
     lambda1: Callable[[float], float]
@@ -136,12 +137,17 @@ class CouplingModel:
     e_max: float | None = None
 
     def __post_init__(self):
+        problems = [f"{name}={getattr(self, name)!r} is not finite"
+                    for name in ("v1f", "v2f", "omega13", "omega23", "e3")
+                    if not math.isfinite(getattr(self, name))]
+        if problems:
+            raise ValidationError(problems)
         if not -1.0 <= self.dipole_overlap <= 1.0:
             raise ValidationError(
                 [f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}"])
         if self.e3 <= 0.0:
             raise ValidationError([f"e3 must be positive, got {self.e3!r}"])
-        if self.e_max is not None and self.e_max <= self.e3:
+        if self.e_max is not None and not self.e_max > self.e3:
             raise ValidationError(
                 [f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)"])
 
@@ -282,9 +288,9 @@ class MicroscopicResult:
     gamma_vic: float
 
 
-#: the couplings each of the first twelve MicroscopicResult fields derives from
+#: the couplings each MicroscopicResult field derives from, in field order
 _SOURCES = (("lambda1",), ("lambda2",), ("v3",), ("lambda1", "lambda2"),
-            ("lambda1", "v3"), ("lambda2", "v3")) * 2
+            ("lambda1", "v3"), ("lambda2", "v3")) * 2 + (("v1f",), ("v2f",), ("v1f", "v2f"))
 
 
 @_numerical
@@ -296,8 +302,8 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     Vacuum-induced shifts are zero by construction here; only the vacuum
     widths and the VIC cross term survive.  Memoised for the length of the
     call, each coupling is evaluated once per distinct quadrature node; a
-    value that breaks the CouplingModel contract, or a field derived from
-    it that is not finite, is a ValidationError naming the coupling.
+    value that breaks the CouplingModel contract, or a field that is not
+    finite, is a ValidationError naming the couplings it derives from.
     """
     l1, l2, v3 = (functools.cache(functools.partial(_coupling_values, name, getattr(model, name)))
                   for name in ("lambda1", "lambda2", "v3"))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .params import DimensionlessParams
 
 FIG3_SHARED = dict(q1=-0.8, q2=-0.6, delta1=0.45, delta2=1.88, delta=0.1)
@@ -42,7 +43,7 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
     elif deviate == "g1":
         g1, g2 = 3.82, 2.0
     else:
-        raise ValueError(f"deviate must be 'g1' or 'g2', got {deviate!r}")
+        raise ValidationError([f"deviate must be 'g1' or 'g2', got {deviate!r}"])
     return DimensionlessParams(g1=g1, g2=g2, gamma1=gamma, gamma2=gamma,
                                eta=eta, **FIG3_SHARED)
 

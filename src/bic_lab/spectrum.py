@@ -106,23 +106,16 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
 
 
 def _spectrum(params: DimensionlessParams, mat: np.ndarray, e1: complex,
-              channel: int) -> Callable[[np.ndarray | float], np.ndarray | float]:
-    """S_n of a solved parameter set: an array for an array, a float for a
-    scalar, which is evaluated as a one-point array and so takes the same
-    arithmetic as the same point inside a larger grid.
+              channel: int) -> Callable[[np.ndarray], np.ndarray]:
+    """S_n of a solved parameter set, from a 1-d float64 array of abscissae
+    to one value per abscissa; a point's value is the same in any array.
 
     A gain mode (hamiltonian._refuse_gain) raises GainMode.
     """
     amplitude = _amplitude(
         mat, np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0]), channel)
     _refuse_gain(params, mat, e1)
-
-    def f(grid):
-        x = np.atleast_1d(np.asarray(grid, dtype=float))
-        vals = np.abs(amplitude(x)) ** 2 / math.pi
-        return vals if np.ndim(grid) else float(vals[0])
-
-    return f
+    return lambda x: np.abs(amplitude(x)) ** 2 / math.pi
 
 
 @dataclass(frozen=True)
@@ -216,7 +209,7 @@ class PeakMetrics:
         return self.right_cross - self.left_cross
 
 
-def _merge_plateaus(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _merge_plateaus(ys: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima, treating equal runs as one point.
 
     A run of equal values counts when the point before it is lower and
@@ -243,12 +236,6 @@ _SECTIONS = 64
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _values(f, x: np.ndarray) -> np.ndarray:
-    """f on the abscissae x as floats of x's shape (a constant is broadcast)."""
-    vals = np.asarray(f(x), dtype=float)
-    return vals if vals.shape == x.shape else np.broadcast_to(vals, x.shape)
-
-
 def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
     """Abscissae golden section may ask for in its next depth steps from
     bracket (a, b), both outcomes followed with the loop's own float
@@ -264,7 +251,7 @@ def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
             + _golden_tree(c, b, d, new_d, xtol, depth - 1))
 
 
-def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
+def refine_peak(f: Callable[[np.ndarray], np.ndarray],
                 window: tuple[float, float],
                 seeds: Sequence[float] = ()) -> PeakMetrics:
     """Locate the dominant maximum of f in window and its 1/e crossings.
@@ -277,13 +264,13 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     shrinking.  A round is one call of f on the open brackets, whose kept
     sections are chosen in plain Python.  A line takes about 12 calls of f.
 
-    f must map a numpy array of abscissae elementwise (a constant return
-    value is broadcast).  A golden-section call evaluates the point a step
-    needs together with those the next steps could need, whichever way
-    they go: its result is that of a point-by-point search provided f
-    gives a point the same value inside any array.  If such a call
-    raises, the needed point is evaluated alone, as a float; a failure in
-    a crossing round propagates, as all its points are part of the search.
+    f maps a 1-d float64 array of abscissae to one value per abscissa;
+    refine_peak calls it no other way.  A golden-section call evaluates the
+    point a step needs together with those the next steps could need,
+    whichever way they go: its result is that of a point-by-point search
+    provided f gives a point the same value inside any array.  If such a
+    call raises, the needed point is evaluated alone (a one-point array);
+    a failure in a crossing round propagates, all its points being needed.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -295,12 +282,12 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError(f"empty window ({lo!r}, {hi!r})")
+        raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
     xs = np.linspace(lo, hi, _N_COARSE)
     inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, np.array(inside)]))
-    ys = _values(f, xs)
+    ys = np.asarray(f(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
@@ -329,7 +316,7 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     # a feature below the rounding noise of the subtraction is no feature
     if top <= 1e-12 * float(np.max(np.abs(ys))):
         raise NoPeak("window contains no feature above its local floor")
-    locs = _merge_plateaus(xs, work_ys)
+    locs = _merge_plateaus(work_ys)
     tall = locs[work_ys[locs] >= top * _INV_E]
     for a in range(len(tall)):
         for b in range(a + 1, len(tall)):
@@ -347,11 +334,11 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
         if x not in memo:
             pts = np.array([x] + ahead(), dtype=float)
             try:
-                memo.update(zip(pts.tolist(), _values(feature, pts).tolist()))
+                memo.update(zip(pts.tolist(), np.asarray(feature(pts), dtype=float).tolist()))
             except Exception:
                 # f may fail at a point the search never visits, and such a
                 # point must not decide the outcome: evaluate x alone
-                memo[x] = feature(x)
+                memo[x] = float(feature(np.array([x]))[0])
         return memo[x]
 
     # golden-section refinement on the three-point bracket
@@ -391,9 +378,9 @@ def refine_peak(f: Callable[[np.ndarray | float], np.ndarray | float],
     while open_:
         x_in, x_out = np.array(open_).T[:, :, None]
         nodes = x_in + (x_out - x_in) * fractions
-        below = (_values(feature, nodes.ravel()) <= target).reshape(nodes.shape).tolist()
+        below = (np.asarray(feature(nodes.ravel()), dtype=float) <= target).reshape(nodes.shape)
         still = []
-        for end, inner, row in zip(open_, nodes.tolist(), below):
+        for end, inner, row in zip(open_, nodes.tolist(), below.tolist()):
             # keep the section ending at the first node at or below target
             k = (row + [True]).index(True)
             kept = ([end[0]] + inner + [end[1]])[k:k + 2]
@@ -439,8 +426,8 @@ def _peak_metrics(params: DimensionlessParams, mat: np.ndarray,
         half = 0.5 * LORENTZ_WIDTH_FACTOR * abs(float(e1.imag))
         left = min(float(np.nextafter(c, -np.inf)), c - half)
         right = max(float(np.nextafter(c, np.inf)), c + half)
-        return PeakMetrics(e_peak=c, height=f(c), left_cross=left, right_cross=right,
-                           refined=False)
+        return PeakMetrics(e_peak=c, height=float(f(np.array([c]))[0]), left_cross=left,
+                           right_cross=right, refined=False)
     if search_window is None:
         search_window = _auto_window(eigenvalues)
     return refine_peak(f, search_window, seeds=_pole_seeds(eigenvalues, search_window))
@@ -528,6 +515,6 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     """
     etas = [float(x) for x in eta_list]
     if not etas:
-        raise ValueError("eta_list must be nonempty")
+        raise ValidationError(["eta_list must be nonempty"])
     return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)
                                   for eta in etas])

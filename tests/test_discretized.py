@@ -52,6 +52,20 @@ def test_grid_spec_validation():
         GridSpec(e_min=0.0, e_max=1.0, n_e=10, n_k=-1)
 
 
+@pytest.mark.parametrize("name,value", [("n_e", 10.0), ("n_e", True), ("n_k", 1.5),
+                                        ("n_k", False)])
+def test_grid_count_that_is_not_an_integer_is_a_validation_error(name, value):
+    counts = {"n_e": 10, "n_k": 4, name: value}
+    with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got {value!r}$"):
+        GridSpec(e_min=0.0, e_max=1.0, k_min=0.0, k_max=1.0, **counts)
+
+
+def test_grid_counts_may_be_numpy_integers():
+    grid = GridSpec(e_min=0.0, e_max=4.5, n_e=np.int64(60), k_min=0.0, k_max=3.0,
+                    n_k=np.int32(10))
+    assert discretize(reference_gaussian_model(), grid).size == 3 + 60 + 2 * 10
+
+
 def test_discretize_shapes_and_hermiticity():
     model = reference_gaussian_model()
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=50, k_min=0.0, k_max=3.0, n_k=20)

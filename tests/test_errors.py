@@ -2,7 +2,8 @@
 
 Every entry point decorated with errors._numerical gets an input that
 overflows.  Under the suite's warnings-as-errors it must end in a
-BicLabError: no numpy warning and no bare OverflowError.
+BicLabError: no numpy warning and no bare OverflowError.  An input the
+library refuses on purpose is a ValidationError, a BicLabError too.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ import pytest
 from bic_lab.bic import certify, solve_bic
 from bic_lab.discretized import (GridSpec, compare_pole_approximation, discretize,
                                  resolvent_check)
-from bic_lab.errors import BicLabError
+from bic_lab.errors import BicLabError, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.microscopic import (GaussianCoupling, derive_couplings,
                                  reference_gaussian_model, to_dimensionless)
-from bic_lab.recipes import FIG4_SHARED, fig4_params
-from bic_lab.spectrum import peak_metrics, spectrum_series, sweep_eta
+from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params
+from bic_lab.spectrum import peak_metrics, refine_peak, spectrum_series, sweep_eta
 
 #: the fig4 set with g1 = 1e300: its characteristic coefficients overflow
 HUGE_G1 = fig4_params().replace(g1=1e300)
@@ -69,3 +70,26 @@ def test_overflow_ends_in_a_library_error(name):
     assert "np." not in str(exc.value)
     # the boundary quiets numpy inside the call only
     assert np.geterr() == before
+
+
+# ---------------------------------------------------------------------------
+# an input refused on purpose is a ValidationError, with the message of the
+# bare ValueError it replaced
+
+REFUSALS = {
+    "sweep_eta": (lambda: sweep_eta(fig4_params(), []), r"^eta_list must be nonempty$"),
+    "refine_peak": (lambda: refine_peak(lambda x: x, (1.0, 1.0)),
+                    r"^empty window \(1\.0, 1\.0\)$"),
+    "eigensystem": (lambda: eigensystem(np.eye(2)),
+                    r"^the matrix must be 3x3, got shape \(2, 2\)$"),
+    "fig3_params": (lambda: fig3_params(deviate="g3"),
+                    r"^deviate must be 'g1' or 'g2', got 'g3'$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refused_input_is_a_validation_error(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValidationError, match=message) as exc:
+        call()
+    assert exc.value.exit_code == 2

@@ -119,6 +119,20 @@ def test_coupling_model_validation():
                       e_max=1.0)
 
 
+@pytest.mark.parametrize("name", ["v1f", "v2f", "omega13", "omega23", "e3", "e_max"])
+def test_non_finite_model_scalar_is_a_validation_error_naming_it(name):
+    # e_max = inf integrates to infinity, as None does: only NaN is refused
+    for value in [math.nan] + ([] if name == "e_max" else [math.inf, -math.inf]):
+        with pytest.raises(ValidationError, match=rf"^{name}=(nan|-?inf) "):
+            replace(reference_gaussian_model(), **{name: value})
+
+
+def test_e_max_inf_integrates_to_infinity_as_none_does():
+    model = reference_gaussian_model()
+    assert model.e_max is None
+    assert derive_couplings(replace(model, e_max=math.inf)) == derive_couplings(model)
+
+
 # ---------------------------------------------------------------------------
 # principal-value quadrature
 
@@ -417,6 +431,18 @@ def test_non_finite_derived_field_names_its_coupling():
         derive_couplings(model)
     assert info.value.violations == ["lambda1 is not finite in e_sh_1",
                                      "lambda1 is not finite in gamma_1"]
+
+
+def test_non_finite_vacuum_field_names_its_vacuum_couplings():
+    # v1f and v2f are finite, but 4 pi v1f^2, 4 pi v2f^2 and the cross
+    # term 4 pi v1f v2f p pass the float range
+    model = replace(reference_gaussian_model(), v1f=1e154, v2f=1e154)
+    with pytest.raises(ValidationError) as info:
+        derive_couplings(model)
+    assert info.value.violations == ["v1f is not finite in gamma1_sp",
+                                     "v2f is not finite in gamma2_sp",
+                                     "v1f is not finite in gamma_vic",
+                                     "v2f is not finite in gamma_vic"]
 
 
 def _complex_valued(shape):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import bic_lab.spectrum
 from bic_lab.bic import solve_bic
 from bic_lab.errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                             ValidationError)
@@ -387,9 +388,52 @@ def test_a_point_has_one_value_in_every_batch(fig4_bic):
         for channel in (1, 2):
             f = _evaluator(params, channel)
             full = f(grid)
-            assert [f(x) for x in grid] == full.tolist()
+            assert [f(np.array([x]))[0] for x in grid] == full.tolist()
             subset = rng.permutation(len(grid))[:97]
             assert f(grid[subset]).tolist() == full[subset].tolist()
+
+
+def test_every_spectrum_call_passes_a_one_dim_float64_array(monkeypatch, fig4_bic):
+    # the package has one calling convention for spectra: a 1-d float64
+    # array of abscissae in, one value per abscissa out
+    calls = []
+
+    def recording(*args):
+        f = _spectrum(*args)
+
+        def recorded(x):
+            calls.append(x)
+            return f(x)
+        return recorded
+
+    def arguments():
+        seen = {(type(x), np.ndim(x), str(getattr(x, "dtype", None))) for x in calls}
+        calls.clear()
+        return seen
+
+    one_dim = {(np.ndarray, 1, "float64")}
+    monkeypatch.setattr(bic_lab.spectrum, "_spectrum", recording)
+    spectrum_series(fig4_params(), 5.0, 8.0, 201)
+    assert arguments() == one_dim
+    refined = peak_metrics(fig4_params())
+    assert refined.refined and arguments() == one_dim
+    assert not peak_metrics(fig4_bic.params.replace(eta=1.0 - 1e-12)).refined
+    assert arguments() == one_dim
+    widths = sweep_eta(fig4_params(), FIG4_ETA_LIST).widths()
+    assert None not in widths and arguments() == one_dim
+
+    # refine_peak's failed-batch path: the first lookahead batch raises
+    f, window, seeds = _real_line(fig4_params())
+
+    def failing(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise PoleHit("the first lookahead batch fails")
+        return f(x)
+
+    assert refine_peak(failing, window, seeds) == refined
+    assert calls[2].tolist() == calls[1][:1].tolist()
+    assert arguments() == one_dim
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +546,13 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
     """refine_peak as a sequential search calling f on one point per step."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValueError(f"empty window ({lo!r}, {hi!r})")
+        raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
     xs = np.linspace(lo, hi, n_coarse)
     if len(seeds) > 0:
         inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
         if inside:
             xs = np.unique(np.concatenate([xs, np.array(inside)]))
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    ys = np.asarray(f(xs), dtype=float)
     if not np.all(np.isfinite(ys)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")
     if ys.max() <= 0.0:
@@ -523,15 +567,19 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
     def floor(x):
         return by1 + slope * (x - bx1)
 
+    def at(x):
+        # f at one step's point, evaluated as a one-point array
+        return f(np.array([x]))[0]
+
     im = int(np.argmax(ys))
     if ys[im] >= math.e ** 2 * floor(xs[im]):
-        work, base, work_ys = f, None, ys
+        work, base, work_ys = at, None, ys
     else:
         base = floor
         work_ys = ys - floor(xs)
 
         def work(x):
-            return f(x) - base(x)
+            return at(x) - base(x)
 
         im = int(np.argmax(work_ys))
     if im == 0 or im == len(xs) - 1:
@@ -607,14 +655,14 @@ def test_merge_plateaus_matches_loop():
     for _ in range(2000):
         # few distinct levels, so runs of equal values are common
         ys = rng.integers(0, 4, int(rng.integers(1, 40))).astype(float)
-        assert _merge_plateaus(np.arange(len(ys)), ys).tolist() == _oracle_maxima(ys)
+        assert _merge_plateaus(ys).tolist() == _oracle_maxima(ys)
 
 
 def _random_line(rng):
     """A Lorentzian or Fano line, maybe on a sloped floor, with its window.
 
-    Only +, -, * and / act on x, so a point gets the same value as a
-    float and inside an array.
+    Only +, -, * and / act on x, so a point gets the same value alone
+    and inside any array.
     """
     lo = rng.uniform(-5.0, 5.0)
     hi = lo + rng.uniform(0.05, 3.0)
@@ -693,17 +741,22 @@ def test_refine_peak_ignores_failures_at_points_it_never_visits():
     visited = set(np.concatenate(oracle_calls).tolist())
     never = sorted(set(np.concatenate(calls).tolist()) - visited)
     poisoned = never[len(never) // 2]
-    shapes = []
+    failing_calls = []
 
     def failing(x):
-        shapes.append(np.ndim(x))
-        if np.any(np.asarray(x) == poisoned):
+        failing_calls.append(x.copy())
+        if np.any(x == poisoned):
             raise PoleHit(f"determinant vanishes at E_tilde={poisoned!r}")
         return line(x)
 
     assert refine_peak(failing, (0.2, 0.4)) == want
-    # the failed batch was replaced by single points
-    assert 0 in shapes
+    # each failed batch was replaced by the point the step needed, its
+    # first, evaluated alone in the next call
+    failed = [k for k, x in enumerate(failing_calls) if poisoned in x]
+    assert failed
+    for k in failed:
+        assert len(failing_calls[k]) > 1
+        assert failing_calls[k + 1].tolist() == failing_calls[k][:1].tolist()
 
 
 def test_crossing_search_stops_on_a_sub_ulp_bracket():
