@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence, GridCoverage,
-                     ProbeOnSpectrum, ValidationError, ZeroWidth, _numerical)
+                     ProbeOnSpectrum, ValidationError, ZeroWidth, _numerical, _require_counts,
+                     _require_finite)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling, _coupling_values, _quad
 from .params import DimensionlessParams
@@ -59,7 +59,7 @@ _MAX_ITER = 500  # iteration budget of compare_pole_approximation's pole search
 class GridSpec:
     """Bin layout: collision grid [e_min, e_max] x n_e, photon grid
     [k_min, k_max] x n_k per continuum (n_k = 0 disables the vacuum
-    sector)."""
+    sector).  Bounds are finite; counts are integers."""
 
     e_min: float
     e_max: float
@@ -69,11 +69,8 @@ class GridSpec:
     n_k: int = 0
 
     def __post_init__(self):
-        counts = [f"{name} must be an integer, got {n!r}" for name, n in
-                  (("n_e", self.n_e), ("n_k", self.n_k))
-                  if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
-        if counts:
-            raise ValidationError(counts)
+        _require_counts(n_e=self.n_e, n_k=self.n_k)
+        _require_finite(e_min=self.e_min, e_max=self.e_max, k_min=self.k_min, k_max=self.k_max)
         if not (self.e_min >= 0.0 and self.e_max > self.e_min):
             raise ValidationError([f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid"])
         if self.n_e < 1:
@@ -375,8 +372,15 @@ def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> comp
 
     With eps = 10 dE, its real part converges to
     pv_integral(f, E3, upper=hi) as the grid refines; used as the
-    cross-check between the quadrature and discretized routes.
+    cross-check between the quadrature and discretized routes.  The
+    bounds must be finite with lo < hi, and n_bins a positive integer.
     """
+    _require_counts(n_bins=n_bins)
+    _require_finite(lo=lo, hi=hi)
+    if not lo < hi:
+        raise ValidationError([f"need lo < hi, got {lo!r} >= {hi!r}"])
+    if n_bins < 1:
+        raise ValidationError([f"n_bins must be >= 1, got {n_bins!r}"])
     centers, width = _midpoint_grid(lo, hi, n_bins)
     eps = 10.0 * width
     vals = np.asarray(f(centers), dtype=float)

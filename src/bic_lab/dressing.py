@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDressing, ZeroLinewidth
+from .errors import DegenerateDressing, ZeroLinewidth, _require_finite
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,17 @@ def dress(omega_m: float, delta_m: float,
     between the two dressed states survives only when their spacing is
     comparable to or smaller than the geometric mean of the widths.  At
     values >> 1 the cross terms oscillate faster than they decay and the
-    secular approximation drops them.
+    secular approximation drops them.  A non-finite input is a
+    ValidationError naming it.
     """
+    _require_finite(omega_m=omega_m, delta_m=delta_m)
     if omega_m == 0.0 and delta_m == 0.0:
         raise DegenerateDressing("Omega_m = Delta_m = 0 leaves the dressed basis undefined")
     theta = 0.5 * math.atan2(omega_m, delta_m)
     splitting = math.hypot(omega_m, delta_m)
     feas = None
     if gamma1_bare is not None and gamma2_bare is not None:
+        _require_finite(gamma1_bare=gamma1_bare, gamma2_bare=gamma2_bare)
         if gamma1_bare <= 0.0 or gamma2_bare <= 0.0:
             raise ZeroLinewidth(
                 f"bare widths must be positive, got {gamma1_bare!r}, {gamma2_bare!r}")

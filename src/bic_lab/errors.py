@@ -7,6 +7,8 @@ library callers can read too.
 """
 
 import functools
+import math
+import numbers
 
 import numpy as np
 
@@ -122,3 +124,20 @@ def _numerical(fn):
         except OverflowError as exc:
             raise ConvergenceFailure(f"{fn.__name__} overflowed: {exc}") from None
     return wrapper
+
+
+def _require_finite(**values) -> None:
+    """Raise one ValidationError naming every keyword value that is not finite."""
+    problems = [f"{name}={value!r} is not finite" for name, value in values.items()
+                if not math.isfinite(value)]
+    if problems:
+        raise ValidationError(problems)
+
+
+def _require_counts(**values) -> None:
+    """Raise one ValidationError naming every keyword value that is not a count:
+    an integer (numbers.Integral) other than a bool."""
+    problems = [f"{name} must be an integer, got {n!r}" for name, n in values.items()
+                if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
+    if problems:
+        raise ValidationError(problems)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ValidationError,
-                     ZeroCross, ZeroWidth, _numerical)
+                     ZeroCross, ZeroWidth, _numerical, _require_finite)
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
@@ -137,11 +137,8 @@ class CouplingModel:
     e_max: float | None = None
 
     def __post_init__(self):
-        problems = [f"{name}={getattr(self, name)!r} is not finite"
-                    for name in ("v1f", "v2f", "omega13", "omega23", "e3")
-                    if not math.isfinite(getattr(self, name))]
-        if problems:
-            raise ValidationError(problems)
+        _require_finite(v1f=self.v1f, v2f=self.v2f, omega13=self.omega13,
+                        omega23=self.omega23, e3=self.e3)
         if not -1.0 <= self.dipole_overlap <= 1.0:
             raise ValidationError(
                 [f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}"])

@@ -8,7 +8,9 @@ with v = (sqrt(g1), sqrt(g2), 1), i.e. the cofactor combination
 A_n1*sqrt(g1) + A_n2*sqrt(g2) + A_n3 over the determinant, where A is
 the transpose of the cofactor matrix.  The dimensional prefactor
 sqrt(2/(pi*hbar*Gamma_F)) of the raw amplitude is factored out; what is
-reported is S_n(E)*E_F, the quantity the reference figures plot.
+reported is S_n(E)*E_F, the quantity the reference figures plot.  At an
+exact bound state the numerator N and the determinant D share a real
+root, where the amplitude is the limit N'/D' (_amplitude).
 
 Width convention: W is the full width at 1/e of the peak height (not
 FWHM).  For a Lorentzian of half-width-at-half-maximum h this gives
@@ -25,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
-                     ValidationError, _numerical)
+                     ValidationError, _numerical, _require_counts, _require_finite)
 from .hamiltonian import _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
 
@@ -39,19 +41,17 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     """The complex amplitude of channel 1 or 2 as a function of a 1-d
     float array of abscissae.
 
-    The channel check, the entries of M, their point-free products and
-    the floor scales are taken once per matrix; a call shifts the diagonal
-    once, as a (3, N) array, and one of det's minors is a cofactor of the
-    numerator.  At an exact bound state in the continuum the real
-    eigenvalue is a removable singularity (numerator and determinant share
-    the root): points where det sits at its float rounding level, if any,
-    are evaluated at a one-sided offset instead of returning a ratio of
-    rounding residues.  A rounding-level determinant with a surviving
-    numerator is a true real pole and raises PoleHit.
+    Everything point-free is taken once per matrix; a call shifts the
+    diagonal once, as a (3, N) array, and reuses a minor of det as a
+    cofactor of the numerator.  Where det D sits below its rounding floor,
+    a point takes r = N'/D', the limit at a simple root D shares with the
+    numerator N, if it is removable: |D'| >= 8 eps s^2 and |N - r D| <
+    8 eps s^2 (max|v| + |r| s), with s = max(s_mat, |x|).  Else it is a
+    real pole and raises PoleHit.
     """
     if channel not in (1, 2):
         raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
-    diag = mat.diagonal()
+    diag = mat.diagonal()[:, None]
     n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
     n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
     # the products of two off-diagonal entries do not depend on the point
@@ -64,42 +64,34 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     s_mat = max(1.0, float(np.max(np.abs(mat))))
     v_max = float(np.max(np.abs(v)))
 
-    def det_and_numerator(e):
-        # adj[n, j] is the (j, n) cofactor of eI - M: channel n needs cof(0..2, n-1).
-        # A scalar e keeps numpy's scalar products, which round unlike its array loops
-        n00, n11, n22 = e - (diag[:, None] if np.ndim(e) else diag)
+    def amplitude(x: np.ndarray) -> np.ndarray:
+        # adj[n, j] is the (j, n) cofactor of xI - M: channel n needs cof(0..2, n-1)
+        n00, n11, n22 = x - diag
         minor0, minor1 = n11 * n22 - p12_21, n10 * n22 - p12_20
         det = n00 * minor0 - n01 * minor1 + n02 * (p10_21 - n11 * n20)
         if channel == 1:
-            return det, minor0 * v0 + -(n01 * n22 - pc1) * v1 + (pc2 - n02 * n11) * v2
-        return det, -minor1 * v0 + (n00 * n22 - pc1) * v1 + -(n00 * n12 - pc2) * v2
-
-    def resolve_rounding_zero(e: float, num: complex, floor_d: float) -> complex:
-        """The amplitude where det sits below its rounding floor: a pole
-        unless the numerator does too; else the limit at a one-sided
-        offset, escalated until det clears its floor by 1e5 (relative
-        accuracy ~1e-5, better where the amplitude is locally flat)."""
-        s = max(s_mat, abs(e))
-        if abs(num) >= 8.0 * _EPS * (s * s) * v_max:
-            raise PoleHit(f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
-        h = 1e-9 * max(1.0, abs(e))
-        for _ in range(6):
-            det_off, num_off = det_and_numerator(complex(e + h))
-            if abs(complex(det_off)) >= 1e5 * floor_d:
-                return complex(num_off) / complex(det_off)
-            h *= 32.0
-        raise PoleHit(f"determinant stays at rounding level near E_tilde={e!r}")
-
-    def amplitude(x: np.ndarray) -> np.ndarray:
-        det, num = det_and_numerator(x)
-        floor_d = 8.0 * _EPS * np.maximum(s_mat, np.abs(x)) ** 3
+            num = minor0 * v0 + -(n01 * n22 - pc1) * v1 + (pc2 - n02 * n11) * v2
+        else:
+            num = -minor1 * v0 + (n00 * n22 - pc1) * v1 + -(n00 * n12 - pc2) * v2
+        s = np.maximum(s_mat, np.abs(x))
+        floor_d = 8.0 * _EPS * s ** 3
         # a NaN det is not tiny: its ratio is reported as non-finite, not as a pole
         tiny = np.abs(det) < floor_d
         if not tiny.any():
             return num / det
         amps = num / np.where(tiny, 1.0, det)
-        for i in np.flatnonzero(tiny):
-            amps[i] = resolve_rounding_zero(float(x[i]), complex(num[i]), float(floor_d[i]))
+        # the derivatives at the tiny points: each n_ii grows by 1 per unit x
+        t00, t11, t22, s = n00[tiny], n11[tiny], n22[tiny], s[tiny]
+        d_det = minor0[tiny] + t00 * (t11 + t22) - n01 * n10 - n02 * n20
+        r = ((t11 + t22) * v0 - n01 * v1 - n02 * v2 if channel == 1
+             else -n10 * v0 + (t00 + t22) * v1 - n12 * v2) / d_det
+        floor_2 = 8.0 * _EPS * s ** 2
+        removable = ((np.abs(d_det) >= floor_2)
+                     & (np.abs(num[tiny] - r * det[tiny]) < floor_2 * (v_max + np.abs(r) * s)))
+        if not removable.all():
+            e = float(x[tiny][~removable][0])
+            raise PoleHit(f"determinant vanishes at E_tilde={e!r} and the point is not removable")
+        amps[tiny] = r
         return amps
 
     return amplitude
@@ -137,6 +129,8 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     geometric bridge out to the base spacing.  The refinement floor is
     (e_max - e_min)/1e8, so no narrower feature is silently skipped.
     """
+    _require_finite(e_min=e_min, e_max=e_max)
+    _require_counts(n_points=n_points)
     if not e_min < e_max:
         raise ValidationError([f"need e_min < e_max, got {e_min!r} >= {e_max!r}"])
     if n_points < 2:
@@ -166,12 +160,10 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
         extras.append(core)
         if bridges:
             extras.append(np.array(bridges))
+    grid = base
     if extras:
         grid = np.concatenate([base] + extras)
-        grid = grid[(grid >= e_min) & (grid <= e_max)]
-        grid = np.unique(grid)
-    else:
-        grid = base
+        grid = np.unique(grid[(grid >= e_min) & (grid <= e_max)])
     values = f(grid)
     if not np.all(np.isfinite(values)):
         raise ConvergenceFailure("spectrum evaluation returned non-finite values")

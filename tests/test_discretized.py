@@ -60,6 +60,15 @@ def test_grid_count_that_is_not_an_integer_is_a_validation_error(name, value):
         GridSpec(e_min=0.0, e_max=1.0, k_min=0.0, k_max=1.0, **counts)
 
 
+@pytest.mark.parametrize("bounds,message", [
+    (dict(e_max=math.inf, n_e=10), "e_max=inf is not finite"),
+    (dict(e_max=1.0, n_e=10, k_max=math.inf, n_k=3), "k_max=inf is not finite"),
+])
+def test_grid_bound_that_is_not_finite_is_a_validation_error(bounds, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        GridSpec(e_min=0.0, **bounds)
+
+
 def test_grid_counts_may_be_numpy_integers():
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=np.int64(60), k_min=0.0, k_max=3.0,
                     n_k=np.int32(10))
@@ -370,6 +379,18 @@ def test_smoothed_kernel_sum_matches_pv():
     # must shrink the deviation by about 4x
     diff_fine = abs(smoothed_kernel_sum(f, e3, lo, hi, 8000).real - ref)
     assert diff_fine < 0.4 * diff
+
+
+@pytest.mark.parametrize("lo,hi,n_bins,message", [
+    (0.0, 2.0, 0, "n_bins must be >= 1, got 0"),
+    (0.0, 2.0, 2.5, "n_bins must be an integer, got 2.5"),
+    (0.0, math.inf, 4, "hi=inf is not finite"),
+    (math.nan, 2.0, 4, "lo=nan is not finite"),
+    (2.0, 2.0, 4, "need lo < hi, got 2.0 >= 2.0"),
+])
+def test_smoothed_kernel_sum_refuses_bad_bins(lo, hi, n_bins, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        smoothed_kernel_sum(lambda e: e, 0.25, lo, hi, n_bins)
 
 
 def test_flat_limit_pole_agreement():

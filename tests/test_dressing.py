@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bic_lab.dressing import DressedPair, dress
-from bic_lab.errors import DegenerateDressing, ZeroLinewidth
+from bic_lab.errors import DegenerateDressing, ValidationError, ZeroLinewidth
 
 
 def test_mixing_angle_limits():
@@ -69,3 +69,14 @@ def test_feasibility_of_tiny_widths_does_not_underflow(g1, g2):
     assert mean > 0.0
     assert dress(3.0, 4.0, g1, g2).feasibility == 5.0 / mean
     assert dress(1e308, 1e308, g1, g2).feasibility == math.inf
+
+
+@pytest.mark.parametrize("args,message", [
+    ((math.nan, 1.0), "omega_m=nan is not finite"),
+    ((1.0, -math.inf), "delta_m=-inf is not finite"),
+    ((math.inf, 1.0, 1.0, 1.0), "omega_m=inf is not finite"),
+    ((1.0, 1.0, 1.0, math.nan), "gamma2_bare=nan is not finite"),
+])
+def test_non_finite_input_is_a_validation_error(args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dress(*args)

@@ -27,12 +27,14 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp
 
+from bic_lab.bic import solve_bic
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.recipes import (FIG4_ETA_LIST, QUOTED, fig3_params, fig4_params,
                              fig5_eta_grid, fig5_params)
-from bic_lab.spectrum import (_N_COARSE, _auto_window, _pole_seeds, _spectrum,
+from bic_lab.spectrum import (_N_COARSE, _amplitude, _auto_window, _pole_seeds, _spectrum,
                               spectrum_series, sweep_eta)
 from conftest import record_acceptance
+from test_spectrum import _FAR_OUT_BIC_DESIGNS
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 SWEEP_COLUMNS = ("E_peak", "height", "width", "re_E1", "im_E1")
@@ -197,3 +199,40 @@ def test_fig4_lines_against_50_digits():
 def test_fig5_lines_against_50_digits():
     _sweep_against_50_digits("fig5", fig5_params(), [float(x) for x in fig5_eta_grid()], {
         "E_peak": 2e-7, "height": 2e-8, "width": 2e-8, "re_E1": 3e-15, "im_E1": 4e-8})
+
+
+def _removable_limit(params, lam, channel):
+    """N'/D' of the channel at lam, at the working precision: the amplitude
+    at a real root that the numerator N shares with D = det(eI - M)."""
+    m = [[mp.mpc(complex(z)) for z in row] for row in build(params)]
+    e = mp.mpf(lam)
+    (n00, n01, n02), (n10, n11, n12), (n20, n21, n22) = (
+        [(e if i == j else 0) - m[i][j] for j in range(3)] for i in range(3))
+    v = (mp.mpf(math.sqrt(params.g1)), mp.mpf(math.sqrt(params.g2)), 1)
+    # D' is the sum of the principal 2x2 minors; N' the derivatives of its cofactors
+    d_det = (n11 * n22 - n12 * n21) + (n00 * n22 - n02 * n20) + (n00 * n11 - n01 * n10)
+    dc = (n11 + n22, -n01, -n02) if channel == 1 else (-n10, n00 + n22, -n12)
+    return (dc[0] * v[0] + dc[1] * v[1] + dc[2] * v[2]) / d_det
+
+
+def test_amplitude_at_an_exact_bound_state_is_its_limit(fig4_bic):
+    rng = np.random.default_rng(29)
+    sols = [fig4_bic] + [solve_bic(**d) for d in _FAR_OUT_BIC_DESIGNS]
+    for _ in range(200):
+        sols.append(solve_bic(g1=rng.uniform(0.1, 5.0), g2=rng.uniform(0.1, 5.0),
+                              q1=rng.uniform(-2.0, 2.0), q2=rng.uniform(-2.0, 2.0),
+                              delta=rng.uniform(-1.0, 1.0), gamma1=rng.uniform(0.1, 3.0),
+                              gamma2=rng.uniform(0.1, 3.0), inv_kca=rng.uniform(-3.0, 3.0)))
+    worst = 0.0
+    with mp.workdps(50):
+        for sol in sols:
+            p = sol.params
+            v = np.array([math.sqrt(p.g1), math.sqrt(p.g2), 1.0])
+            for channel in (1, 2):
+                got = complex(_amplitude(build(p), v, channel)(np.array([sol.lam]))[0])
+                want = _removable_limit(p, sol.lam, channel)
+                worst = max(worst, float(abs(mp.mpc(got) - want) / abs(want)))
+    record_acceptance("bound-state limit 50-digit oracle", worst <= 1e-12,
+                      f"max relative error of the amplitude at lambda {worst:.1e} "
+                      f"over {len(sols)} exact bound states (ceiling 1e-12)")
+    assert worst <= 1e-12

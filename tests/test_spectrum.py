@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,17 +96,17 @@ def test_true_real_pole_raises():
         amp(np.array([1.0]))
 
 
-def test_removable_point_escalates_its_offset():
-    # det(eI - M) = (e - 0.5)^3 over a numerator (e - 0.5)^2: offsets
-    # h = 1e-9 * 32^k leave det below 1e5 times its floor up to k = 3, and
-    # k = 4 clears it, where the amplitude is 1/h
+def test_a_double_root_is_a_pole_not_a_removable_point():
+    # det(eI - M) = (e - 0.5)^3 over a numerator (e - 0.5)^2: the amplitude
+    # is 1/(e - 0.5), and D' vanishes with det, so e = 0.5 is a pole
     amp = _amplitude(0.5 * np.eye(3, dtype=complex), np.ones(3), 1)
-    assert amp(np.array([0.5]))[0] == pytest.approx(1.0 / (1e-9 * 32.0 ** 4), rel=1e-9)
-    # an upper-triangular M keeps det = (e - 0.5)^3, while its 1e6 entries
-    # raise the floor beyond what any of the six offsets reaches
+    message = "^determinant vanishes at E_tilde=0.5 and the point is not removable$"
+    with np.errstate(all="ignore"), pytest.raises(PoleHit, match=message):
+        amp(np.array([0.5]))
+    # an upper-triangular M keeps det = (e - 0.5)^3 with 1e6 entries above
     m = 0.5 * np.eye(3) + np.triu(np.full((3, 3), 1e6), 1)
     amp = _amplitude(m.astype(complex), np.array([1.0, 1.0, 0.0]), 1)
-    with pytest.raises(PoleHit, match="^determinant stays at rounding level near E_tilde=0.5$"):
+    with np.errstate(all="ignore"), pytest.raises(PoleHit, match=message):
         amp(np.array([0.5]))
 
 
@@ -120,6 +121,25 @@ def test_no_lasers_no_signal():
 def test_spectrum_series_validation():
     with pytest.raises(ValueError):
         spectrum_series(fig3_params(), 2.0, 1.0, 100)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(e_max=math.inf), "e_max=inf is not finite"),
+    (dict(n_points=10.7), "n_points must be an integer, got 10.7"),
+])
+def test_spectrum_series_refuses_bad_bounds_and_counts(kwargs, message):
+    args = dict(e_min=0.5, e_max=2.5, n_points=11) | kwargs
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        spectrum_series(fig3_params(), **args)
+
+
+@pytest.mark.parametrize("g1", [2.004, 2.001, 2.0004])
+def test_spectrum_around_a_far_out_bound_state_has_no_pole(g1):
+    # lambda = 1341, 5361, 13401: a grid point a few 1e-12 from lambda is a
+    # removable point, though its numerator N'(x - lambda) passes 8 eps s^2 max|v|
+    sol = solve_bic(g1=g1, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+    series = spectrum_series(sol.params, sol.lam - 5.0, sol.lam + 5.0, 401)
+    assert np.all(np.isfinite(series.values))
 
 
 def test_spectrum_series_refines_narrow_line():
@@ -366,7 +386,7 @@ def test_nan_determinant_is_a_non_finite_value_not_a_pole(fig4):
     # near |E| = 1e308 the cofactor arithmetic overflows into a NaN det,
     # which must read as a numerical failure, not as a pole
     with np.errstate(all="ignore"):
-        assert math.isnan(_evaluator(fig4)(1e308))
+        assert math.isnan(_evaluator(fig4)(np.array([1e308]))[0])
     # the public call silences numpy's overflow warnings itself: under the
     # suite's warnings-as-errors filter only the numerical failure comes out
     with pytest.raises(ConvergenceFailure, match="non-finite"):
@@ -439,12 +459,13 @@ def test_every_spectrum_call_passes_a_one_dim_float64_array(monkeypatch, fig4_bi
 # ---------------------------------------------------------------------------
 # _amplitude takes the point-free products once per matrix and shifts the
 # diagonal as one (3, N) array; every bit must stay that of the plain
-# cofactor formula, kept here as the oracle
+# cofactor formula, kept here as the oracle, except at the removable points
 
 
 def _oracle_amplitude(mat, v, channel, x):
     """The amplitude at the points x from the cofactor formula, every
-    product taken per call; also the number of rounding-zero points."""
+    product taken per call; also the mask of rounding-zero points, which
+    take N'/D' when removable."""
     m00, m11, m22 = mat[0, 0], mat[1, 1], mat[2, 2]
     n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
     n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
@@ -452,49 +473,37 @@ def _oracle_amplitude(mat, v, channel, x):
     s_mat = max(1.0, float(np.max(np.abs(mat))))
     v_max = float(np.max(np.abs(v)))
 
-    def det_and_numerator(e):
-        e = np.asarray(e, dtype=complex)
-        n00, n11, n22 = e - m00, e - m11, e - m22
-        det = (n00 * (n11 * n22 - n12 * n21)
-               - n01 * (n10 * n22 - n12 * n20)
-               + n02 * (n10 * n21 - n11 * n20))
-        if channel == 1:
-            c0 = n11 * n22 - n12 * n21
-            c1 = -(n01 * n22 - n02 * n21)
-            c2 = n01 * n12 - n02 * n11
-        else:
-            c0 = -(n10 * n22 - n12 * n20)
-            c1 = n00 * n22 - n02 * n20
-            c2 = -(n00 * n12 - n02 * n10)
-        return det, c0 * v[0] + c1 * v[1] + c2 * v[2]
-
-    def resolve(e, num, floor_d):
-        s = max(s_mat, abs(e))
-        if abs(num) >= 8.0 * eps * (s * s) * v_max:
-            raise PoleHit(f"determinant vanishes at E_tilde={e!r} with nonzero numerator")
-        h = 1e-9 * max(1.0, abs(e))
-        for _ in range(6):
-            det_off, num_off = det_and_numerator(complex(e + h))
-            if abs(complex(det_off)) >= 1e5 * floor_d:
-                return complex(num_off) / complex(det_off)
-            h *= 32.0
-        raise PoleHit(f"determinant stays at rounding level near E_tilde={e!r}")
-
-    det, num = det_and_numerator(x)
+    e = np.asarray(x, dtype=complex)
+    n00, n11, n22 = e - m00, e - m11, e - m22
+    det = (n00 * (n11 * n22 - n12 * n21)
+           - n01 * (n10 * n22 - n12 * n20)
+           + n02 * (n10 * n21 - n11 * n20))
+    if channel == 1:
+        c0 = n11 * n22 - n12 * n21
+        c1 = -(n01 * n22 - n02 * n21)
+        c2 = n01 * n12 - n02 * n11
+    else:
+        c0 = -(n10 * n22 - n12 * n20)
+        c1 = n00 * n22 - n02 * n20
+        c2 = -(n00 * n12 - n02 * n10)
+    num = c0 * v[0] + c1 * v[1] + c2 * v[2]
     floor_d = 8.0 * eps * np.maximum(s_mat, np.abs(x)) ** 3
     tiny = np.abs(det) < floor_d
     amps = num / np.where(tiny, 1.0, det)
     for i in np.flatnonzero(tiny):
-        amps[i] = resolve(float(x[i]), complex(num[i]), float(floor_d[i]))
-    return amps, int(tiny.sum())
-
-
-def _bits(fn):
-    """The bits of fn(), or the type and message of what it raised."""
-    try:
-        return fn().view(np.uint64).tolist()
-    except PoleHit as exc:
-        return type(exc), str(exc)
+        a, b, c = n00[i], n11[i], n22[i]
+        # D' is the sum of the three principal 2x2 minors of xI - M
+        d_det = (b * c - n12 * n21) + (a * c - n02 * n20) + (a * b - n01 * n10)
+        # the derivatives of the numerator's three cofactors
+        dc = (b + c, -n01, -n02) if channel == 1 else (-n10, a + c, -n12)
+        r = (dc[0] * v[0] + dc[1] * v[1] + dc[2] * v[2]) / d_det
+        s = max(s_mat, abs(float(x[i])))
+        floor = 8.0 * eps * s * s
+        if not (abs(d_det) >= floor and abs(num[i] - r * det[i]) < floor * (v_max + abs(r) * s)):
+            raise PoleHit(f"determinant vanishes at E_tilde={float(x[i])!r} "
+                          "and the point is not removable")
+        amps[i] = r
+    return amps, tiny
 
 
 def test_amplitude_is_bit_equal_to_the_cofactor_oracle(rng, fig4_bic):
@@ -505,7 +514,7 @@ def test_amplitude_is_bit_equal_to_the_cofactor_oracle(rng, fig4_bic):
         x = np.concatenate([rng.uniform(-12.0, 12.0, 24), eigenvalues.real,
                             eigenvalues.real + rng.normal(0.0, 1e-3, 3)])
         cases.append((p, x))
-    # exact bound states: E = lambda takes the rounding-zero path
+    # exact bound states: E = lambda is a removable rounding-zero point
     bics = [fig4_bic] + [solve_bic(**d) for d in _FAR_OUT_BIC_DESIGNS]
     cases += [(sol.params, np.array([sol.lam - 0.5, sol.lam, sol.lam + 1e-12, sol.lam + 0.5]))
               for sol in bics]
@@ -513,12 +522,16 @@ def test_amplitude_is_bit_equal_to_the_cofactor_oracle(rng, fig4_bic):
     for p, x in cases:
         mat, v = build(p), coupling_vector(p)
         for channel in (1, 2):
-            assert _bits(lambda: _amplitude(mat, v, channel)(x)) == \
-                _bits(lambda: _oracle_amplitude(mat, v, channel, x)[0])
             try:
-                resolved += _oracle_amplitude(mat, v, channel, x)[1]
-            except PoleHit:
-                pass
+                want, tiny = _oracle_amplitude(mat, v, channel, x)
+            except PoleHit as exc:
+                with pytest.raises(PoleHit, match=f"^{re.escape(str(exc))}$"):
+                    _amplitude(mat, v, channel)(x)
+                continue
+            got = _amplitude(mat, v, channel)(x)
+            assert got[~tiny].view(np.uint64).tolist() == want[~tiny].view(np.uint64).tolist()
+            assert got[tiny] == pytest.approx(want[tiny], rel=1e-12)
+            resolved += int(tiny.sum())
     assert resolved >= 2 * len(bics)
 
 
