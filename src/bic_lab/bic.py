@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceFailure, DegenerateVector, SingularSolve,
-                     ValidationError, _numerical)
+                     ValidationError, _numerical, _require_finite)
 from .hamiltonian import _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
 
@@ -50,14 +50,17 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     g12 defaults to the coherent value sqrt(g1*g2), which is also the
     only case in which B can have the zero mode; eta is always set to
     sqrt(gamma1*gamma2).  X = (x1, x2, 1) of the module docstring and its
-    norm C come back as ``x`` and ``c``.  Raises ValidationError unless
-    g1, g2 >= 0 and gamma1, gamma2 > 0; DegenerateVector when
+    norm C come back as ``x`` and ``c``.  Raises ValidationError for an
+    input that is not a finite real number (g12 only when given), or
+    unless g1, g2 >= 0 and gamma1, gamma2 > 0; DegenerateVector when
     g1/g2 = gamma1/gamma2 leaves X undefined, checked before SingularSolve
     for g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
     A X = lambda X insoluble; ConvergenceFailure when a residual is
     non-finite or exceeds 1e-12 * max(1, ||A||_F, ||B||_F), as it does
     once the inputs overflow: the result would not be a solution.
     """
+    _require_finite(g1=g1, g2=g2, g12=0.0 if g12 is None else g12, q1=q1, q2=q2,
+                    delta=delta, gamma1=gamma1, gamma2=gamma2, inv_kca=inv_kca)
     if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
         raise ValidationError(
             [f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
@@ -118,20 +121,21 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
 class CertificationReport:
     """Spectral evidence for (or against) a real eigenvalue."""
 
-    is_bic: bool           # |Im eigenvalue| <= tol_im
+    is_bic: bool           # |Im eigenvalue| <= 1e-9 * max(1, ||A + iB||_F)
     eigenvalue: complex    # the eigenvalue nearest the real axis
     residual_b: float      # ||B v|| for its eigenvector
     vic_residual: float    # eta^2 - gamma1*gamma2, zero at maximal coherence
 
 
 @_numerical
-def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationReport:
-    """Check numerically whether A + i*B has a (near-)real eigenvalue.
+def certify(params: DimensionlessParams) -> CertificationReport:
+    """Check numerically whether A + i*B has a real eigenvalue.
 
     This is deliberately independent of the closed-form construction in
     ``solve_bic``: it diagonalizes the full complex matrix and inspects
     the mode nearest the real axis, so the two routes cross-check each
-    other.  A gain mode raises GainMode, as for a spectrum.
+    other.  ``is_bic`` holds when |Im E| <= 1e-9 * max(1, ||A + iB||_F); another
+    verdict reads ``eigenvalue``.  A gain mode raises GainMode, as for a spectrum.
     """
     m = build(params)
     eig = eigensystem(m)
@@ -140,7 +144,7 @@ def certify(params: DimensionlessParams, tol_im: float = 1e-9) -> CertificationR
     k = int(np.argmin(ims))
     v = eig.eigenvectors[:, k]
     return CertificationReport(
-        is_bic=bool(ims[k] <= tol_im),
+        is_bic=bool(ims[k] <= 1e-9 * max(1.0, float(np.linalg.norm(m)))),
         eigenvalue=complex(eig.eigenvalues[k]),
         residual_b=float(np.linalg.norm(m.imag @ v)),
         vic_residual=params.eta ** 2 - params.gamma1 * params.gamma2,

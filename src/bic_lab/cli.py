@@ -222,7 +222,7 @@ _CONFIGS = {
                             "gamma1_bare": (_number, None),
                             "gamma2_bare": (_number, None)}, ...)},
     "solve": {"params": (_SOLVE_PARAMS, ...)},
-    "certify": {**_PARAMS, "tol_im": (_number, 1e-9)},
+    "certify": _PARAMS,
     "spectrum": {**_PARAMS, "grid": ({
         "e_min": (_number, ...), "e_max": (_number, ...),
         "n_points": (partial(_integer, most=MAX_POINTS), 601), "channel": (_integer, 1)}, ...)},
@@ -290,7 +290,7 @@ def _run_solve(cfg: dict, args) -> None:
 
 
 def _run_certify(cfg: dict, args) -> None:
-    report = certify(cfg["params"], tol_im=cfg["tol_im"])
+    report = certify(cfg["params"])
     lam = report.eigenvalue
     _emit_record({"is_bic": report.is_bic, "min_abs_im": abs(lam.imag), "lambda_est": lam.real,
                   "re_E1": lam.real, "im_E1": lam.imag, "residual_b": report.residual_b,

@@ -3,12 +3,12 @@
 Every error raised on purpose by this package derives from BicLabError,
 so callers (and the CLI) can distinguish domain failures from bugs. Each
 class carries the CLI exit code of its kind as ``exit_code``, which
-library callers can read too.
+library callers can read too; ``_require_finite`` is the one bare-number rule.
 """
 
 import functools
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -126,12 +126,24 @@ def _numerical(fn):
     return wrapper
 
 
-def _require_finite(**values) -> None:
-    """Raise one ValidationError naming every keyword value that is not finite."""
-    problems = [f"{name}={value!r} is not finite" for name, value in values.items()
-                if not math.isfinite(value)]
+def _require_finite(**values) -> list[float]:
+    """The keyword values as Python floats, in order; one ValidationError names each
+    bool or non-real ("is not a real number") and each non-finite ("is not finite")."""
+    out, problems = [], []
+    for name, v in values.items():
+        if type(v) is float and abs(v) <= sys.float_info.max:  # the common case
+            out.append(v)
+        # float and int first: the numbers.Real check alone is slow
+        elif isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
+            problems.append(f"{name}={v!r} is not a real number")
+        # float(v) drops a numpy repr; float() of a huge int or Fraction overflows
+        elif abs(x := v if isinstance(v, numbers.Rational) else float(v)) <= sys.float_info.max:
+            out.append(float(x))
+        else:
+            problems.append(f"{name}={x!r} is not finite")
     if problems:
         raise ValidationError(problems)
+    return out
 
 
 def _require_counts(**values) -> None:

@@ -19,11 +19,9 @@ hbar*Gamma_F/2, which makes every quantity below dimensionless:
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass, fields, replace
 
-from .errors import ValidationError
+from .errors import ValidationError, _require_finite
 
 #: the parameter names in canonical order (the order of as_dict)
 PARAM_KEYS = (
@@ -36,7 +34,6 @@ VALIDATION_MODES = ("permissive", "physical", "strict")
 
 # absolute slack for the strict equalities and the physical inequalities
 _EQ_TOL = 1e-12
-_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -61,25 +58,14 @@ class DimensionlessParams:
     inv_kca: float = 0.0
 
     def __post_init__(self):
-        problems = []
+        rest = {}  # a finite Python float is stored as given, a None coherence defaulted
         for name in _FIELD_NAMES:
             v = getattr(self, name)
-            if type(v) is float and abs(v) <= _FLOAT_MAX:  # stored as given
-                continue
-            if v is None and name in ("g12", "eta"):
-                continue
-            # float and int first: the numbers.Real check alone is slow
-            if isinstance(v, bool) or not isinstance(v, (float, int, numbers.Real)):
-                problems.append(f"{name}={v!r} is not a real number")
-                continue
-            # float(v) drops a numpy repr; float() of a huge int or Fraction overflows
-            x = v if isinstance(v, numbers.Rational) else float(v)
-            if abs(x) <= _FLOAT_MAX:
-                object.__setattr__(self, name, float(x))
-            else:
-                problems.append(f"{name}={x!r} is not finite")
-        if problems:
-            raise ValidationError(problems)
+            if not (type(v) is float and math.isfinite(v) or v is None and name in ("g12", "eta")):
+                rest[name] = v
+        if rest:  # through the library's one number rule
+            for name, x in zip(rest, _require_finite(**rest)):
+                object.__setattr__(self, name, x)
         if self.g1 < 0.0 or self.g2 < 0.0:
             raise ValidationError(
                 [f"laser-induced widths must be >= 0, got g1={self.g1}, g2={self.g2}"])

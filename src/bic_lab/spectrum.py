@@ -261,8 +261,10 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     point a step needs together with those the next steps could need,
     whichever way they go: its result is that of a point-by-point search
     provided f gives a point the same value inside any array.  If such a
-    call raises, the needed point is evaluated alone (a one-point array);
-    a failure in a crossing round propagates, all its points being needed.
+    call raises, the needed point is evaluated alone (a one-point array),
+    and no later call holds the failed call's other points unless a step
+    needs one; a failure in a crossing round propagates, all its points
+    being needed.
 
     Near a bound state in the continuum the resonance decouples from
     the entrance channel, so its line can ride on a non-resonant floor
@@ -320,16 +322,22 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
 
     # every golden-section step asks work for one point
     memo: dict[float, float] = {}
+    failed: set[float] = set()  # the points of batches that raised
 
     def work(x, ahead: Callable[[], list]) -> float:
-        """The feature at x; a miss evaluates x together with ahead()."""
+        """The feature at x; a miss evaluates x together with ahead(),
+        less the points of failed batches."""
         if x not in memo:
-            pts = np.array([x] + ahead(), dtype=float)
+            more = ahead()
+            if failed:
+                more = [p for p in more if p not in failed]
+            pts = np.array([x] + more, dtype=float)
             try:
                 memo.update(zip(pts.tolist(), np.asarray(feature(pts), dtype=float).tolist()))
             except Exception:
                 # f may fail at a point the search never visits, and such a
                 # point must not decide the outcome: evaluate x alone
+                failed.update(pts.tolist())
                 memo[x] = float(feature(np.array([x]))[0])
         return memo[x]
 

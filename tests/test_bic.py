@@ -97,6 +97,19 @@ def test_solve_bic_singular_geometry():
                   gamma1=4.0, gamma2=1.0, g12=1.0)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    # an input error, not the overflow of solve_bic's arithmetic (exit 3)
+    ("g1", 10 ** 400, f"g1={10 ** 400!r} is not finite"),
+    # not a TypeError from the width check
+    ("gamma1", "1", "gamma1='1' is not a real number"),
+], ids=["huge-int", "string"])
+def test_solve_bic_refuses_a_bare_number_it_cannot_use(key, value, message):
+    design = dict(g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+    with pytest.raises(ValidationError) as exc:
+        solve_bic(**dict(design, **{key: value}))
+    assert exc.value.violations == [message]
+
+
 def test_solve_bic_rejects_zero_gamma2():
     with pytest.raises(ValueError):
         solve_bic(g1=1.0, g2=2.0, q1=0.0, q2=0.0, delta=0.0,
@@ -136,9 +149,41 @@ def test_certify_refuses_a_gain_mode():
     assert not certify(fig4_params(eta=0.9)).is_bic
 
 
-def test_certify_tolerance_knob():
-    rep_loose = certify(fig3_params(), tol_im=1e-3)
-    assert rep_loose.is_bic
+def test_another_verdict_reads_the_reported_eigenvalue():
+    # certify has no tolerance knob: the deviated fig3 set is no bound
+    # state, and a caller with a looser rule judges its reported eigenvalue
+    with pytest.raises(TypeError):
+        certify(fig3_params(), tol_im=1e-3)
+    rep = certify(fig3_params())
+    assert not rep.is_bic
+    assert rep.eigenvalue.imag == pytest.approx(-1.1427791e-4, rel=1e-6)
+
+
+def test_far_out_bound_states_certify_and_their_incoherent_twins_do_not(rng):
+    # g1/g2 a factor (1 + 10^-k)^2 from gamma1/gamma2, k = 1..4, as in the
+    # design_scan probes: X grows, |lambda| reaches 3.6e4, and Im E rounds
+    # to 1e-9 and beyond, which is no decay on the matrix's scale.  First
+    # the bound states at lambda = 1341, 5361, 13401 and 53601
+    designs = [dict(g1=g1, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+               for g1 in (2.004, 2.001, 2.0004, 2.0001)]
+    for i in range(200):
+        g2, q1, q2, delta, gamma1, gamma2 = (
+            float(x) for x in (rng.uniform(0.5, 5.0), *rng.uniform(-2.0, 2.0, 2),
+                               rng.uniform(-0.5, 0.5), *rng.uniform(0.2, 2.0, 2)))
+        g1 = g2 * gamma1 / gamma2 * (1.0 + 10.0 ** -(1 + i % 4)) ** 2
+        designs.append(dict(g1=g1, g2=g2, q1=q1, q2=q2, delta=delta,
+                            gamma1=gamma1, gamma2=gamma2))
+    lams, ims = [], []
+    for design in designs:
+        sol = solve_bic(**design)
+        rep = certify(sol.params)
+        assert rep.is_bic, (design, rep)
+        assert rep.eigenvalue.real == pytest.approx(sol.lam, rel=1e-12)
+        assert not certify(sol.params.replace(eta=0.0)).is_bic, design
+        lams.append(abs(sol.lam))
+        ims.append(abs(rep.eigenvalue.imag))
+    # an absolute 1e-9 would refuse a good share of them
+    assert max(lams) > 3e4 and sum(im > 1e-9 for im in ims) >= 10
 
 
 def test_imaginary_part_perturbation_slope(fig4_bic):

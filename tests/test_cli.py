@@ -479,8 +479,9 @@ def test_integer_fields_accept_integral_floats(tmp_path, capsys):
     (*_sweep_cfg(window=[7.0, 6.0]), "sweep.window: needs lo < hi"),
     (*_sweep_cfg(eta_list=None, eta_range={"start": float("nan"), "stop": 1.0, "n": 3}),
      "sweep.eta_range.start: must be finite"),
+    # certify has no tolerance: a key that was one is an unknown key
     ("certify", {"params": fig4_params().as_dict(), "tol_im": "x"},
-     "config.tol_im: not a number"),
+     "config: unknown keys for certify: tol_im"),
     ("solve", {"params": {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54, "delta": 0.1,
                           "gamma1": 1.0, "gamma2": 1.0, "g12": "x"}},
      "params.g12: not a number"),

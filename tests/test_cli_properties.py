@@ -29,7 +29,7 @@ def _property_bases():
     return {
         "dress": _dress_cfg()[1],
         "solve": _solve_cfg(g12=2.4, inv_kca=0.0)[1],
-        "certify": {"params": params, "tol_im": 1e-9, "validation_mode": "permissive"},
+        "certify": {"params": params, "validation_mode": "permissive"},
         "spectrum": dict(_spectrum_cfg(channel=1)[1], validation_mode="physical"),
         "sweep-eta": _sweep_cfg(eta_list=[0.9, 0.99], window=[6.0, 7.5], channel=1)[1],
         "sweep-eta eta_range": {"params": params,

@@ -9,14 +9,16 @@ library refuses on purpose is a ValidationError, a BicLabError too.
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bic_lab.bic import certify, solve_bic
 from bic_lab.discretized import (GridSpec, compare_pole_approximation, discretize,
-                                 resolvent_check)
-from bic_lab.errors import BicLabError, ValidationError
+                                 resolvent_check, smoothed_kernel_sum)
+from bic_lab.dressing import dress
+from bic_lab.errors import BicLabError, ValidationError, _require_finite
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.microscopic import (GaussianCoupling, derive_couplings,
                                  reference_gaussian_model, to_dimensionless)
@@ -93,3 +95,49 @@ def test_refused_input_is_a_validation_error(name):
     with pytest.raises(ValidationError, match=message) as exc:
         call()
     assert exc.value.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# one rule for a bare number: a bool, a non-real or a value past the float
+# range is a ValidationError naming it, never a bare OverflowError or TypeError
+
+HUGE = 10 ** 400
+
+BARE_NUMBERS = {
+    "GridSpec huge int": (lambda: GridSpec(e_min=0.0, e_max=HUGE, n_e=3),
+                          f"e_max={HUGE!r} is not finite"),
+    "GridSpec string": (lambda: GridSpec(e_min="a", e_max=1.0, n_e=3),
+                        "e_min='a' is not a real number"),
+    "GridSpec bool": (lambda: GridSpec(e_min=True, e_max=1.0, n_e=3),
+                      "e_min=True is not a real number"),
+    "dress string": (lambda: dress("x", 1.0), "omega_m='x' is not a real number"),
+    "dress huge int": (lambda: dress(HUGE, 1.0), f"omega_m={HUGE!r} is not finite"),
+    "spectrum_series huge int": (lambda: spectrum_series(fig4_params(), 6.0, HUGE, 11),
+                                 f"e_max={HUGE!r} is not finite"),
+    "smoothed_kernel_sum huge int": (lambda: smoothed_kernel_sum(lambda e: e, 0.25, 0.0,
+                                                                 HUGE, 4),
+                                     f"hi={HUGE!r} is not finite"),
+    "CouplingModel huge int": (lambda: replace(reference_gaussian_model(), e3=HUGE),
+                               f"e3={HUGE!r} is not finite"),
+    "CouplingModel None": (lambda: replace(reference_gaussian_model(), v1f=None),
+                           "v1f=None is not a real number"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BARE_NUMBERS))
+def test_bad_bare_number_is_a_validation_error_naming_it(name):
+    call, message = BARE_NUMBERS[name]
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert exc.value.violations == [message]
+
+
+def test_number_rule_returns_python_floats_in_order():
+    got = _require_finite(a=np.float32(0.5), b=3, c=Fraction(1, 4), d=np.int64(-2), e=1.5)
+    assert got == [0.5, 3.0, 0.25, -2.0, 1.5]
+    assert all(type(x) is float for x in got)
+    with pytest.raises(ValidationError) as exc:
+        _require_finite(a=False, b=np.float64("inf"), c=1j, d=Fraction(HUGE))
+    assert exc.value.violations == [
+        "a=False is not a real number", "b=inf is not finite", "c=1j is not a real number",
+        f"d={Fraction(HUGE)!r} is not finite"]
