@@ -18,10 +18,9 @@ from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           ResolventReport, compare_pole_approximation,
                           discretize, resolvent_check, smoothed_kernel_sum)
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
-                     DegenerateVector, DivergentTail, FixedPointDivergence,
-                     GainMode, GridCoverage, MultiPeak, NoPeak, PoleHit,
-                     ProbeOnSpectrum, SingularEndpoint, SingularSolve,
-                     ValidationError, ZeroCross, ZeroLinewidth, ZeroWidth)
+                     DegenerateVector, GainMode, GridCoverage, MultiPeak, NoPeak,
+                     PoleHit, ProbeOnSpectrum, SingularEndpoint, SingularSolve,
+                     ValidationError, ZeroCross, ZeroWidth)
 from .hamiltonian import ComplexEigenSet, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, WignerCoupling, derive_couplings,

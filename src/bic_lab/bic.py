@@ -121,7 +121,7 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
 class CertificationReport:
     """Spectral evidence for (or against) a real eigenvalue."""
 
-    is_bic: bool           # |Im eigenvalue| <= 1e-9 * max(1, ||A + iB||_F)
+    is_bic: bool           # |Im eigenvalue| <= 1e-9 * ComplexEigenSet.scale
     eigenvalue: complex    # the eigenvalue nearest the real axis
     residual_b: float      # ||B v|| for its eigenvector
     vic_residual: float    # eta^2 - gamma1*gamma2, zero at maximal coherence
@@ -139,12 +139,12 @@ def certify(params: DimensionlessParams) -> CertificationReport:
     """
     m = build(params)
     eig = eigensystem(m)
-    _refuse_gain(params, m, eig.eigenvalues[0])
+    _refuse_gain(params, eig)
     ims = np.abs(eig.eigenvalues.imag)
     k = int(np.argmin(ims))
     v = eig.eigenvectors[:, k]
     return CertificationReport(
-        is_bic=bool(ims[k] <= 1e-9 * max(1.0, float(np.linalg.norm(m)))),
+        is_bic=bool(ims[k] <= 1e-9 * eig.scale),
         eigenvalue=complex(eig.eigenvalues[k]),
         residual_b=float(np.linalg.norm(m.imag @ v)),
         vic_residual=params.eta ** 2 - params.gamma1 * params.gamma2,

@@ -44,15 +44,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence, GridCoverage,
-                     ProbeOnSpectrum, ValidationError, ZeroWidth, _numerical, _require_counts,
-                     _require_finite)
+from .errors import (ConvergenceFailure, GridCoverage, ProbeOnSpectrum, ValidationError,
+                     ZeroWidth, _numerical, _require_counts, _require_finite)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling, _coupling_values, _quad
 from .params import DimensionlessParams
 
 _TAIL_FRACTION = 1e-8
 _MAX_ITER = 500  # iteration budget of compare_pole_approximation's pole search
+#: the i*eps of a sampled kernel, in bin widths
+_SMOOTHING_BINS = 10.0
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,14 @@ def _coverage_fraction(name: str, fn, lo: float, hi: float, held: float) -> floa
     the coupling called name, read through _coupling_values, and a held
     weight that overflowed is an OverflowError.  Each tail is one quad at
     its default tolerances (1.49e-8 absolute and relative), past hi by
-    QUADPACK's infinite-range rule QAGI; a QUADPACK message is
-    DivergentTail there and ConvergenceFailure below lo."""
+    QUADPACK's infinite-range rule QAGI; a QUADPACK message is a
+    ConvergenceFailure naming its tail, ``past E=hi`` or ``below E=lo``."""
 
     def f2(e):
         return _coupling_values(name, fn, e) ** 2
 
-    below = (_quad(ConvergenceFailure, f"|{name}|^2 below E={lo:.3e}", f2, 0.0, lo, limit=200)
-             if lo > 0.0 else 0.0)
-    above = _quad(DivergentTail, f"|{name}|^2 past E={hi:.3e}", f2, hi, math.inf, limit=200)
+    below = _quad(f"|{name}|^2 below E={lo:.3e}", f2, 0.0, lo, limit=200) if lo > 0.0 else 0.0
+    above = _quad(f"|{name}|^2 past E={hi:.3e}", f2, hi, math.inf, limit=200)
     total = below + held + above
     if math.isinf(total):
         raise OverflowError(f"held weight of f^2 is {held!r}")
@@ -325,16 +325,17 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     (which must come from the same model via the microscopic route, so
     both paths share detunings and shifts).  Poles solve
     z = eig(H_PP + Sigma(z)); Sigma is sampled at Re(z) + i*eps with
-    eps = 10 bin widths (per continuum), the standard smoothing that
-    turns the rational bin sum into the half-plane limit of the continuum
-    integral.  So a pole is a root of the real g(x) = Re lam_k(x) - x,
-    lam_k tracked from the reference eigenvalue, and z = lam_k(x): a
-    secant on x (Numerical Recipes 3rd ed., sec. 9.2) from x = Re z_ref
-    stops at a step <= 1e-12 * max(1, |x|) and returns lam_k at the last
-    x evaluated.  FixedPointDivergence is raised on a non-finite step or
-    no root within _MAX_ITER = 500 steps, and ZeroWidth when the model's
-    Gamma_F, from v3(E3) held to the CouplingModel contract, vanishes.
-    Without photon bins, other errors dominate the deviations (module docstring).
+    eps = _SMOOTHING_BINS = 10 bin widths (per continuum), the standard
+    smoothing that turns the rational bin sum into the half-plane limit
+    of the continuum integral.  So a pole is a root of the real
+    g(x) = Re lam_k(x) - x, lam_k tracked from the reference eigenvalue,
+    and z = lam_k(x): a secant on x (Numerical Recipes 3rd ed., sec. 9.2)
+    from x = Re z_ref stops at a step <= 1e-12 * max(1, |x|) and returns
+    lam_k at the last x evaluated.  ConvergenceFailure is raised on a
+    non-finite step or no root within _MAX_ITER = 500 steps, and ZeroWidth
+    when the model's Gamma_F, from v3(E3) held to the CouplingModel
+    contract, vanishes.  Without photon bins, other errors dominate the
+    deviations (module docstring).
     """
     gamma_f = 2.0 * math.pi * _coupling_values("v3", model.v3, model.e3) ** 2
     if gamma_f <= 0.0:
@@ -342,7 +343,7 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     ef = gamma_f / 2.0
     reference = eigensystem(build(params)).eigenvalues * ef
 
-    eps_bins = 10.0 * dm.bin_width
+    eps_bins = _SMOOTHING_BINS * dm.bin_width
 
     poles = np.empty(3, dtype=complex)
     for k, z0 in enumerate(reference.tolist()):
@@ -356,12 +357,12 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
             slope = -1.0 if x_prev is None else (g - g_prev) / (x - x_prev)
             step = -g / slope if slope else math.inf
             if not math.isfinite(step):
-                raise FixedPointDivergence(f"pole search from {z0!r}: non-finite step at x={x!r}")
+                raise ConvergenceFailure(f"pole search from {z0!r}: non-finite step at x={x!r}")
             x_prev, g_prev, x = x, g, x + step
             if abs(step) <= 1e-12 * max(1.0, abs(x)):
                 break
         else:
-            raise FixedPointDivergence(
+            raise ConvergenceFailure(
                 f"pole search from {z0!r} found no root within {_MAX_ITER} iterations")
         poles[k] = lam
     return PoleComparison(reference=reference, poles=poles, smoothing=float(eps_bins[0]))
@@ -370,7 +371,7 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
 def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> complex:
     """Discrete analogue of the PV kernel: sum f(E_j) dE / (E3 + i eps - E_j).
 
-    With eps = 10 dE, its real part converges to
+    With eps = _SMOOTHING_BINS * dE = 10 dE, its real part converges to
     pv_integral(f, E3, upper=hi) as the grid refines; used as the
     cross-check between the quadrature and discretized routes.  The
     bounds must be finite with lo < hi, and n_bins a positive integer.
@@ -382,6 +383,6 @@ def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> comp
     if n_bins < 1:
         raise ValidationError([f"n_bins must be >= 1, got {n_bins!r}"])
     centers, width = _midpoint_grid(lo, hi, n_bins)
-    eps = 10.0 * width
+    eps = _SMOOTHING_BINS * width
     vals = np.asarray(f(centers), dtype=float)
     return complex(np.sum(vals * width / (e3 + 1j * eps - centers)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDressing, ZeroLinewidth, _require_finite
+from .errors import DegenerateDressing, ZeroWidth, _require_finite
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def dress(omega_m: float, delta_m: float,
     The dressed pair is split by sqrt(Omega_m^2 + Delta_m^2).
 
     When both bare widths are supplied, which must then be positive
-    (else ZeroLinewidth), the feasibility is the figure of merit
+    (else ZeroWidth), the feasibility is the figure of merit
     splitting / (sqrt(gamma1_bare) sqrt(gamma2_bare)), whose denominator
     never underflows to 0 (a ratio past the float range is inf).  Values
     of about 1 or below are favourable: the vacuum-induced cross damping
@@ -55,7 +55,7 @@ def dress(omega_m: float, delta_m: float,
     if gamma1_bare is not None and gamma2_bare is not None:
         _require_finite(gamma1_bare=gamma1_bare, gamma2_bare=gamma2_bare)
         if gamma1_bare <= 0.0 or gamma2_bare <= 0.0:
-            raise ZeroLinewidth(
+            raise ZeroWidth(
                 f"bare widths must be positive, got {gamma1_bare!r}, {gamma2_bare!r}")
         feas = splitting / (math.sqrt(gamma1_bare) * math.sqrt(gamma2_bare))
     return DressedPair(theta=theta, splitting=splitting, feasibility=feas)

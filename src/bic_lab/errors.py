@@ -37,13 +37,8 @@ class DegenerateDressing(BicLabError):
     exit_code = 4
 
 
-class ZeroLinewidth(BicLabError):
-    """A bare linewidth required to be positive is zero or negative."""
-    exit_code = 4
-
-
 class ConvergenceFailure(BicLabError):
-    """An iterative refinement did not reach its tolerance budget."""
+    """A numerical computation did not converge, overflowed, or failed its own check."""
 
 
 class DegenerateVector(BicLabError):
@@ -81,12 +76,8 @@ class SingularEndpoint(BicLabError):
     exit_code = 4
 
 
-class DivergentTail(BicLabError):
-    """A semi-infinite integral shows no sign of converging."""
-
-
 class ZeroWidth(BicLabError):
-    """A Feshbach width required to be positive vanishes."""
+    """A width required to be positive is not."""
     exit_code = 4
 
 
@@ -103,10 +94,6 @@ class GridCoverage(BicLabError):
 class ProbeOnSpectrum(BicLabError):
     """A resolvent probe point sits (numerically) on the real spectrum."""
     exit_code = 4
-
-
-class FixedPointDivergence(BicLabError):
-    """The self-consistent pole search left its basin or exceeded its budget."""
 
 
 def _numerical(fn):

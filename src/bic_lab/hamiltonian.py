@@ -62,10 +62,11 @@ def build(params: DimensionlessParams) -> np.ndarray:
     return a + 1j * b
 
 
-def _refuse_gain(params: DimensionlessParams, m: np.ndarray, e1: complex) -> None:
+def _refuse_gain(params: DimensionlessParams, eig: ComplexEigenSet) -> None:
     """Raise GainMode when B is not negative semidefinite and the least-damped
-    eigenvalue e1 of m grows beyond the rounding allowance 1e-12*max(1, ||M||_F)."""
-    if not _passive(params) and e1.imag > 1e-12 * max(1.0, float(np.linalg.norm(m))):
+    eigenvalue E1 grows beyond the rounding allowance 1e-12 * eig.scale."""
+    e1 = eig.eigenvalues[0]
+    if not _passive(params) and e1.imag > 1e-12 * eig.scale:
         raise GainMode(f"least-damped eigenvalue {complex(e1)!r} grows (Im E1 > 0)")
 
 
@@ -152,11 +153,15 @@ class ComplexEigenSet:
                   positive; at a defective (exceptional-point) pair
                   two columns are parallel
     residuals     (3,) float, ||M v - lam v||_2 per mode
+    scale         max(1, ||A + iB||_F), the scale of every tolerance on
+                  this matrix: residual 1e-10 (RESIDUAL_RTOL), trace
+                  1e-8, gain 1e-12 (_refuse_gain) and BIC 1e-9 (certify)
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
+    scale: float
 
 
 @_numerical
@@ -174,8 +179,8 @@ def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     roots = [_polish_root(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
     roots.sort(key=lambda z: (-z.imag, z.real))
 
-    norm_m = float(np.linalg.norm(m))
-    scale = max(norm_m, 1.0)
+    # a NaN norm stays NaN, and fails the trace check
+    scale = max(float(np.linalg.norm(m)), 1.0)
     # Vieta guard: a collapsed root multiset passes per-pair residual
     # checks (each pair is individually genuine), the trace sum does not;
     # written so that overflowed (NaN) roots fail it too
@@ -197,4 +202,4 @@ def eigensystem(m: np.ndarray) -> ComplexEigenSet:
         raise ConvergenceFailure(
             f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "
             f"{RESIDUAL_RTOL * scale:.3e}")
-    return ComplexEigenSet(eigenvalues=lams, eigenvectors=vecs, residuals=residuals)
+    return ComplexEigenSet(eigenvalues=lams, eigenvectors=vecs, residuals=residuals, scale=scale)

@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DivergentTail, SingularEndpoint, ValidationError,
-                     ZeroCross, ZeroWidth, _numerical, _require_finite)
+from .errors import (ConvergenceFailure, SingularEndpoint, ValidationError, ZeroCross,
+                     ZeroWidth, _numerical, _require_finite)
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
@@ -202,13 +202,13 @@ def _difference_quotient(f, e3: float, f_e3: float, bound: float):
     return g
 
 
-def _quad(error, what: str, *args, **kwargs) -> float:
-    """quad with full_output: a failure comes back as a message, raised as error."""
+def _quad(what: str, *args, **kwargs) -> float:
+    """quad with full_output: a failure comes back as a message, raised as ConvergenceFailure."""
     # imported on use: scipy.integrate takes longer to import than the package
     from scipy.integrate import quad
     value, _, _, *failure = quad(*args, full_output=1, **kwargs)
     if failure:
-        raise error(f"{what} did not converge: {failure[0].splitlines()[0]}")
+        raise ConvergenceFailure(f"{what} did not converge: {failure[0].splitlines()[0]}")
     return value
 
 
@@ -226,10 +226,10 @@ def pv_integral(f: Callable[[float], float], e3: float,
     upper=None integrates to infinity: the subtraction runs over the
     pole-symmetric interval [0, 2*E3] (log term zero) and the plain tail
     f/(E3 - E) beyond it is one call of QUADPACK's infinite-range rule
-    QAGI.  A QUADPACK message is DivergentTail from the tail and
-    ConvergenceFailure from a subtracted piece.  A subtracted integrand
-    that QUADPACK cannot sum in floats (|value| x |range| beyond
-    _PV_SUM_MAX) makes the integral NaN.  Fixed tolerances:
+    QAGI.  A QUADPACK message is a ConvergenceFailure naming its piece:
+    ``PV integral over [a, b]`` or ``tail of the PV integral past E=``.
+    A subtracted integrand that QUADPACK cannot sum in floats (|value| x
+    |range| beyond _PV_SUM_MAX) makes the integral NaN.  Fixed tolerances:
     relative 1e-10 (_RTOL) on every piece, absolute 1e-14 on the
     subtracted pieces and 1e-16 on the tail.
     """
@@ -245,14 +245,14 @@ def pv_integral(f: Callable[[float], float], e3: float,
     sub_upper = 2.0 * e3 if infinite else upper
     g = _difference_quotient(f, e3, f_e3, _PV_SUM_MAX / max(1.0, sub_upper))
     try:
-        total = sum(_quad(ConvergenceFailure, f"PV integral over [{a:.3e}, {b:.3e}]",
+        total = sum(_quad(f"PV integral over [{a:.3e}, {b:.3e}]",
                           g, a, b, epsabs=1e-14, epsrel=_RTOL, limit=400)
                     for a, b in ((0.0, e3), (e3, sub_upper)))
     except _OutOfRange:
         return math.nan
     if not infinite:
         return total + f_e3 * math.log(e3 / (upper - e3))
-    return total + _quad(DivergentTail, f"tail of the PV integral past E={sub_upper:.3e}",
+    return total + _quad(f"tail of the PV integral past E={sub_upper:.3e}",
                          lambda e: f(e) / (e3 - e), sub_upper, math.inf,
                          epsabs=1e-16, epsrel=_RTOL, limit=200)
 

@@ -48,14 +48,14 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
                                eta=eta, **FIG3_SHARED)
 
 
-def fig4_params(eta: float = 1.0) -> DimensionlessParams:
-    """The fig4 caption set: gamma = 1, g1 = 3.01."""
-    return DimensionlessParams(g1=3.01, g2=2.0, gamma1=1.0, gamma2=1.0, eta=eta, **FIG4_SHARED)
+def fig4_params() -> DimensionlessParams:
+    """The fig4 caption set: gamma = eta = 1, g1 = 3.01."""
+    return DimensionlessParams(g1=3.01, g2=2.0, gamma1=1.0, gamma2=1.0, eta=1.0, **FIG4_SHARED)
 
 
-def fig5_params(eta: float = 1.0) -> DimensionlessParams:
+def fig5_params() -> DimensionlessParams:
     """The fig5 caption set: the fig4 geometry with g1 = 3 exactly."""
-    return DimensionlessParams(g1=3.0, g2=2.0, gamma1=1.0, gamma2=1.0, eta=eta, **FIG4_SHARED)
+    return DimensionlessParams(g1=3.0, g2=2.0, gamma1=1.0, gamma2=1.0, eta=1.0, **FIG4_SHARED)
 
 
 FIG4_ETA_LIST = (1.0, 0.999, 0.99, 0.9)

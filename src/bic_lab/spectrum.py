@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (ConvergenceFailure, GainMode, MultiPeak, NoPeak, PoleHit,
                      ValidationError, _numerical, _require_counts, _require_finite)
-from .hamiltonian import _refuse_gain, build, eigensystem
+from .hamiltonian import ComplexEigenSet, _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
 
 _INV_E = 1.0 / math.e
@@ -97,16 +97,17 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     return amplitude
 
 
-def _spectrum(params: DimensionlessParams, mat: np.ndarray, e1: complex,
+def _spectrum(params: DimensionlessParams, mat: np.ndarray, eig: ComplexEigenSet,
               channel: int) -> Callable[[np.ndarray], np.ndarray]:
-    """S_n of a solved parameter set, from a 1-d float64 array of abscissae
-    to one value per abscissa; a point's value is the same in any array.
+    """S_n of params, given its matrix mat and mat's eigen set eig, from a
+    1-d float64 array of abscissae to one value per abscissa; a point's
+    value is the same in any array.
 
     A gain mode (hamiltonian._refuse_gain) raises GainMode.
     """
     amplitude = _amplitude(
         mat, np.array([math.sqrt(params.g1), math.sqrt(params.g2), 1.0]), channel)
-    _refuse_gain(params, mat, e1)
+    _refuse_gain(params, eig)
     return lambda x: np.abs(amplitude(x)) ** 2 / math.pi
 
 
@@ -143,7 +144,7 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
                                f"spacing {spacing!r} is below float resolution"])
     mat = build(params)
     eig = eigensystem(mat)
-    f = _spectrum(params, mat, eig.eigenvalues[0], channel)
+    f = _spectrum(params, mat, eig, channel)
     extras = []
     for lam in eig.eigenvalues.tolist():
         re, im = lam.real, abs(lam.imag)
@@ -191,9 +192,9 @@ class PeakMetrics:
 
     def __post_init__(self):
         if not (self.left_cross < self.e_peak < self.right_cross):
-            raise ValueError(
-                f"crossings must bracket the peak: {self.left_cross!r}, "
-                f"{self.e_peak!r}, {self.right_cross!r}")
+            raise ValidationError(
+                [f"crossings must bracket the peak: {self.left_cross!r}, "
+                 f"{self.e_peak!r}, {self.right_cross!r}"])
 
     @property
     def width_w(self) -> float:
@@ -274,7 +275,7 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     1/e rule is applied to the feature above it; the subtracted level
     at the peak is reported in PeakMetrics.baseline.
     """
-    lo, hi = float(window[0]), float(window[1])
+    lo, hi = _require_finite(lo=window[0], hi=window[1])
     if not lo < hi:
         raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
     xs = np.linspace(lo, hi, _N_COARSE)
@@ -410,16 +411,15 @@ def peak_metrics(params: DimensionlessParams, channel: int = 1) -> PeakMetrics:
     is no resonance and raises GainMode.
     """
     mat = build(params)
-    return _peak_metrics(params, mat, eigensystem(mat).eigenvalues, channel, None)
+    return _peak_metrics(params, mat, eigensystem(mat), channel, None)
 
 
-def _peak_metrics(params: DimensionlessParams, mat: np.ndarray,
-                  eigenvalues: np.ndarray, channel: int,
-                  search_window: tuple[float, float] | None) -> PeakMetrics:
+def _peak_metrics(params: DimensionlessParams, mat: np.ndarray, eig: ComplexEigenSet,
+                  channel: int, search_window: tuple[float, float] | None) -> PeakMetrics:
     """peak_metrics for a parameter set whose matrix is already solved,
     in search_window when one is given."""
-    e1 = eigenvalues[0]
-    f = _spectrum(params, mat, e1, channel)
+    e1 = eig.eigenvalues[0]
+    f = _spectrum(params, mat, eig, channel)
     in_window = search_window is None or (search_window[0] < e1.real < search_window[1])
     if 0.0 < abs(e1.imag) < 1e-10 * max(1.0, abs(e1.real)) and in_window:
         c = float(e1.real)
@@ -429,8 +429,8 @@ def _peak_metrics(params: DimensionlessParams, mat: np.ndarray,
         return PeakMetrics(e_peak=c, height=float(f(np.array([c]))[0]), left_cross=left,
                            right_cross=right, refined=False)
     if search_window is None:
-        search_window = _auto_window(eigenvalues)
-    return refine_peak(f, search_window, seeds=_pole_seeds(eigenvalues, search_window))
+        search_window = _auto_window(eig.eigenvalues)
+    return refine_peak(f, search_window, seeds=_pole_seeds(eig.eigenvalues, search_window))
 
 
 def _auto_window(eigenvalues: np.ndarray) -> tuple[float, float]:
@@ -493,15 +493,15 @@ class EtaSweepResult:
 
 def _sweep_one(params: DimensionlessParams, eta: float, channel: int,
                window: tuple[float, float] | None) -> EtaPoint:
-    p = params.replace(eta=float(eta))
+    p = params.replace(eta=eta)
     mat = build(p)
-    eigenvalues = eigensystem(mat).eigenvalues
+    eig = eigensystem(mat)
     try:
-        metrics = _peak_metrics(p, mat, eigenvalues, channel, window)
+        metrics = _peak_metrics(p, mat, eig, channel, window)
         err = None
     except (NoPeak, MultiPeak, PoleHit, GainMode) as exc:
         metrics, err = None, f"{type(exc).__name__}: {exc}"
-    return EtaPoint(eta=float(eta), metrics=metrics, eigenvalues=eigenvalues, error=err)
+    return EtaPoint(eta=eta, metrics=metrics, eigenvalues=eig.eigenvalues, error=err)
 
 
 @_numerical
@@ -513,7 +513,7 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     Per-eta spectral failures (NoPeak, MultiPeak, PoleHit, GainMode) are
     recorded on the point instead of aborting the sweep.
     """
-    etas = [float(x) for x in eta_list]
+    etas = _require_finite(**{f"eta_list[{i}]": eta for i, eta in enumerate(eta_list)})
     if not etas:
         raise ValidationError(["eta_list must be nonempty"])
     return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)

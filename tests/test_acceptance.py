@@ -108,10 +108,10 @@ def test_decay_rate_trajectory_and_slope():
     expected = {0.999: -1e-3, 0.99: -1e-2, 0.9: -1e-1}
     ratios = {}
     for eta, ref in expected.items():
-        im1 = eigensystem(build(fig4_params(eta=eta))).eigenvalues[0].imag
+        im1 = eigensystem(build(fig4_params().replace(eta=eta))).eigenvalues[0].imag
         ratios[eta] = im1 / ref
     h = 1e-6
-    im_at = lambda eta: eigensystem(build(fig4_params(eta=eta))).eigenvalues[0].imag
+    im_at = lambda eta: eigensystem(build(fig4_params().replace(eta=eta))).eigenvalues[0].imag
     slope = (im_at(1.0) - im_at(1.0 - h)) / h
     ok_traj = all(0.5 <= r <= 2.0 for r in ratios.values())
     ok_slope = abs(slope - 0.952) <= 0.05 * 0.952

@@ -12,7 +12,8 @@ from bic_lab.bic import (
 )
 from bic_lab.errors import DegenerateVector, GainMode, SingularSolve, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.recipes import fig3_params, fig4_params, fig5_params
+from bic_lab.params import DimensionlessParams, _passive
+from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params, fig5_params
 
 
 def test_vic_residual_zero_at_coherence():
@@ -133,6 +134,13 @@ def test_certify_frozen_deviated_fig3():
     assert rep.eigenvalue.real == pytest.approx(1.2944198519681624, rel=1e-12)
 
 
+def test_fig_params_take_eta_by_replace():
+    # the one way to deviate a caption set's eta gives the set built with it
+    for g1, recipe in ((3.01, fig4_params), (3.0, fig5_params)):
+        assert recipe().replace(eta=0.9) == DimensionlessParams(
+            g1=g1, g2=2.0, gamma1=1.0, gamma2=1.0, eta=0.9, **FIG4_SHARED)
+
+
 def test_fig3_params_rejects_unknown_deviate():
     with pytest.raises(ValueError, match="^deviate must be 'g1' or 'g2', got 'none'$"):
         fig3_params(deviate="none")
@@ -141,12 +149,30 @@ def test_fig3_params_rejects_unknown_deviate():
 def test_certify_refuses_a_gain_mode():
     # eta = 3 > sqrt(gamma1*gamma2) = 1: the eigenvalue nearest the real axis
     # is damped, but the least-damped E1 grows, so no eigenvalue is certified
-    params = fig4_params(eta=3.0)
+    params = fig4_params().replace(eta=3.0)
     assert eigensystem(build(params)).eigenvalues[0].imag > 0.0
     with pytest.raises(GainMode, match=r"^least-damped eigenvalue .* grows \(Im E1 > 0\)$"):
         certify(params)
     # a passive set with a finite decay is reported, not refused
-    assert not certify(fig4_params(eta=0.9)).is_bic
+    assert not certify(fig4_params().replace(eta=0.9)).is_bic
+
+
+def test_certify_takes_the_matrix_norm_once(monkeypatch):
+    # eigensystem's scale serves the trace, residual, gain and BIC
+    # tolerances alike; eta = -1.01 makes a set that can grow but does not
+    norm, shapes = np.linalg.norm, []
+
+    def counting(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+    for eta, passive in ((1.0, True), (-1.01, False)):
+        params = fig4_params().replace(eta=eta)
+        assert _passive(params) is passive
+        shapes.clear()
+        certify(params)
+        assert shapes.count((3, 3)) == 1, (eta, shapes)
 
 
 def test_another_verdict_reads_the_reported_eigenvalue():

@@ -16,8 +16,8 @@ from bic_lab.discretized import (
     resolvent_check,
     smoothed_kernel_sum,
 )
-from bic_lab.errors import (ConvergenceFailure, DivergentTail, FixedPointDivergence,
-                            GridCoverage, ProbeOnSpectrum, ValidationError, ZeroWidth)
+from bic_lab.errors import (ConvergenceFailure, GridCoverage, ProbeOnSpectrum,
+                            ValidationError, ZeroWidth)
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -305,7 +305,7 @@ def test_coupling_not_finite_past_the_grid_is_a_validation_error(name, warn):
 def test_coverage_tail_failures_name_their_coupling():
     # a Wigner tail of scale 1e300 has no finite weight past the grid
     model = replace(reference_gaussian_model(), lambda1=WignerCoupling(amplitude=0.1, scale=1e300))
-    with pytest.raises(DivergentTail, match=r"^[|]lambda1[|]\^2 past E=4\.500e\+00 did not "
+    with pytest.raises(ConvergenceFailure, match=r"^[|]lambda1[|]\^2 past E=4\.500e\+00 did not "
                                             "converge: The integral is probably divergent"):
         discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=60))
     # a fast oscillation below the grid exhausts the 200 subdivisions there
@@ -381,6 +381,18 @@ def test_smoothed_kernel_sum_matches_pv():
     assert diff_fine < 0.4 * diff
 
 
+def test_smoothed_kernel_sum_smooths_by_ten_bins():
+    # the hand sum of f(E_j) dE / (E3 + i eps - E_j) with eps = 10 dE
+    def f(e):
+        return np.exp(-e)
+
+    e3, lo, hi, n = 1.3, 0.0, 4.0, 40
+    de = (hi - lo) / n
+    centers = lo + (np.arange(n) + 0.5) * de
+    hand = complex(np.sum(f(centers) * de / (e3 + 1j * 10.0 * de - centers)))
+    assert smoothed_kernel_sum(f, e3, lo, hi, n) == pytest.approx(hand, rel=1e-13)
+
+
 @pytest.mark.parametrize("lo,hi,n_bins,message", [
     (0.0, 2.0, 0, "n_bins must be >= 1, got 0"),
     (0.0, 2.0, 2.5, "n_bins must be an integer, got 2.5"),
@@ -431,7 +443,8 @@ def test_fixed_point_divergence_guard(monkeypatch):
     params = to_dimensionless(res, model, e1=4.99, e2=5.01)
     dm = discretize(model, GridSpec(e_min=0.0, e_max=10.0, n_e=200),
                     e1_rot=4.99, e2_rot=5.01)
-    with pytest.raises(FixedPointDivergence) as exc:
+    with pytest.raises(ConvergenceFailure, match=r"^pole search from \([^)]*j\) found no root "
+                                                 r"within 1 iterations$") as exc:
         compare_pole_approximation(dm, model, params)
     assert "np." not in str(exc.value)  # the start z0 prints as a plain complex
 
@@ -442,6 +455,11 @@ def _reference_collision_model():
     params = to_dimensionless(derive_couplings(model), model, e1=0.9, e2=1.1)
     dm = discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=400), e1_rot=0.9, e2_rot=1.1)
     return dm, model, params
+
+
+def test_pole_search_smooths_by_ten_collision_bins():
+    dm, model, params = _reference_collision_model()
+    assert compare_pole_approximation(dm, model, params).smoothing == 10.0 * dm.bin_width[0]
 
 
 def test_poles_reproduce_themselves():
@@ -470,7 +488,8 @@ def test_pole_search_takes_few_eigen_steps(monkeypatch):
 def test_non_finite_sigma_is_a_divergence_not_a_nan_pole(monkeypatch):
     dm, model, params = _reference_collision_model()
     monkeypatch.setattr(DiscretizedModel, "sigma", lambda self, z: np.full((3, 3), np.nan))
-    with pytest.raises(FixedPointDivergence, match="non-finite step"):
+    with pytest.raises(ConvergenceFailure, match=r"^pole search from \([^)]*j\): non-finite step "
+                                                 r"at x=[-+.e0-9]+$"):
         compare_pole_approximation(dm, model, params)
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bic_lab.dressing import DressedPair, dress
-from bic_lab.errors import DegenerateDressing, ValidationError, ZeroLinewidth
+from bic_lab.errors import DegenerateDressing, ValidationError, ZeroWidth
 
 
 def test_mixing_angle_limits():
@@ -43,7 +43,7 @@ def test_feasibility_value_and_guard():
     assert dress(3.0, 4.0, 4.0, 1.0).feasibility == pytest.approx(2.5)
     # favourable working point: splitting below the mean bare width
     assert dress(3.0, 1.0, 6.0, 4.0).feasibility == pytest.approx(math.sqrt(10.0 / 24.0))
-    with pytest.raises(ZeroLinewidth):
+    with pytest.raises(ZeroWidth, match=r"^bare widths must be positive, got 0\.0, 1\.0$"):
         dress(10.0, 0.0, 0.0, 1.0)
 
 

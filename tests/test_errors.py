@@ -114,6 +114,13 @@ BARE_NUMBERS = {
     "dress huge int": (lambda: dress(HUGE, 1.0), f"omega_m={HUGE!r} is not finite"),
     "spectrum_series huge int": (lambda: spectrum_series(fig4_params(), 6.0, HUGE, 11),
                                  f"e_max={HUGE!r} is not finite"),
+    "sweep_eta string": (lambda: sweep_eta(fig4_params(), ["x"]),
+                         "eta_list[0]='x' is not a real number"),
+    # a JSON true is not eta = 1.0
+    "sweep_eta bool": (lambda: sweep_eta(fig4_params(), [0.9, True]),
+                       "eta_list[1]=True is not a real number"),
+    "refine_peak huge int": (lambda: refine_peak(lambda x: x, (0, HUGE)),
+                             f"hi={HUGE!r} is not finite"),
     "smoothed_kernel_sum huge int": (lambda: smoothed_kernel_sum(lambda e: e, 0.25, 0.0,
                                                                  HUGE, 4),
                                      f"hi={HUGE!r} is not finite"),

@@ -84,7 +84,8 @@ def _line(params) -> dict:
     """The oracle's E1 and line metrics of one fig4/fig5 parameter set."""
     terms = _cofactor_form(params)
     m = build(params)
-    eigenvalues = eigensystem(m).eigenvalues
+    eig = eigensystem(m)
+    eigenvalues = eig.eigenvalues
     e1 = mp.mpc(complex(eigenvalues[0]))
     for _ in range(8):
         det, ddet, _, _ = terms(e1)
@@ -96,7 +97,7 @@ def _line(params) -> dict:
     inside = [s for s in _pole_seeds(eigenvalues, window) if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, inside]))
-    ys = _spectrum(params, m, eigenvalues[0], 1)(xs)
+    ys = _spectrum(params, m, eig, 1)(xs)
     margin = 0.05 * (hi - lo)
     lmask, rmask = xs <= lo + margin, xs >= hi - margin
     bx1, by1 = xs[lmask].mean(), ys[lmask].mean()
