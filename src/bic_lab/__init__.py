@@ -19,8 +19,8 @@ from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           discretize, resolvent_check, smoothed_kernel_sum)
 from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
                      DegenerateVector, GainMode, GridCoverage, MultiPeak, NoPeak,
-                     PoleHit, ProbeOnSpectrum, SingularEndpoint, SingularSolve,
-                     ValidationError, ZeroCross, ZeroWidth)
+                     PoleHit, ProbeOnSpectrum, SingularEndpoint, ValidationError,
+                     ZeroCross, ZeroWidth)
 from .hamiltonian import ComplexEigenSet, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, WignerCoupling, derive_couplings,

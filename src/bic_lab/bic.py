@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DegenerateVector, SingularSolve,
-                     ValidationError, _numerical, _require_finite)
+from .errors import (ConvergenceFailure, DegenerateVector, ValidationError, _numerical,
+                     _require_finite)
 from .hamiltonian import _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
 
@@ -43,30 +43,25 @@ class BicSolution:
 
 @_numerical
 def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
-              gamma1: float, gamma2: float,
-              g12: float | None = None, inv_kca: float = 0.0) -> BicSolution:
+              gamma1: float, gamma2: float, inv_kca: float = 0.0) -> BicSolution:
     """Solve A X = lambda X, B X = 0 for (lambda, delta1, delta2).
 
-    g12 defaults to the coherent value sqrt(g1*g2), which is also the
-    only case in which B can have the zero mode; eta is always set to
-    sqrt(gamma1*gamma2).  X = (x1, x2, 1) of the module docstring and its
-    norm C come back as ``x`` and ``c``.  Raises ValidationError for an
-    input that is not a finite real number (g12 only when given), or
-    unless g1, g2 >= 0 and gamma1, gamma2 > 0; DegenerateVector when
-    g1/g2 = gamma1/gamma2 leaves X undefined, checked before SingularSolve
-    for g1 = g12 * sqrt(gamma1/gamma2), which makes the continuum row of
-    A X = lambda X insoluble; ConvergenceFailure when a residual is
-    non-finite or exceeds 1e-12 * max(1, ||A||_F, ||B||_F), as it does
-    once the inputs overflow: the result would not be a solution.
+    Both coherences take their maximal values, the only ones at which B
+    has the zero mode: g12 = sqrt(g1*g2) and eta = sqrt(gamma1*gamma2).
+    X = (x1, x2, 1) of the module docstring and its norm C come back as
+    ``x`` and ``c``.  Raises ValidationError for an input that is not a
+    finite real number, or unless g1, g2 >= 0 and gamma1, gamma2 > 0;
+    DegenerateVector when g1/g2 = gamma1/gamma2 leaves X undefined;
+    ConvergenceFailure when a residual is non-finite or exceeds
+    1e-12 * max(1, ||A||_F, ||B||_F), as it does once the inputs
+    overflow: the result would not be a solution.
     """
-    _require_finite(g1=g1, g2=g2, g12=0.0 if g12 is None else g12, q1=q1, q2=q2,
-                    delta=delta, gamma1=gamma1, gamma2=gamma2, inv_kca=inv_kca)
+    _require_finite(g1=g1, g2=g2, q1=q1, q2=q2, delta=delta, gamma1=gamma1,
+                    gamma2=gamma2, inv_kca=inv_kca)
     if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
         raise ValidationError(
             [f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
              f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}"])
-    if g12 is None:
-        g12 = math.sqrt(g1 * g2)
     denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
     if abs(denom) < 1e-12:
         raise DegenerateVector(
@@ -75,21 +70,15 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     x = np.array([math.sqrt(gamma2) / denom, -math.sqrt(gamma1) / denom, 1.0])
     c = float(np.linalg.norm(x))
 
-    r = math.sqrt(gamma1 / gamma2)
-    if abs(g1 - g12 * r) < 1e-12:
-        raise SingularSolve(
-            f"g1 - g12*sqrt(gamma1/gamma2) = {g1 - g12 * r:.3e} vanishes; "
-            "lambda is unconstrained by the continuum row")
     s1 = math.sqrt(g1)
     s2 = math.sqrt(g2)
     # rows of A X = lambda X written out for X = (x1, x2, 1):
     #   row3: q1*sqrt(g1)*x1 + q2*sqrt(g2)*x2 - inv_kca = lambda
     #   row1: delta1*x1 + delta*x2 + q1*sqrt(g1) = lambda*x1
     #   row2: delta*x1 + delta2*x2 + q2*sqrt(g2) = lambda*x2
-    # row3 is the standard rearranged form
-    # (g12*r*q2 - g1*q1 + inv_kca*(g12*r - g1)) / (g1 - g12*r)
-    # multiplied through by sqrt(gamma2/g1)/denominator; evaluating it
-    # via x1, x2 keeps the eigen-residual at machine zero by construction
+    # row3 gives lambda with no division, so d = 0 is the only singular
+    # geometry; evaluating it via x1, x2 keeps the eigen-residual at
+    # machine zero by construction
     x1, x2 = x[0], x[1]
     lam = q1 * s1 * x1 + q2 * s2 * x2 - inv_kca
     delta1 = lam - (delta * x2 + q1 * s1) / x1
@@ -98,8 +87,7 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     params = DimensionlessParams(
         g1=g1, g2=g2, q1=q1, q2=q2,
         delta1=delta1, delta2=delta2, delta=delta,
-        gamma1=gamma1, gamma2=gamma2,
-        g12=g12, eta=math.sqrt(gamma1 * gamma2), inv_kca=inv_kca)
+        gamma1=gamma1, gamma2=gamma2, inv_kca=inv_kca)
     m = build(params)
     # contiguous copies: unit is real, so a product with the strided
     # m.real or m.imag would take other bits

@@ -208,10 +208,10 @@ _MODEL = {
 }
 _SOLVE_PARAMS = {
     **dict.fromkeys(("g1", "g2", "q1", "q2", "delta", "gamma1", "gamma2"), (_number, ...)),
-    "g12": (_number, None), "inv_kca": (_number, 0.0)}
-# a full DimensionlessParams: solve's inputs plus the detunings and eta
+    "inv_kca": (_number, 0.0)}
+# a full DimensionlessParams: solve's inputs plus the detunings and both coherences
 _PARAMS = {"params": ({**_SOLVE_PARAMS, **dict.fromkeys(("delta1", "delta2"), (_number, ...)),
-                       "eta": (_number, None)}, ...),
+                       **dict.fromkeys(("g12", "eta"), (_number, None))}, ...),
            "validation_mode": (_string, "permissive")}
 _SWEEP = {"eta_list": (_array(_number), None),
           "eta_range": ({"start": (_number, ...), "stop": (_number, ...),

@@ -373,11 +373,11 @@ def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> comp
 
     With eps = _SMOOTHING_BINS * dE = 10 dE, its real part converges to
     pv_integral(f, E3, upper=hi) as the grid refines; used as the
-    cross-check between the quadrature and discretized routes.  The
-    bounds must be finite with lo < hi, and n_bins a positive integer.
+    cross-check between the quadrature and discretized routes.  e3 and
+    the bounds must be finite with lo < hi, and n_bins a positive integer.
     """
     _require_counts(n_bins=n_bins)
-    _require_finite(lo=lo, hi=hi)
+    _require_finite(e3=e3, lo=lo, hi=hi)
     if not lo < hi:
         raise ValidationError([f"need lo < hi, got {lo!r} >= {hi!r}"])
     if n_bins < 1:

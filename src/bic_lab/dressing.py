@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateDressing, ZeroWidth, _require_finite
+from .errors import DegenerateDressing, ValidationError, ZeroWidth, _require_finite
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,14 @@ def dress(omega_m: float, delta_m: float,
     The dressed pair is split by sqrt(Omega_m^2 + Delta_m^2).
 
     When both bare widths are supplied, which must then be positive
-    (else ZeroWidth), the feasibility is the figure of merit
-    splitting / (sqrt(gamma1_bare) sqrt(gamma2_bare)), whose denominator
-    never underflows to 0 (a ratio past the float range is inf).  Values
-    of about 1 or below are favourable: the vacuum-induced cross damping
-    between the two dressed states survives only when their spacing is
-    comparable to or smaller than the geometric mean of the widths.  At
-    values >> 1 the cross terms oscillate faster than they decay and the
-    secular approximation drops them.  A non-finite input is a
+    (else ZeroWidth; one alone is a ValidationError), the feasibility is
+    the figure of merit splitting / (sqrt(gamma1_bare) sqrt(gamma2_bare)),
+    whose denominator never underflows to 0 (a ratio past the float
+    range is inf).  Values of about 1 or below are favourable: the
+    vacuum-induced cross damping between the two dressed states survives
+    only when their spacing is comparable to or smaller than the geometric
+    mean of the widths.  At values >> 1 the cross terms oscillate faster
+    than they decay and the secular approximation drops them.  A non-finite input is a
     ValidationError naming it.
     """
     _require_finite(omega_m=omega_m, delta_m=delta_m)
@@ -52,7 +52,10 @@ def dress(omega_m: float, delta_m: float,
     theta = 0.5 * math.atan2(omega_m, delta_m)
     splitting = math.hypot(omega_m, delta_m)
     feas = None
-    if gamma1_bare is not None and gamma2_bare is not None:
+    if (gamma1_bare is None) != (gamma2_bare is None):
+        missing = "gamma1_bare" if gamma1_bare is None else "gamma2_bare"
+        raise ValidationError([f"{missing} is missing: the feasibility needs both bare widths"])
+    if gamma1_bare is not None:
         _require_finite(gamma1_bare=gamma1_bare, gamma2_bare=gamma2_bare)
         if gamma1_bare <= 0.0 or gamma2_bare <= 0.0:
             raise ZeroWidth(

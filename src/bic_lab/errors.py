@@ -46,11 +46,6 @@ class DegenerateVector(BicLabError):
     exit_code = 4
 
 
-class SingularSolve(BicLabError):
-    """The closed-form eigenvalue equation degenerates (lambda unconstrained)."""
-    exit_code = 4
-
-
 class NoPeak(BicLabError):
     """No interior spectral maximum exists in the requested window."""
     exit_code = 4

@@ -24,8 +24,8 @@ through iterates already scored.  They stay closed-form because the
 pinned reference outputs of ``reproduce`` depend on their exact bits:
 moving E1 by about one ulp, as LAPACK or any other route may, moves a
 fig5 ``width`` by up to 1.2e-3 relative through refine_peak's floor fit
-(ROADMAP.md, item 1b).  The three eigenvectors come from one batched
-singular value decomposition of M - lam_k I.
+(ROADMAP.md, item 1b).  The three eigenvectors and their residuals come
+from one batched singular value decomposition of M - lam_k I.
 """
 
 from __future__ import annotations
@@ -152,7 +152,9 @@ class ComplexEigenSet:
                   unit norm with the first significant component real
                   positive; at a defective (exceptional-point) pair
                   two columns are parallel
-    residuals     (3,) float, ||M v - lam v||_2 per mode
+    residuals     (3,) float, per mode the smallest singular value of
+                  M - lam I, which is ||M v - lam v||_2 for its unit
+                  vector v: the backward error of lam
     scale         max(1, ||A + iB||_F), the scale of every tolerance on
                   this matrix: residual 1e-10 (RESIDUAL_RTOL), trace
                   1e-8, gain 1e-12 (_refuse_gain) and BIC 1e-9 (certify)
@@ -188,16 +190,15 @@ def eigensystem(m: np.ndarray) -> ComplexEigenSet:
         raise ConvergenceFailure(
             f"root sum {complex(sum(roots))} deviates from trace {complex(c2)}")
     lams = np.array(roots, dtype=complex)
-    # the right singular vector of the smallest singular value of
-    # M - lam I is the unit vector with the least residual
-    _, _, vh = np.linalg.svd(m - lams[:, None, None] * _EYE)
+    # the right singular vector v of the smallest singular value of
+    # M - lam I is the unit vector with the least residual, and that
+    # value is its residual ||(M - lam I) v||, the backward error of lam
+    _, s, vh = np.linalg.svd(m - lams[:, None, None] * _EYE)
+    residuals = s[:, -1]
     vecs = vh[:, -1, :].conj().T
     mags = np.abs(vecs)
     lead = np.argmax(mags > 1e-12, axis=0)
     vecs = vecs * (vecs[lead, _COLS].conj() / mags[lead, _COLS])
-    # np.linalg.norm(r, axis=0), written out as numpy computes it
-    r = m @ vecs - vecs * lams
-    residuals = np.sqrt(np.add.reduce((r.conj() * r).real, axis=0))
     if np.max(residuals) > RESIDUAL_RTOL * scale:
         raise ConvergenceFailure(
             f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "

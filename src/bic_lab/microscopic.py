@@ -223,7 +223,7 @@ def pv_integral(f: Callable[[float], float], e3: float,
 
     where the log term is the analytic principal value of the constant
     remainder (for f == 1, E3=1, upper=3 this correctly gives -ln 2).
-    upper=None integrates to infinity: the subtraction runs over the
+    upper=None or +inf integrates to infinity: the subtraction runs over the
     pole-symmetric interval [0, 2*E3] (log term zero) and the plain tail
     f/(E3 - E) beyond it is one call of QUADPACK's infinite-range rule
     QAGI.  A QUADPACK message is a ConvergenceFailure naming its piece:
@@ -231,17 +231,21 @@ def pv_integral(f: Callable[[float], float], e3: float,
     A subtracted integrand that QUADPACK cannot sum in floats (|value| x
     |range| beyond _PV_SUM_MAX) makes the integral NaN.  Fixed tolerances:
     relative 1e-10 (_RTOL) on every piece, absolute 1e-14 on the
-    subtracted pieces and 1e-16 on the tail.
+    subtracted pieces and 1e-16 on the tail.  An e3 or a finite upper that
+    is not a finite real number is a ValidationError naming it.
     """
-    if upper is not None and not math.isinf(upper):
+    infinite = upper is None or upper == math.inf
+    if infinite:
+        (e3,) = _require_finite(e3=e3)
+        if e3 <= 0.0:
+            raise SingularEndpoint(f"pole E3={e3!r} must be positive")
+    else:
+        e3, upper = _require_finite(e3=e3, upper=upper)
         if e3 <= 0.0 or e3 >= upper or e3 / (upper - e3) == 0.0:
             raise SingularEndpoint(
                 f"pole E3={e3!r} must lie strictly inside (0, {upper!r}), "
                 "with a log term ln(E3/(upper - E3)) that does not underflow")
-    elif e3 <= 0.0:
-        raise SingularEndpoint(f"pole E3={e3!r} must be positive")
     f_e3 = float(f(e3))
-    infinite = upper is None or math.isinf(upper)
     sub_upper = 2.0 * e3 if infinite else upper
     g = _difference_quotient(f, e3, f_e3, _PV_SUM_MAX / max(1.0, sub_upper))
     try:

@@ -516,5 +516,7 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     etas = _require_finite(**{f"eta_list[{i}]": eta for i, eta in enumerate(eta_list)})
     if not etas:
         raise ValidationError(["eta_list must be nonempty"])
+    if window is not None:
+        window = tuple(_require_finite(**{"window[0]": window[0], "window[1]": window[1]}))
     return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)
                                   for eta in etas])

@@ -10,7 +10,7 @@ from bic_lab.bic import (
     certify,
     solve_bic,
 )
-from bic_lab.errors import DegenerateVector, GainMode, SingularSolve, ValidationError
+from bic_lab.errors import DegenerateVector, GainMode, ValidationError
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.params import DimensionlessParams, _passive
 from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params, fig5_params
@@ -56,10 +56,7 @@ def test_bic_vector_guards():
         solve_bic(1.0, 1.0, 0.1, 0.2, 0.3, gamma1=0.0, gamma2=1.0)
     with pytest.raises(ValidationError, match="g1, g2 >= 0"):
         solve_bic(-1.0, 1.0, 0.1, 0.2, 0.3, gamma1=1.0, gamma2=1.0)
-    # g1/g2 = gamma1/gamma2 makes the direction undefined; this coherent
-    # set also zeroes g1 - g12*sqrt(gamma1/gamma2), and the vector comes first
-    g12, r = math.sqrt(2.0 * 1.0), math.sqrt(0.5 / 0.25)
-    assert abs(2.0 - g12 * r) < 1e-12
+    # g1/g2 = gamma1/gamma2 makes the direction undefined
     with pytest.raises(DegenerateVector):
         solve_bic(2.0, 1.0, 0.1, 0.2, 0.3, gamma1=0.5, gamma2=0.25)
 
@@ -91,11 +88,25 @@ def test_solve_bic_result_is_exact_eigenpair():
     assert eig.eigenvalues[k].real == pytest.approx(sol.lam, rel=1e-12)
 
 
-def test_solve_bic_singular_geometry():
-    # g1 = g12*sqrt(gamma1/gamma2) leaves lambda unconstrained
-    with pytest.raises(SingularSolve):
-        solve_bic(g1=2.0, g2=2.0, q1=0.1, q2=0.2, delta=0.0,
-                  gamma1=4.0, gamma2=1.0, g12=1.0)
+@pytest.mark.parametrize("g1,g2,lam", [(0.0, 2.0, -0.54), (2.0, 0.0, 0.8)])
+def test_solve_bic_with_one_laser_off_is_a_certified_bound_state(g1, g2, lam):
+    # lambda comes from the Feshbach row with no division, so g1 = 0 or
+    # g2 = 0 is no singular geometry: lambda = -q2 or -q1
+    sol = solve_bic(g1=g1, g2=g2, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+    assert sol.lam == pytest.approx(lam, abs=1e-15)
+    assert sol.residual_a < 1e-15 and sol.residual_b < 1e-15
+    assert sol.params.g12 == 0.0 and sol.params.eta == 1.0
+    rep = certify(sol.params)
+    assert rep.is_bic
+    assert rep.eigenvalue.real == pytest.approx(sol.lam, rel=1e-12)
+
+
+def test_solve_bic_derives_g12_and_takes_no_knob_for_it():
+    # B has its zero mode only at the coherent g12 = sqrt(g1*g2)
+    design = dict(g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1.0, gamma2=1.0)
+    assert solve_bic(**design).params.g12 == math.sqrt(6.0)
+    with pytest.raises(TypeError):
+        solve_bic(**design, g12=2.4)
 
 
 @pytest.mark.parametrize("key,value,message", [

@@ -97,11 +97,29 @@ def test_solve_frozen_example(tmp_path):
 
 
 def test_solve_degenerate_exit_code(tmp_path, capsys):
+    # g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined
     cfg = write_cfg(tmp_path, "bad.json", {
-        "params": {"g1": 2.0, "g2": 2.0, "q1": 0.1, "q2": 0.2,
-                   "delta": 0.0, "gamma1": 4.0, "gamma2": 1.0, "g12": 1.0}})
+        "params": {"g1": 2.0, "g2": 1.0, "q1": 0.1, "q2": 0.2,
+                   "delta": 0.0, "gamma1": 0.5, "gamma2": 0.25}})
     assert main(["solve", "--config", cfg]) == 4
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "error: g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined")
+
+
+def test_solve_at_g1_zero_exits_0(tmp_path, capsys):
+    # the first laser off: a bound state at lambda = -q2 = -0.54
+    command, payload = _solve_cfg(g1=0.0)
+    assert main([command, "--config", write_cfg(tmp_path, "solve.json", payload)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["lambda"] == -0.54
+
+
+def test_solve_takes_no_g12(tmp_path, capsys):
+    # solve derives g12 = sqrt(g1*g2), the only value with a bound state
+    command, payload = _solve_cfg(g12=2.4)
+    assert main([command, "--config", write_cfg(tmp_path, "solve.json", payload)]) == 2
+    assert capsys.readouterr() == ("", "error: params: unknown keys for solve: g12\n")
 
 
 def test_certify_deviated_reference(tmp_path):
@@ -213,6 +231,16 @@ def test_sweep_eta_range(tmp_path):
     assert widths[0] > widths[1] > widths[2]
 
 
+def test_sweep_eta_range_takes_its_least_n(tmp_path):
+    # n = 2 is the smallest range: its two ends
+    cfg = write_cfg(tmp_path, "curve.json", {
+        "params": fig4_params().as_dict(),
+        "sweep": {"eta_range": {"start": 0.9, "stop": 1.0, "n": 2}}})
+    out = tmp_path / "curve.csv"
+    assert main(["sweep-eta", "--config", cfg, "--out", str(out)]) == 0
+    assert [float(r.split(",")[0]) for r in out.read_text().splitlines()[1:]] == [0.9, 1.0]
+
+
 def test_width_curve_subcommand_is_gone(capsys):
     # the width-vs-eta curve is sweep-eta with an eta_range
     with pytest.raises(SystemExit) as exc:
@@ -267,6 +295,16 @@ def test_derive_reference_model(tmp_path):
     assert rec["microscopic"]["Gamma_F"] == pytest.approx(0.249588129202350, rel=1e-9)
     assert rec["params"]["g1"] == pytest.approx(0.473319504421516, rel=1e-9)
     assert rec["params"]["inv_kca"] == pytest.approx(-7.916933607665830, rel=1e-9)
+
+
+def test_derive_rotating_energies_default_to_zero(tmp_path, capsys):
+    outputs = []
+    for extra in ({}, {"e1": 0.0, "e2": 0.0}):
+        cfg = gaussian_model_cfg()
+        cfg["microscopic"].update(extra)
+        assert main(["derive", "--config", write_cfg(tmp_path, "derive.json", cfg)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_derive_divergent_tail_exit_code(tmp_path):
@@ -414,7 +452,7 @@ def test_every_library_error_has_an_exit_code():
     # deliberate code fails here instead of silently exiting 3
     want = {"BicLabError": 3, "ValidationError": 2, "GridCoverage": 2,
             "ConvergenceFailure": 3,
-            **dict.fromkeys(("SingularSolve", "DegenerateVector", "ZeroWidth", "ZeroCross",
+            **dict.fromkeys(("DegenerateVector", "ZeroWidth", "ZeroCross",
                              "DegenerateDressing", "SingularEndpoint", "NoPeak", "MultiPeak",
                              "PoleHit", "GainMode", "ProbeOnSpectrum"), 4)}
     defined = {name: c.exit_code for name, c in vars(errors).items()
@@ -480,8 +518,7 @@ def test_integer_fields_accept_integral_floats(tmp_path, capsys):
     # certify has no tolerance: a key that was one is an unknown key
     ("certify", {"params": fig4_params().as_dict(), "tol_im": "x"},
      "config: unknown keys for certify: tol_im"),
-    ("solve", {"params": {"g1": 3.0, "g2": 2.0, "q1": -0.8, "q2": 0.54, "delta": 0.1,
-                          "gamma1": 1.0, "gamma2": 1.0, "g12": "x"}},
+    ("certify", {"params": dict(fig4_params().as_dict(), g12="x")},
      "params.g12: not a number"),
     ("derive", {"microscopic": dict(gaussian_model_cfg()["microscopic"], e_max=float("nan"))},
      "microscopic.e_max: must be finite"),
@@ -602,6 +639,8 @@ def _dress_cfg(**dressing):
      "strict mode needs g12=sqrt(g1*g2)="),
     # derive takes the rotating-frame energies e1, e2, not laser frequencies
     (*_derive_cfg(laser1_freq=0.3), "microscopic: unknown keys for derive: laser1_freq"),
+    # 3 + 1000 + 2*500 = 2003 states: each photon grid counts twice
+    (*_validate_cfg(n_e=1000, k_max=3.0, n_k=500), "oracle: 3 + n_e + 2*n_k must be <= 2000"),
 ])
 def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payload,
                                                message):
@@ -632,7 +671,6 @@ def test_input_errors_exit_2_without_traceback(tmp_path, capsys, command, payloa
                                        omega23=-1.0)),
      "non-finite resolvent deviations [nan]"),
     (*_solve_cfg(delta=-1e300), "BIC residuals"),
-    (*_solve_cfg(g12=-1e300), "BIC residuals"),
     # a Wigner tail whose weight diverges: exit 0 with quad's bare warning
     # on stderr, or under -W error a traceback
     ("validate", dict(_validate_cfg()[1], microscopic=dict(

@@ -28,7 +28,7 @@ def _property_bases():
     params = fig4_params().as_dict()
     return {
         "dress": _dress_cfg()[1],
-        "solve": _solve_cfg(g12=2.4, inv_kca=0.0)[1],
+        "solve": _solve_cfg(inv_kca=0.0)[1],
         "certify": {"params": params, "validation_mode": "permissive"},
         "spectrum": dict(_spectrum_cfg(channel=1)[1], validation_mode="physical"),
         "sweep-eta": _sweep_cfg(eta_list=[0.9, 0.99], window=[6.0, 7.5], channel=1)[1],

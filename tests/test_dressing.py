@@ -45,6 +45,9 @@ def test_feasibility_value_and_guard():
     assert dress(3.0, 1.0, 6.0, 4.0).feasibility == pytest.approx(math.sqrt(10.0 / 24.0))
     with pytest.raises(ZeroWidth, match=r"^bare widths must be positive, got 0\.0, 1\.0$"):
         dress(10.0, 0.0, 0.0, 1.0)
+    # either width: not a ZeroDivisionError
+    with pytest.raises(ZeroWidth, match=r"^bare widths must be positive, got 1\.0, 0\.0$"):
+        dress(1.0, 1.0, 1.0, 0.0)
 
 
 def test_dress_frozen_example():
@@ -58,6 +61,15 @@ def test_dress_without_widths_skips_feasibility():
     pair = dress(50.0, 10.0)
     assert isinstance(pair, DressedPair)
     assert pair.feasibility is None
+
+
+@pytest.mark.parametrize("widths,missing", [
+    ({"gamma1_bare": 6.0}, "gamma2_bare"), ({"gamma2_bare": 4.0}, "gamma1_bare")])
+def test_dress_with_one_bare_width_names_the_missing_one(widths, missing):
+    with pytest.raises(ValidationError) as exc:
+        dress(50.0, 10.0, **widths)
+    assert exc.value.violations == [
+        f"{missing} is missing: the feasibility needs both bare widths"]
 
 
 @pytest.mark.parametrize("g1,g2", [(1e-308, 1e-308), (5e-324, 5e-324), (5e-324, 1e308)])

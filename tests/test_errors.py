@@ -8,6 +8,7 @@ library refuses on purpose is a ValidationError, a BicLabError too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from bic_lab.discretized import (GridSpec, compare_pole_approximation, discretiz
 from bic_lab.dressing import dress
 from bic_lab.errors import BicLabError, ValidationError, _require_finite
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.microscopic import (GaussianCoupling, derive_couplings,
+from bic_lab.microscopic import (GaussianCoupling, derive_couplings, pv_integral,
                                  reference_gaussian_model, to_dimensionless)
 from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params
 from bic_lab.spectrum import peak_metrics, refine_peak, spectrum_series, sweep_eta
@@ -119,6 +120,24 @@ BARE_NUMBERS = {
     # a JSON true is not eta = 1.0
     "sweep_eta bool": (lambda: sweep_eta(fig4_params(), [0.9, True]),
                        "eta_list[1]=True is not a real number"),
+    # sweep_eta's window, before it meets an eigenvalue
+    "sweep_eta window string": (lambda: sweep_eta(fig4_params(), [0.9], window=("x", 10)),
+                                "window[0]='x' is not a real number"),
+    "sweep_eta window huge int": (lambda: sweep_eta(fig4_params(), [0.9], window=(0, HUGE)),
+                                  f"window[1]={HUGE!r} is not finite"),
+    "pv_integral e3 string": (lambda: pv_integral(lambda e: 1.0, "x"),
+                              "e3='x' is not a real number"),
+    "pv_integral e3 huge int": (lambda: pv_integral(lambda e: 1.0, HUGE, 3.0),
+                                f"e3={HUGE!r} is not finite"),
+    "pv_integral e3 bool": (lambda: pv_integral(lambda e: 1.0, True),
+                            "e3=True is not a real number"),
+    "pv_integral e3 inf": (lambda: pv_integral(lambda e: 1.0, math.inf),
+                           "e3=inf is not finite"),
+    # only None and +inf mean "to infinity"
+    "pv_integral upper -inf": (lambda: pv_integral(lambda e: 1.0, 1.0, -math.inf),
+                               "upper=-inf is not finite"),
+    "smoothed_kernel_sum e3 string": (lambda: smoothed_kernel_sum(lambda e: e, "x", 0.0, 1.0, 4),
+                                      "e3='x' is not a real number"),
     "refine_peak huge int": (lambda: refine_peak(lambda x: x, (0, HUGE)),
                              f"hi={HUGE!r} is not finite"),
     "smoothed_kernel_sum huge int": (lambda: smoothed_kernel_sum(lambda e: e, 0.25, 0.0,

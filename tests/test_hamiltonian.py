@@ -236,7 +236,8 @@ def _polish_root_40(x, c2, c1, c0):
 
 def _eigensystem_oracle(m):
     """(eigenvalues, eigenvectors, residuals) of eigensystem, from the
-    40-step polish and the eigenvector step written with np.linalg.norm."""
+    40-step polish and the eigenvector step written with np.abs; each
+    residual is the smallest singular value of M - lam I."""
     c2, c1, c0 = char_coeffs(m)
     roots = [_polish_root_40(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
     roots.sort(key=lambda z: (-z.imag, z.real))
@@ -245,11 +246,11 @@ def _eigensystem_oracle(m):
         raise ConvergenceFailure(
             f"root sum {complex(sum(roots))} deviates from trace {complex(c2)}")
     lams = np.array(roots, dtype=complex)
-    _, _, vh = np.linalg.svd(m - lams[:, None, None] * np.eye(3))
+    _, s, vh = np.linalg.svd(m - lams[:, None, None] * np.eye(3))
     vecs = vh[:, -1, :].conj().T
     lead = vecs[np.argmax(np.abs(vecs) > 1e-12, axis=0), np.arange(3)]
     vecs = vecs * (lead.conj() / np.abs(lead))
-    residuals = np.linalg.norm(m @ vecs - vecs * lams, axis=0)
+    residuals = s[:, -1]
     if np.max(residuals) > RESIDUAL_RTOL * scale:
         raise ConvergenceFailure(
             f"eigen residual {np.max(residuals):.3e} exceeds {RESIDUAL_RTOL:.1e} * ||M|| = "
@@ -281,6 +282,9 @@ def _assert_eigensystem_matches_oracle(m):
     assert isinstance(got, ComplexEigenSet)
     for a, b in zip((got.eigenvalues, got.eigenvectors, got.residuals), want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the smallest singular value is the residual of its unit vector
+    explicit = np.linalg.norm(m @ got.eigenvectors - got.eigenvectors * got.eigenvalues, axis=0)
+    assert np.max(np.abs(got.residuals - explicit)) <= 1e-15 * got.scale
     return None
 
 

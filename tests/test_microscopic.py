@@ -113,6 +113,11 @@ def test_coupling_model_validation():
     with pytest.raises(ValueError, match="e3"):
         CouplingModel(lambda1=g, lambda2=g, v3=g, v1f=0.0, v2f=0.0,
                       omega13=0.0, omega23=0.0, e3=-1.0, dipole_overlap=0.0)
+    # the boundary itself: a pole at the threshold E = 0 has no PV integral
+    with pytest.raises(ValidationError) as exc:
+        CouplingModel(lambda1=g, lambda2=g, v3=g, v1f=0.0, v2f=0.0,
+                      omega13=0.0, omega23=0.0, e3=0.0, dipole_overlap=0.0)
+    assert exc.value.violations == ["e3 must be positive, got 0.0"]
     with pytest.raises(ValueError, match="e_max"):
         CouplingModel(lambda1=g, lambda2=g, v3=g, v1f=0.0, v2f=0.0,
                       omega13=0.0, omega23=0.0, e3=2.0, dipole_overlap=0.0,
@@ -179,6 +184,12 @@ def test_pv_random_gaussian_products_vs_fold_oracle(rng):
         got = pv_integral(lambda e: w(e) ** 2, e3, None)
         ref = pv_fold_oracle(lambda e: w(e) ** 2, e3)
         assert got == pytest.approx(ref, rel=1e-11, abs=1e-15)
+
+
+def test_pv_upper_inf_is_upper_none():
+    f = GaussianCoupling(amplitude=0.3, center=1.2, width=0.5)
+    assert pv_integral(lambda e: f(e) ** 2, 1.0, math.inf) == pv_integral(
+        lambda e: f(e) ** 2, 1.0, None)
 
 
 def test_pv_singular_endpoint():
