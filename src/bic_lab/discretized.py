@@ -171,6 +171,7 @@ def discretize(model: CouplingModel, grid: GridSpec,
     are integrated; flat couplings are exempt (they model an idealized
     wide-band limit and carry no normalizable weight).
     """
+    e1_rot, e2_rot = _require_finite(e1_rot=e1_rot, e2_rot=e2_rot)
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
     root_de = math.sqrt(e_width)
     names, fns = ("lambda1", "lambda2", "v3"), (model.lambda1, model.lambda2, model.v3)

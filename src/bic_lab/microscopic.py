@@ -342,6 +342,7 @@ def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
     q_n = (beta_n + omega_n3) / (Gamma_nF / 2), with q_n = 0 adopted
     when numerator and denominator both vanish.
     """
+    e1, e2 = _require_finite(e1=e1, e2=e2)
     if res.gamma_f <= 0.0:
         raise ZeroWidth(f"Gamma_F={res.gamma_f!r} must be positive")
     ef = res.gamma_f / 2.0

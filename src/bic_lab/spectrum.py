@@ -21,6 +21,7 @@ unequal distances from the peak, so both are reported.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -43,13 +44,14 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
 
     Everything point-free is taken once per matrix; a call shifts the
     diagonal once, as a (3, N) array, and reuses a minor of det as a
-    cofactor of the numerator.  Where det D sits below its rounding floor,
-    a point takes r = N'/D', the limit at a simple root D shares with the
-    numerator N, if it is removable: |D'| >= 8 eps s^2 and |N - r D| <
-    8 eps s^2 (max|v| + |r| s), with s = max(s_mat, |x|).  Else it is a
-    real pole and raises PoleHit.
+    cofactor of the numerator.  Where det D sits below its rounding floor
+    8 eps s^3, with s = max(s_mat, |x|), a point takes r = N'/D', the limit
+    at a simple root D shares with the numerator N, if it is removable:
+    |D'| >= 8 eps s^2 and |N - r D| < 8 eps s^2 (max|v| + |r| s).  Else it
+    is a real pole and raises PoleHit.
     """
-    if channel not in (1, 2):
+    if (isinstance(channel, bool) or not isinstance(channel, numbers.Integral)
+            or channel not in (1, 2)):
         raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
     diag = mat.diagonal()[:, None]
     n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
@@ -57,7 +59,8 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     # the products of two off-diagonal entries do not depend on the point
     p12_21, p12_20, p10_21 = n12 * n21, n12 * n20, n10 * n21
     pc1, pc2 = (n02 * n21, n01 * n12) if channel == 1 else (n02 * n20, n02 * n10)
-    v0, v1, v2 = v[0], v[1], v[2]
+    # -v1 takes channel 1's minus sign exactly, up to a zero's sign that |amp|^2 erases
+    v0, v1, v2, minus_v1 = v[0], v[1], v[2], -v[1]
     # det and the numerator are cubic and quadratic in the point and the
     # entries: their float errors are a few eps * s^3 and eps * s^2 * max|v|
     # with s the dominant magnitude; 8x covers the operation count
@@ -70,15 +73,18 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
         minor0, minor1 = n11 * n22 - p12_21, n10 * n22 - p12_20
         det = n00 * minor0 - n01 * minor1 + n02 * (p10_21 - n11 * n20)
         if channel == 1:
-            num = minor0 * v0 + -(n01 * n22 - pc1) * v1 + (pc2 - n02 * n11) * v2
+            num = minor0 * v0 + (n01 * n22 - pc1) * minus_v1 + (pc2 - n02 * n11) * v2
         else:
             num = -minor1 * v0 + (n00 * n22 - pc1) * v1 + -(n00 * n12 - pc2) * v2
-        s = np.maximum(s_mat, np.abs(x))
-        floor_d = 8.0 * _EPS * s ** 3
-        # a NaN det is not tiny: its ratio is reported as non-finite, not as a pole
-        tiny = np.abs(det) < floor_d
-        if not tiny.any():
+        abs_x, abs_det = np.abs(x), np.abs(det)
+        # no point is tiny when the smallest |det| clears the largest floor, widened by 1e-9
+        # past any rounding of a per-point s ** 3 (Python floats overflow to inf, not an error)
+        s_top = max(s_mat, float(abs_x.max(initial=0.0)))
+        if abs_det.min(initial=math.inf) >= 8.0 * (1.0 + 1e-9) * _EPS * s_top * s_top * s_top:
             return num / det
+        s = np.maximum(s_mat, abs_x)
+        # a NaN det is not tiny: its ratio is reported as non-finite, not as a pole
+        tiny = abs_det < 8.0 * _EPS * s ** 3
         amps = num / np.where(tiny, 1.0, det)
         # the derivatives at the tiny points: each n_ii grows by 1 per unit x
         t00, t11, t22, s = n00[tiny], n11[tiny], n22[tiny], s[tiny]
@@ -222,26 +228,42 @@ def _merge_plateaus(ys: np.ndarray) -> np.ndarray:
 
 #: abscissae of refine_peak's coarse scan
 _N_COARSE = 801
+_RAMP = np.arange(float(_N_COARSE))  # what np.linspace scales by its step and shifts
 #: levels of a search tree that refine_peak evaluates per call of f
 _LOOKAHEAD = 5
 #: sections a crossing bracket is cut into per call of f
 _SECTIONS = 64
+_FRACTIONS = np.arange(1, _SECTIONS) / _SECTIONS
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_PHI = (math.sqrt(5.0) + 1.0) / 2.0  # a golden-section step's shrink factor
 
 
-def _golden_tree(a, b, c, d, xtol: float, depth: int = _LOOKAHEAD) -> list:
-    """Abscissae golden section may ask for in its next depth steps from
-    bracket (a, b), both outcomes followed with the loop's own float
-    operations: the new c of a step to (a, d), the new d of a step to
+def _golden_tree(a, b, c, d, xtol: float) -> list:
+    """Abscissae golden section may ask for in its next _LOOKAHEAD steps from
+    bracket (a, b), level by level, both outcomes followed with the loop's own
+    float operations: the new c of a step to (a, d), the new d of a step to
     (c, b), and the midpoint of a bracket at which the search stops."""
-    if (b - a) <= xtol:
-        return [0.5 * (a + b)]
-    if not depth:
-        return []
-    new_c = d - _INVPHI * (d - a)
-    new_d = c + _INVPHI * (b - c)
-    return ([new_c, new_d] + _golden_tree(a, d, new_c, c, xtol, depth - 1)
-            + _golden_tree(c, b, d, new_d, xtol, depth - 1))
+    out, level = [], [(a, b, c, d)]
+    for depth in range(_LOOKAHEAD, -1, -1):
+        below = []
+        for a, b, c, d in level:
+            if (b - a) <= xtol:
+                out.append(0.5 * (a + b))
+            elif depth:
+                new_c, new_d = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
+                out += (new_c, new_d)
+                below += ((a, d, new_c, c), (c, b, d, new_d))
+        level = below
+    return out
+
+
+def _bounded(ratio: float, shrink: float, search: str):
+    """Yield before each step of a search loop that shrinks its bracket
+    shrink-fold per step: once more than the steps a ratio-fold shrink takes
+    plus 4 (once if ratio is not finite), then raise ConvergenceFailure."""
+    n = math.ceil(math.log(max(ratio, 1.0), shrink)) + 5 if ratio < math.inf else 1
+    yield from range(n)
+    raise ConvergenceFailure(f"{search} did not converge in {n} steps")
 
 
 def refine_peak(f: Callable[[np.ndarray], np.ndarray],
@@ -254,8 +276,9 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     section to relative 1e-12 on the abscissa, then the two crossings at
     height/e to 1e-12*|window|, each bracketed by the scan and cut into
     _SECTIONS parts per round until it is within tolerance or stops
-    shrinking.  A round is one call of f on the open brackets, whose kept
-    sections are chosen in plain Python.  A line takes about 12 calls of f.
+    shrinking; a round is one call of f on the open brackets, a line about 12
+    calls.  A search open 4 steps past its bracket ratio's count raises
+    ConvergenceFailure.
 
     f maps a 1-d float64 array of abscissae to one value per abscissa;
     refine_peak calls it no other way.  A golden-section call evaluates the
@@ -278,7 +301,10 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     lo, hi = _require_finite(lo=window[0], hi=window[1])
     if not lo < hi:
         raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
-    xs = np.linspace(lo, hi, _N_COARSE)
+    # np.linspace(lo, hi, _N_COARSE) bit for bit, less its Python overhead
+    dx = (hi - lo) / (_N_COARSE - 1)
+    xs = _RAMP * dx + lo if dx else np.linspace(lo, hi, _N_COARSE)
+    xs[-1] = hi
     inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, np.array(inside)]))
@@ -288,12 +314,11 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     if ys.max() <= 0.0:
         raise NoPeak("window contains no positive spectral weight")
 
-    # linear floor through the outer 5% of the window on each side
+    # linear floor through the outer 5% of the window on each side (xs is sorted)
     margin = 0.05 * (hi - lo)
-    lmask = xs <= lo + margin
-    rmask = xs >= hi - margin
-    bx1, by1 = xs[lmask].mean(), ys[lmask].mean()
-    bx2, by2 = xs[rmask].mean(), ys[rmask].mean()
+    n_left, n_right = xs.searchsorted(lo + margin, "right"), xs.searchsorted(hi - margin)
+    bx1, by1 = xs[:n_left].mean(), ys[:n_left].mean()
+    bx2, by2 = xs[n_right:].mean(), ys[n_right:].mean()
     slope = (by2 - by1) / (bx2 - bx1)
 
     def floor(x):
@@ -321,25 +346,23 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
                     f"two separated maxima near {float(xs[tall[a]])!r} and {float(xs[tall[b]])!r} "
                     "are within 1/e of each other; narrow the window")
 
-    # every golden-section step asks work for one point
+    # the feature at every point evaluated so far, where a step looks its point up
     memo: dict[float, float] = {}
     failed: set[float] = set()  # the points of batches that raised
 
-    def work(x, ahead: Callable[[], list]) -> float:
-        """The feature at x; a miss evaluates x together with ahead(),
-        less the points of failed batches."""
-        if x not in memo:
-            more = ahead()
-            if failed:
-                more = [p for p in more if p not in failed]
-            pts = np.array([x] + more, dtype=float)
-            try:
-                memo.update(zip(pts.tolist(), np.asarray(feature(pts), dtype=float).tolist()))
-            except Exception:
-                # f may fail at a point the search never visits, and such a
-                # point must not decide the outcome: evaluate x alone
-                failed.update(pts.tolist())
-                memo[x] = float(feature(np.array([x]))[0])
+    def fetch(x: float, ahead: list) -> float:
+        """The feature at x, evaluated together with ahead less the points
+        of failed batches."""
+        if failed:
+            ahead = [p for p in ahead if p not in failed]
+        pts = [x] + ahead
+        try:
+            memo.update(zip(pts, np.asarray(feature(np.array(pts)), dtype=float).tolist()))
+        except Exception:
+            # f may fail at a point the search never visits, and such a
+            # point must not decide the outcome: evaluate x alone
+            failed.update(pts)
+            memo[x] = float(feature(np.array([x]))[0])
         return memo[x]
 
     # golden-section refinement on the three-point bracket
@@ -347,19 +370,21 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     xtol = 1e-12 * max(1.0, abs(float(xs[im])))
-    fc = work(c, lambda: [d] + _golden_tree(a, b, c, d, xtol))
-    fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
-    while (b - a) > xtol:
+    fc = fetch(c, [d] + _golden_tree(a, b, c, d, xtol))
+    fd = memo[d] if d in memo else fetch(d, _golden_tree(a, b, c, d, xtol))
+    for _ in _bounded((b - a) / xtol, _PHI, "golden section"):
+        if not (b - a) > xtol:
+            break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = work(c, lambda: _golden_tree(a, b, c, d, xtol))
+            fc = memo[c] if c in memo else fetch(c, _golden_tree(a, b, c, d, xtol))
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = work(d, lambda: _golden_tree(a, b, c, d, xtol))
+            fd = memo[d] if d in memo else fetch(d, _golden_tree(a, b, c, d, xtol))
     e_peak = 0.5 * (a + b)
-    height = work(e_peak, list)
+    height = memo[e_peak] if e_peak in memo else fetch(e_peak, [])
     if height <= 0.0:
         raise NoPeak("refined peak has no positive height")
     target = height * _INV_E
@@ -374,17 +399,21 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
                          f"window edge at {edge!r}")
         j = out[0] if step > 0 else out[-1]
         ends.append([float(xs[j - step]) if side[j - step] else e_peak, float(xs[j])])
-    fractions = np.arange(1, _SECTIONS) / _SECTIONS
     open_ = [end for end in ends if abs(end[1] - end[0]) > cross_tol]
-    while open_:
+    # a bracket stops shrinking at one ulp: an underflowed tolerance counts as the least
+    widest = max((abs(x1 - x0) for x0, x1 in open_), default=0.0)
+    for _ in _bounded(widest / max(cross_tol, 5e-324), _SECTIONS, "1/e crossing search"):
+        if not open_:
+            break
         x_in, x_out = np.array(open_).T[:, :, None]
-        nodes = x_in + (x_out - x_in) * fractions
+        nodes = x_in + (x_out - x_in) * _FRACTIONS
         below = (np.asarray(feature(nodes.ravel()), dtype=float) <= target).reshape(nodes.shape)
         still = []
-        for end, inner, row in zip(open_, nodes.tolist(), below.tolist()):
-            # keep the section ending at the first node at or below target
-            k = (row + [True]).index(True)
-            kept = ([end[0]] + inner + [end[1]])[k:k + 2]
+        for end, row, hits, k in zip(open_, nodes, below, below.argmax(axis=1).tolist()):
+            # keep the section ending at the first node at or below target, else the last
+            k = k if hits[k] else _SECTIONS - 1
+            kept = [float(row[k - 1]) if k else end[0],
+                    float(row[k]) if k < _SECTIONS - 1 else end[1]]
             if kept != end and abs(kept[1] - kept[0]) > cross_tol:
                 still.append(end)
             end[:] = kept
@@ -455,15 +484,14 @@ def _auto_window(eigenvalues: np.ndarray) -> tuple[float, float]:
 
 
 def _pole_seeds(eigenvalues: np.ndarray, window: tuple[float, float]) -> list[float]:
+    """re + k w, k in +-2, +-1, +-0.5, 0, around each eigenvalue in window."""
     lo, hi = window
     seeds = []
     for lam in eigenvalues:
-        re, im = float(lam.real), abs(float(lam.imag))
-        if not lo < re < hi:
-            continue
-        w = max(im, 1e-13 * max(1.0, abs(re)))
-        for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
-            seeds.append(re + k * w)
+        re = float(lam.real)
+        if lo < re < hi:
+            w = max(abs(float(lam.imag)), 1e-13 * max(1.0, abs(re)))
+            seeds += (re + k * w for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0))
     return seeds
 
 

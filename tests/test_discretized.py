@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -73,6 +74,28 @@ def test_grid_counts_may_be_numpy_integers():
     grid = GridSpec(e_min=0.0, e_max=4.5, n_e=np.int64(60), k_min=0.0, k_max=3.0,
                     n_k=np.int32(10))
     assert discretize(reference_gaussian_model(), grid).size == 3 + 60 + 2 * 10
+
+
+@pytest.fixture(scope="module")
+def reference_derivation():
+    model = reference_gaussian_model()
+    return model, derive_couplings(model)
+
+
+@pytest.mark.parametrize("value,problem", [
+    ("x", "is not a real number"), (None, "is not a real number"),
+    (True, "is not a real number"), (math.nan, "is not finite"), (math.inf, "is not finite"),
+    (10**400, "is not finite"),
+], ids=["str", "None", "bool", "nan", "inf", "10**400"])
+@pytest.mark.parametrize("name", ["e1_rot", "e2_rot", "e1", "e2"])
+def test_a_rotating_energy_that_is_not_a_finite_number_is_a_validation_error(
+        reference_derivation, name, value, problem):
+    model, res = reference_derivation
+    with pytest.raises(ValidationError, match=rf"^{name}={re.escape(repr(value))} {problem}$"):
+        if name.endswith("_rot"):
+            discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=60), **{name: value})
+        else:
+            to_dimensionless(res, model, **{name: value})
 
 
 def test_discretize_shapes_and_hermiticity():

@@ -18,6 +18,7 @@ from bic_lab.spectrum import (
     LORENTZ_WIDTH_FACTOR,
     PeakMetrics,
     _LOOKAHEAD,
+    _N_COARSE,
     _SECTIONS,
     _amplitude,
     _auto_window,
@@ -312,6 +313,21 @@ def test_sweep_eta_rejects_unknown_channel(fig4):
         sweep_eta(fig4, [0.9], channel=3)
     with pytest.raises(ValidationError, match="channel"):
         peak_metrics(fig4, channel=3)
+
+
+@pytest.mark.parametrize("channel", [True, 1.0])
+def test_a_channel_that_is_a_bool_or_a_float_is_a_validation_error(fig4, channel):
+    message = rf"^channel must be 1 or 2, got {re.escape(repr(channel))}$"
+    with pytest.raises(ValidationError, match=message):
+        spectrum_series(fig4, 5.0, 8.0, 11, channel=channel)
+    with pytest.raises(ValidationError, match=message):
+        peak_metrics(fig4, channel=channel)
+    with pytest.raises(ValidationError, match=message):
+        sweep_eta(fig4, [0.9], channel=channel)
+
+
+def test_a_numpy_integer_channel_is_a_channel(fig4):
+    assert peak_metrics(fig4, channel=np.int64(2)) == peak_metrics(fig4, channel=2)
 
 
 def test_gain_mode_is_an_error_not_a_line():
@@ -832,6 +848,50 @@ def test_lookahead_trees_hold_exactly_the_next_steps_of_every_path():
                     dd = aa + invphi * (bb - aa)
                     steps.add(float(dd))
         assert set(_golden_tree(a, b, c, d, xtol)) == steps
+
+
+def test_pole_seeds_are_seven_offsets_of_each_eigenvalue_in_the_window():
+    offsets = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+    # w = |Im lam| for a resolved pole; an eigenvalue outside the window adds no seed
+    eigenvalues = np.array([complex(2.5, -0.03), complex(7.0, -1e-3), complex(-1.0, -1e-3)])
+    assert _pole_seeds(eigenvalues, (2.0, 3.0)) == [2.5 + k * 0.03 for k in offsets]
+    # w = 1e-13 max(1, |re|) for a pole narrower than that
+    for re_, w in ((1e4 + 0.25, 1e-13 * (1e4 + 0.25)), (0.5, 1e-13)):
+        seeds = _pole_seeds(np.array([complex(re_, -1e-20)]), (re_ - 1.0, re_ + 1.0))
+        assert seeds == [re_ + k * w for k in offsets]
+    assert _pole_seeds(np.array([complex(3.0, -0.1)]), (2.0, 3.0)) == []
+
+
+def test_the_scan_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(13)
+    windows = [(lo, lo + w) for lo, w in zip(rng.uniform(-1e4, 1e4, 300),
+                                             10.0 ** rng.uniform(-10.0, 4.0, 300))]
+    # a step that underflows, a window a few ulps wide, and one whose width overflows
+    windows += [(0.0, 5e-324), (0.0, 1e-310), (1.0, 1.0 + 4 * np.spacing(1.0)),
+                (-1e300, 1e300), (-1e308, 1e308)]
+    for lo, hi in windows:
+        scans = []
+
+        def flat(x):
+            scans.append(x.copy())
+            return np.ones_like(x)
+
+        # the overflowing width warns, in both
+        with np.errstate(all="ignore"), pytest.raises(NoPeak):
+            refine_peak(flat, (lo, hi))
+        with np.errstate(all="ignore"):
+            want = np.linspace(lo, hi, _N_COARSE)
+        assert scans[0].view(np.uint64).tolist() == want.view(np.uint64).tolist(), (lo, hi)
+
+
+def test_a_stalled_search_is_a_convergence_failure_not_a_hang(monkeypatch):
+    # with 1/phi = 1 a golden step to (c, b) keeps the whole bracket: the line
+    # peaks right of its highest scan point, so the search takes that step forever
+    monkeypatch.setattr(bic_lab.spectrum, "_INVPHI", 1.0)
+    c, h = 0.3 + 1e-4, 0.01
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^golden section did not converge in \d+ steps$"):
+        refine_peak(lambda x: 1.0 / ((x - c) * (x - c) + h * h), (0.2, 0.4))
 
 
 def test_non_finite_spectrum_is_a_convergence_failure(fig4):
