@@ -17,10 +17,8 @@ from .dressing import DressedPair, dress
 from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
                           ResolventReport, compare_pole_approximation,
                           discretize, resolvent_check, smoothed_kernel_sum)
-from .errors import (BicLabError, ConvergenceFailure, DegenerateDressing,
-                     DegenerateVector, GainMode, GridCoverage, MultiPeak, NoPeak,
-                     PoleHit, ProbeOnSpectrum, SingularEndpoint, ValidationError,
-                     ZeroCross, ZeroWidth)
+from .errors import (BicLabError, ConvergenceFailure, Degenerate, GainMode, MultiPeak,
+                     NoPeak, PoleHit, ValidationError)
 from .hamiltonian import ComplexEigenSet, build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           MicroscopicResult, WignerCoupling, derive_couplings,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, DegenerateVector, ValidationError, _numerical,
+from .errors import (ConvergenceFailure, Degenerate, ValidationError, _numerical,
                      _require_finite)
 from .hamiltonian import _refuse_gain, build, eigensystem
 from .params import DimensionlessParams
@@ -51,7 +51,7 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     X = (x1, x2, 1) of the module docstring and its norm C come back as
     ``x`` and ``c``.  Raises ValidationError for an input that is not a
     finite real number, or unless g1, g2 >= 0 and gamma1, gamma2 > 0;
-    DegenerateVector when g1/g2 = gamma1/gamma2 leaves X undefined;
+    Degenerate when g1/g2 = gamma1/gamma2 leaves X undefined;
     ConvergenceFailure when a residual is non-finite or exceeds
     1e-12 * max(1, ||A||_F, ||B||_F), as it does once the inputs
     overflow: the result would not be a solution.
@@ -60,11 +60,11 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
                     gamma2=gamma2, inv_kca=inv_kca)
     if g1 < 0.0 or g2 < 0.0 or gamma1 <= 0.0 or gamma2 <= 0.0:
         raise ValidationError(
-            [f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
-             f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}"])
+            f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
+            f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}")
     denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
     if abs(denom) < 1e-12:
-        raise DegenerateVector(
+        raise Degenerate(
             "g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined "
             f"(denominator {denom:.3e})")
     x = np.array([math.sqrt(gamma2) / denom, -math.sqrt(gamma1) / denom, 1.0])

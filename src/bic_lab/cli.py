@@ -21,9 +21,10 @@ give byte-identical files. The summary lines of validate and reproduce go
 to stderr when the table goes to stdout, else to stdout; `--quiet` drops
 them.
 
-Exit codes: 0 success, else the ``exit_code`` of the error's class: 2 config
-or validation error; 3 numerical or IO failure; 4 degenerate parameter
-manifold or gain mode.
+Exit codes: 0 success, else the ``exit_code`` of the error's class: 2
+ValidationError (config or validation); 3 ConvergenceFailure, or an IO
+failure; 4 Degenerate (an undefined point of the parameter manifold) and
+the line failures NoPeak, MultiPeak, PoleHit and GainMode.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ MAX_STATES = 2_000
 def _number(value, where: str) -> float:
     """A finite JSON number; never a bool, a string or null."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError([f"{where}: not a number ({value!r})"])
+        raise ValidationError(f"{where}: not a number ({value!r})")
     if not abs(value) <= sys.float_info.max:
-        raise ValidationError([f"{where}: must be finite ({value!r})"])
+        raise ValidationError(f"{where}: must be finite ({value!r})")
     return float(value)
 
 
@@ -125,38 +126,38 @@ def _integer(value, where: str, least=None, most=None) -> int:
     if isinstance(value, bool) or not (
             isinstance(value, int)
             or (isinstance(value, float) and value.is_integer())):
-        raise ValidationError([f"{where}: not an integer ({value!r})"])
+        raise ValidationError(f"{where}: not an integer ({value!r})")
     if least is not None and value < least:
-        raise ValidationError([f"{where}: must be >= {least} ({value!r})"])
+        raise ValidationError(f"{where}: must be >= {least} ({value!r})")
     if most is not None and value > most:
-        raise ValidationError([f"{where}: must be <= {most} ({value!r})"])
+        raise ValidationError(f"{where}: must be <= {most} ({value!r})")
     return int(value)
 
 
 def _string(value, where: str) -> str:
     if not isinstance(value, str):
-        raise ValidationError([f"{where}: not a string ({value!r})"])
+        raise ValidationError(f"{where}: not a string ({value!r})")
     return value
 
 
 def _array(item):
     def read(value, where: str) -> list:
         if not isinstance(value, list) or not value:
-            raise ValidationError([f"{where}: must be a nonempty array"])
+            raise ValidationError(f"{where}: must be a nonempty array")
         return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
     return read
 
 
 def _pair(value, where: str, names: str) -> list[float]:
     if not (isinstance(value, list) and len(value) == 2):
-        raise ValidationError([f"{where}: must be [{names}]"])
+        raise ValidationError(f"{where}: must be [{names}]")
     return [_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
 
 
 def _window(value, where: str) -> tuple[float, float]:
     lo, hi = _pair(value, where, "lo, hi")
     if not lo < hi:
-        raise ValidationError([f"{where}: needs lo < hi, got {value!r}"])
+        raise ValidationError(f"{where}: needs lo < hi, got {value!r}")
     return lo, hi
 
 
@@ -172,23 +173,23 @@ def _read(value, kind, where: str, command: str):
         tag, variants = kind
         choice = value.get(tag) if isinstance(value, dict) else None
         if not isinstance(choice, str) or choice not in variants:
-            raise ValidationError([f"{where}.{tag}: must be one of "
-                                   f"{sorted(variants)} ({choice!r})"])
+            raise ValidationError(f"{where}.{tag}: must be one of "
+                                  f"{sorted(variants)} ({choice!r})")
         make, schema = variants[choice]
         rest = {k: v for k, v in value.items() if k != tag}
         return make(**_read(rest, schema, where, command))
     # a section; top-level sections are named without the "config." prefix
     where = where.removeprefix("config.")
     if not isinstance(value, dict):
-        raise ValidationError([f"{where}: must be an object"])
+        raise ValidationError(f"{where}: must be an object")
     unknown = sorted(set(value) - set(kind))
     if unknown:
-        raise ValidationError([f"{where}: unknown keys for {command}: {', '.join(unknown)}"])
+        raise ValidationError(f"{where}: unknown keys for {command}: {', '.join(unknown)}")
     checked = {}
     for key, (sub, default) in kind.items():
         item = value.get(key, default)
         if item is ...:
-            raise ValidationError([f"{where}.{key}: required"])
+            raise ValidationError(f"{where}.{key}: required")
         checked[key] = (None if item is None and default is None
                         else _read(item, sub, f"{where}.{key}", command))
     return checked
@@ -240,14 +241,14 @@ _CONFIGS = {
 def _load_config(args) -> dict:
     """The --config file, checked against the subcommand's schema."""
     if not args.config:
-        raise ValidationError([f"subcommand '{args.subcommand}' requires --config"])
+        raise ValidationError(f"subcommand '{args.subcommand}' requires --config")
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
-        raise ValidationError([f"config file not found: {args.config}"])
+        raise ValidationError(f"config file not found: {args.config}")
     except (ValueError, RecursionError) as exc:
-        raise ValidationError([f"config is not valid JSON: {exc}"])
+        raise ValidationError(f"config is not valid JSON: {exc}")
     cfg = _read(cfg, _CONFIGS[args.subcommand], "config", args.subcommand)
     if "validation_mode" in cfg:
         cfg["params"] = validate(DimensionlessParams(**cfg["params"]),
@@ -313,7 +314,7 @@ def _run_sweep(cfg: dict, args) -> None:
     params, sweep = cfg["params"], cfg["sweep"]
     etas, rng = sweep.pop("eta_list"), sweep.pop("eta_range")
     if (etas is None) == (rng is None):
-        raise ValidationError(["sweep: needs exactly one of 'eta_list' and 'eta_range'"])
+        raise ValidationError("sweep: needs exactly one of 'eta_list' and 'eta_range'")
     if etas is None:
         with np.errstate(all="ignore"):  # an overflowed eta fails validate below
             etas = np.linspace(rng["start"], rng["stop"], rng["n"]).tolist()
@@ -346,7 +347,7 @@ def _run_validate(cfg: dict, args) -> None:
     model = CouplingModel(**cfg["microscopic"])
     oracle = cfg["oracle"]
     if 3 + oracle["n_e"] + 2 * oracle["n_k"] > MAX_STATES:
-        raise ValidationError([f"oracle: 3 + n_e + 2*n_k must be <= {MAX_STATES}"])
+        raise ValidationError(f"oracle: 3 + n_e + 2*n_k must be <= {MAX_STATES}")
     probes = oracle.pop("probes")
     rotation = {k: oracle.pop(k) for k in ("e1_rot", "e2_rot")}
     report = resolvent_check(discretize(model, GridSpec(**oracle), **rotation), probes)

@@ -37,15 +37,14 @@ cross damping gamma_VIC = 4 pi V1f V2f p that derive_couplings uses.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, GridCoverage, ProbeOnSpectrum, ValidationError,
-                     ZeroWidth, _numerical, _require_counts, _require_finite)
+from .errors import (ConvergenceFailure, Degenerate, ValidationError, _numerical,
+                     _require_complex, _require_counts, _require_finite)
 from .hamiltonian import build, eigensystem
 from .microscopic import CouplingModel, FlatCoupling, _coupling_values, _quad
 from .params import DimensionlessParams
@@ -73,13 +72,13 @@ class GridSpec:
         _require_counts(n_e=self.n_e, n_k=self.n_k)
         _require_finite(e_min=self.e_min, e_max=self.e_max, k_min=self.k_min, k_max=self.k_max)
         if not (self.e_min >= 0.0 and self.e_max > self.e_min):
-            raise ValidationError([f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid"])
+            raise ValidationError(f"collision grid [{self.e_min!r}, {self.e_max!r}] invalid")
         if self.n_e < 1:
-            raise ValidationError([f"n_e must be >= 1, got {self.n_e!r}"])
+            raise ValidationError(f"n_e must be >= 1, got {self.n_e!r}")
         if self.n_k < 0:
-            raise ValidationError([f"n_k must be >= 0, got {self.n_k!r}"])
+            raise ValidationError(f"n_k must be >= 0, got {self.n_k!r}")
         if self.n_k > 0 and not (self.k_min >= 0.0 and self.k_max > self.k_min):
-            raise ValidationError([f"photon grid [{self.k_min!r}, {self.k_max!r}] invalid"])
+            raise ValidationError(f"photon grid [{self.k_min!r}, {self.k_max!r}] invalid")
 
 
 def _midpoint_grid(lo: float, hi: float, n: int) -> tuple[np.ndarray, float]:
@@ -164,12 +163,12 @@ def discretize(model: CouplingModel, grid: GridSpec,
     e1_rot, e2_rot are the rotating-frame energies E_n - hbar*omega_n of the
     dressed states.  A coupling that breaks the CouplingModel contract on
     the grid is a ValidationError, raised before any quadrature, as is one
-    that breaks it at a node of a tail outside the grid.  GridCoverage is
-    raised when more than 1e-8 of any decaying coupling's weight falls
-    outside its grid, the weight inside being what its bins hold (sum_j
-    C_nj^2, from the rows built anyway), so only the tails outside the grid
-    are integrated; flat couplings are exempt (they model an idealized
-    wide-band limit and carry no normalizable weight).
+    that breaks it at a node of a tail outside the grid, and so is a grid
+    that misses more than 1e-8 of any decaying coupling's weight, the
+    weight inside being what its bins hold (sum_j C_nj^2, from the rows
+    built anyway), so only the tails outside the grid are integrated; flat
+    couplings are exempt (they model an idealized wide-band limit and carry
+    no normalizable weight).
     """
     e1_rot, e2_rot = _require_finite(e1_rot=e1_rot, e2_rot=e2_rot)
     e_centers, e_width = _midpoint_grid(grid.e_min, grid.e_max, grid.n_e)
@@ -183,7 +182,7 @@ def discretize(model: CouplingModel, grid: GridSpec,
             continue
         frac = _coverage_fraction(name, fn, grid.e_min, grid.e_max, float(weight))
         if frac > _TAIL_FRACTION:
-            raise GridCoverage(
+            raise ValidationError(
                 f"collision grid misses {frac:.3e} of |{name}|^2 "
                 f"(tolerance {_TAIL_FRACTION:.1e})")
 
@@ -243,8 +242,9 @@ def resolvent_check(dm: DiscretizedModel,
     same bits a fresh z - H holds.  The factorization sees the assembled
     matrix alone and picks its own order and pivots, so the full side
     stays independent of the Schur-complement side: one stacked Sigma(z)
-    and one stacked 3x3 inverse over all probes.  An empty probe list or a
-    non-finite probe is a ValidationError; a failed factorization or a
+    and one stacked 3x3 inverse over all probes.  An empty probe list, or a
+    probe that is not a finite number (probes[i]), is a ValidationError, a
+    probe on the real axis is Degenerate, and a failed factorization or a
     singular 3x3 is a ConvergenceFailure.
     """
     if probes is None:
@@ -259,12 +259,12 @@ def resolvent_check(dm: DiscretizedModel,
         probes = [complex(r, s * height) for s in (+1.0, -1.0)
                   for r in np.linspace(lo, hi, 4)]
     else:
-        probes = [complex(z) for z in probes]
-        if not probes or not all(map(cmath.isfinite, probes)):
-            raise ValidationError([f"probes: must be nonempty and finite ({probes!r})"])
+        probes = _require_complex(**{f"probes[{i}]": z for i, z in enumerate(probes)})
+        if not probes:
+            raise ValidationError("probes: must be nonempty")
     for z in probes:
         if abs(z.imag) < 1e-12:
-            raise ProbeOnSpectrum(f"probe {z!r} sits on the real axis")
+            raise Degenerate(f"probe {z!r} sits on the real axis")
     from scipy.sparse import csc_array  # imported on use, see microscopic._quad
     from scipy.sparse.linalg import splu
 
@@ -333,14 +333,14 @@ def compare_pole_approximation(dm: DiscretizedModel, model: CouplingModel,
     and z = lam_k(x): a secant on x (Numerical Recipes 3rd ed., sec. 9.2)
     from x = Re z_ref stops at a step <= 1e-12 * max(1, |x|) and returns
     lam_k at the last x evaluated.  ConvergenceFailure is raised on a
-    non-finite step or no root within _MAX_ITER = 500 steps, and ZeroWidth
+    non-finite step or no root within _MAX_ITER = 500 steps, and Degenerate
     when the model's Gamma_F, from v3(E3) held to the CouplingModel
     contract, vanishes.  Without photon bins, other errors dominate the
     deviations (module docstring).
     """
     gamma_f = 2.0 * math.pi * _coupling_values("v3", model.v3, model.e3) ** 2
     if gamma_f <= 0.0:
-        raise ZeroWidth(f"Gamma_F={gamma_f!r} must be positive")
+        raise Degenerate(f"Gamma_F={gamma_f!r} must be positive")
     ef = gamma_f / 2.0
     reference = eigensystem(build(params)).eigenvalues * ef
 
@@ -380,9 +380,9 @@ def smoothed_kernel_sum(f, e3: float, lo: float, hi: float, n_bins: int) -> comp
     _require_counts(n_bins=n_bins)
     _require_finite(e3=e3, lo=lo, hi=hi)
     if not lo < hi:
-        raise ValidationError([f"need lo < hi, got {lo!r} >= {hi!r}"])
+        raise ValidationError(f"need lo < hi, got {lo!r} >= {hi!r}")
     if n_bins < 1:
-        raise ValidationError([f"n_bins must be >= 1, got {n_bins!r}"])
+        raise ValidationError(f"n_bins must be >= 1, got {n_bins!r}")
     centers, width = _midpoint_grid(lo, hi, n_bins)
     eps = _SMOOTHING_BINS * width
     vals = np.asarray(f(centers), dtype=float)

@@ -2,8 +2,12 @@
 
 Every error raised on purpose by this package derives from BicLabError,
 so callers (and the CLI) can distinguish domain failures from bugs. Each
-class carries the CLI exit code of its kind as ``exit_code``, which
-library callers can read too; ``_require_finite`` is the one bare-number rule.
+error is one message, and each class carries the CLI exit code of its kind
+as ``exit_code``, which library callers can read too. A class exists only
+where a caller tells it apart: ValidationError (2), ConvergenceFailure (3),
+Degenerate (4), and the four line failures sweep_eta records by name,
+NoPeak, MultiPeak, PoleHit and GainMode (4). ``_require_finite`` is the one
+bare-number rule.
 """
 
 import functools
@@ -20,29 +24,24 @@ class BicLabError(Exception):
 
 
 class ValidationError(BicLabError, ValueError):
-    """One or more parameter invariants are violated.
-
-    Carries the full list of violation messages so a caller can report
-    every problem at once instead of discovering them one at a time.
-    """
+    """A config or an input breaks an invariant: a parameter out of its
+    range, a bare number that is not a finite real, or a discretization
+    grid that misses a non-negligible part of a coupling (discretize).
+    A site that finds several problems joins them with "; "."""
     exit_code = 2
-
-    def __init__(self, violations):
-        self.violations = [str(v) for v in violations]
-        super().__init__("; ".join(self.violations))
-
-
-class DegenerateDressing(BicLabError):
-    """Both the coupling and the detuning of the dressing laser vanish."""
-    exit_code = 4
 
 
 class ConvergenceFailure(BicLabError):
     """A numerical computation did not converge, overflowed, or failed its own check."""
 
 
-class DegenerateVector(BicLabError):
-    """The decay-free superposition is undefined (vanishing denominator)."""
+class Degenerate(BicLabError):
+    """The construction is undefined at this point of the parameter manifold:
+    dress at Omega_m = Delta_m = 0 or with a bare width <= 0; solve_bic at
+    g1/g2 = gamma1/gamma2, where the decay-free direction is undefined;
+    pv_integral with its pole E3 outside (0, upper); to_dimensionless and
+    compare_pole_approximation at Gamma_F <= 0, and to_dimensionless at a
+    q_n whose Gamma_nF vanishes; resolvent_check at a probe on the real axis."""
     exit_code = 4
 
 
@@ -63,31 +62,6 @@ class GainMode(BicLabError):
 
 class PoleHit(BicLabError):
     """A spectrum was requested exactly at a non-removable real pole."""
-    exit_code = 4
-
-
-class SingularEndpoint(BicLabError):
-    """A principal-value singularity sits on or outside the integration range."""
-    exit_code = 4
-
-
-class ZeroWidth(BicLabError):
-    """A width required to be positive is not."""
-    exit_code = 4
-
-
-class ZeroCross(BicLabError):
-    """A Fano q parameter is requested for a vanishing cross coupling."""
-    exit_code = 4
-
-
-class GridCoverage(BicLabError):
-    """A discretization grid misses a non-negligible part of a coupling."""
-    exit_code = 2
-
-
-class ProbeOnSpectrum(BicLabError):
-    """A resolvent probe point sits (numerically) on the real spectrum."""
     exit_code = 4
 
 
@@ -124,8 +98,22 @@ def _require_finite(**values) -> list[float]:
         else:
             problems.append(f"{name}={x!r} is not finite")
     if problems:
-        raise ValidationError(problems)
+        raise ValidationError("; ".join(problems))
     return out
+
+
+def _require_complex(**values) -> list[complex]:
+    """The keyword values as Python complex numbers, in order, by _require_finite:
+    a complex value is held to it part by part (``<name>.real``, ``<name>.imag``),
+    any other value as it is, so a bool or a non-number is not a real number."""
+    parts = {}
+    for name, v in values.items():
+        if isinstance(v, numbers.Complex) and not isinstance(v, numbers.Real):
+            parts[f"{name}.real"], parts[f"{name}.imag"] = v.real, v.imag
+        else:
+            parts[name], parts[f"{name}.imag"] = v, 0.0
+    flat = _require_finite(**parts)
+    return [complex(re, im) for re, im in zip(flat[::2], flat[1::2])]
 
 
 def _require_counts(**values) -> None:
@@ -134,4 +122,4 @@ def _require_counts(**values) -> None:
     problems = [f"{name} must be an integer, got {n!r}" for name, n in values.items()
                 if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
     if problems:
-        raise ValidationError(problems)
+        raise ValidationError("; ".join(problems))

@@ -176,7 +176,7 @@ def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (3, 3):
-        raise ValidationError([f"the matrix must be 3x3, got shape {m.shape}"])
+        raise ValidationError(f"the matrix must be 3x3, got shape {m.shape}")
     c2, c1, c0 = char_coeffs(m)
     roots = [_polish_root(r, c2, c1, c0) for r in cubic_roots(c2, c1, c0)]
     roots.sort(key=lambda z: (-z.imag, z.real))

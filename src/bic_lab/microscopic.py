@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ConvergenceFailure, SingularEndpoint, ValidationError, ZeroCross,
-                     ZeroWidth, _numerical, _require_finite)
+from .errors import (ConvergenceFailure, Degenerate, ValidationError, _numerical,
+                     _require_finite)
 from .params import DimensionlessParams
 
 _RTOL = 1e-10  # relative tolerance of every principal-value quadrature
@@ -64,12 +64,13 @@ class GaussianCoupling:
     width: float
 
     def __post_init__(self):
+        _require_finite(amplitude=self.amplitude, center=self.center, width=self.width)
         if self.width <= 0.0:
-            raise ValidationError([f"width must be positive, got {self.width!r}"])
+            raise ValidationError(f"width must be positive, got {self.width!r}")
         try:
             2.0 * self.width ** 2   # the denominator of __call__
         except OverflowError:
-            raise ValidationError([f"width must have a finite square, got {self.width!r}"]) from None
+            raise ValidationError(f"width must have a finite square, got {self.width!r}") from None
 
     def __call__(self, e):
         # a Python float (what quad passes) as a numpy scalar: no 0-d array
@@ -86,8 +87,9 @@ class WignerCoupling:
     scale: float
 
     def __post_init__(self):
+        _require_finite(amplitude=self.amplitude, scale=self.scale)
         if self.scale <= 0.0:
-            raise ValidationError([f"scale must be positive, got {self.scale!r}"])
+            raise ValidationError(f"scale must be positive, got {self.scale!r}")
 
     def __call__(self, e):
         e = np.float64(e) if type(e) is float else np.asarray(e, dtype=float)
@@ -102,6 +104,9 @@ class FlatCoupling:
     """Constant coupling; usable only with a finite integration window."""
 
     amplitude: float
+
+    def __post_init__(self):
+        _require_finite(amplitude=self.amplitude)
 
     def __call__(self, e):
         e = np.asarray(e, dtype=float)
@@ -141,12 +146,11 @@ class CouplingModel:
                         omega23=self.omega23, e3=self.e3)
         if not -1.0 <= self.dipole_overlap <= 1.0:
             raise ValidationError(
-                [f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}"])
+                f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}")
         if self.e3 <= 0.0:
-            raise ValidationError([f"e3 must be positive, got {self.e3!r}"])
+            raise ValidationError(f"e3 must be positive, got {self.e3!r}")
         if self.e_max is not None and not self.e_max > self.e3:
-            raise ValidationError(
-                [f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)"])
+            raise ValidationError(f"e_max={self.e_max!r} must exceed e3={self.e3!r} (or be None)")
 
 
 def _coupling_values(name: str, fn, e):
@@ -176,7 +180,7 @@ def _coupling_values(name: str, fn, e):
         problem = f"is not finite {where}"
     else:
         return np.asarray(vals, dtype=float) if vals.ndim else float(vals)
-    raise ValidationError([f"{name} {problem}"])
+    raise ValidationError(f"{name} {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +242,11 @@ def pv_integral(f: Callable[[float], float], e3: float,
     if infinite:
         (e3,) = _require_finite(e3=e3)
         if e3 <= 0.0:
-            raise SingularEndpoint(f"pole E3={e3!r} must be positive")
+            raise Degenerate(f"pole E3={e3!r} must be positive")
     else:
         e3, upper = _require_finite(e3=e3, upper=upper)
         if e3 <= 0.0 or e3 >= upper or e3 / (upper - e3) == 0.0:
-            raise SingularEndpoint(
+            raise Degenerate(
                 f"pole E3={e3!r} must lie strictly inside (0, {upper!r}), "
                 "with a log term ln(E3/(upper - E3)) that does not underflow")
     f_e3 = float(f(e3))
@@ -328,7 +332,7 @@ def derive_couplings(model: CouplingModel) -> MicroscopicResult:
     bad = [(name, field) for (field, value), names in zip(vars(res).items(), _SOURCES)
            if not math.isfinite(value) for name in names]
     if bad:
-        raise ValidationError([f"{name} is not finite in {field}" for name, field in bad])
+        raise ValidationError("; ".join(f"{name} is not finite in {field}" for name, field in bad))
     return res
 
 
@@ -344,7 +348,7 @@ def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
     """
     e1, e2 = _require_finite(e1=e1, e2=e2)
     if res.gamma_f <= 0.0:
-        raise ZeroWidth(f"Gamma_F={res.gamma_f!r} must be positive")
+        raise Degenerate(f"Gamma_F={res.gamma_f!r} must be positive")
     ef = res.gamma_f / 2.0
 
     def q_of(beta_n: float, omega_n3: float, gamma_nf: float, label: str) -> float:
@@ -353,7 +357,7 @@ def to_dimensionless(res: MicroscopicResult, model: CouplingModel,
         if den == 0.0:
             if num == 0.0:
                 return 0.0
-            raise ZeroCross(
+            raise Degenerate(
                 f"q{label} undefined: Gamma_{label}F = 0 while beta+omega = {num!r}")
         return num / den
 

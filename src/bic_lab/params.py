@@ -68,10 +68,10 @@ class DimensionlessParams:
                 object.__setattr__(self, name, x)
         if self.g1 < 0.0 or self.g2 < 0.0:
             raise ValidationError(
-                [f"laser-induced widths must be >= 0, got g1={self.g1}, g2={self.g2}"])
+                f"laser-induced widths must be >= 0, got g1={self.g1}, g2={self.g2}")
         if self.gamma1 < 0.0 or self.gamma2 < 0.0:
             raise ValidationError(
-                [f"spontaneous widths must be >= 0, got gamma1={self.gamma1}, gamma2={self.gamma2}"])
+                f"spontaneous widths must be >= 0, got gamma1={self.gamma1}, gamma2={self.gamma2}")
         if self.g12 is None:
             object.__setattr__(self, "g12", math.sqrt(self.g1 * self.g2))
         if self.eta is None:
@@ -125,7 +125,7 @@ def validate(params: DimensionlessParams, mode: str = "physical") -> Dimensionle
     """
     if mode not in VALIDATION_MODES:
         raise ValidationError(
-            [f"unknown validation mode {mode!r}; expected one of {VALIDATION_MODES}"])
+            f"unknown validation mode {mode!r}; expected one of {VALIDATION_MODES}")
     problems = []
     if mode in ("physical", "strict"):
         eta_max = math.sqrt(params.gamma1 * params.gamma2)
@@ -148,5 +148,5 @@ def validate(params: DimensionlessParams, mode: str = "physical") -> Dimensionle
                 problems.append(
                     f"strict mode needs g12=sqrt(g1*g2)={g12_max}, got {params.g12}")
     if problems:
-        raise ValidationError(problems)
+        raise ValidationError("; ".join(problems))
     return params

@@ -43,7 +43,7 @@ def fig3_params(deviate: str = "g2", gamma: float = 0.0,
     elif deviate == "g1":
         g1, g2 = 3.82, 2.0
     else:
-        raise ValidationError([f"deviate must be 'g1' or 'g2', got {deviate!r}"])
+        raise ValidationError(f"deviate must be 'g1' or 'g2', got {deviate!r}")
     return DimensionlessParams(g1=g1, g2=g2, gamma1=gamma, gamma2=gamma,
                                eta=eta, **FIG3_SHARED)
 

@@ -52,7 +52,7 @@ def _amplitude(mat: np.ndarray, v: np.ndarray, channel: int):
     """
     if (isinstance(channel, bool) or not isinstance(channel, numbers.Integral)
             or channel not in (1, 2)):
-        raise ValidationError([f"channel must be 1 or 2, got {channel!r}"])
+        raise ValidationError(f"channel must be 1 or 2, got {channel!r}")
     diag = mat.diagonal()[:, None]
     n01, n02, n12 = -mat[0, 1], -mat[0, 2], -mat[1, 2]
     n10, n20, n21 = -mat[1, 0], -mat[2, 0], -mat[2, 1]
@@ -139,15 +139,15 @@ def spectrum_series(params: DimensionlessParams, e_min: float, e_max: float,
     _require_finite(e_min=e_min, e_max=e_max)
     _require_counts(n_points=n_points)
     if not e_min < e_max:
-        raise ValidationError([f"need e_min < e_max, got {e_min!r} >= {e_max!r}"])
+        raise ValidationError(f"need e_min < e_max, got {e_min!r} >= {e_max!r}")
     if n_points < 2:
-        raise ValidationError([f"need n_points >= 2, got {n_points!r}"])
+        raise ValidationError(f"need n_points >= 2, got {n_points!r}")
     span = e_max - e_min
     base = np.linspace(e_min, e_max, int(n_points))
     spacing = span / (int(n_points) - 1)
     if np.any(np.diff(base) <= 0.0):
-        raise ValidationError([f"grid [{e_min!r}, {e_max!r}] at {n_points!r} points: "
-                               f"spacing {spacing!r} is below float resolution"])
+        raise ValidationError(f"grid [{e_min!r}, {e_max!r}] at {n_points!r} points: "
+                              f"spacing {spacing!r} is below float resolution")
     mat = build(params)
     eig = eigensystem(mat)
     f = _spectrum(params, mat, eig, channel)
@@ -199,8 +199,8 @@ class PeakMetrics:
     def __post_init__(self):
         if not (self.left_cross < self.e_peak < self.right_cross):
             raise ValidationError(
-                [f"crossings must bracket the peak: {self.left_cross!r}, "
-                 f"{self.e_peak!r}, {self.right_cross!r}"])
+                f"crossings must bracket the peak: {self.left_cross!r}, "
+                f"{self.e_peak!r}, {self.right_cross!r}")
 
     @property
     def width_w(self) -> float:
@@ -278,7 +278,8 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     _SECTIONS parts per round until it is within tolerance or stops
     shrinking; a round is one call of f on the open brackets, a line about 12
     calls.  A search open 4 steps past its bracket ratio's count raises
-    ConvergenceFailure.
+    ConvergenceFailure.  An empty window, or one whose width hi - lo
+    overflows, is a ValidationError.
 
     f maps a 1-d float64 array of abscissae to one value per abscissa;
     refine_peak calls it no other way.  A golden-section call evaluates the
@@ -300,7 +301,9 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     """
     lo, hi = _require_finite(lo=window[0], hi=window[1])
     if not lo < hi:
-        raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
+        raise ValidationError(f"empty window ({lo!r}, {hi!r})")
+    if hi - lo == math.inf:
+        raise ValidationError(f"window ({lo!r}, {hi!r}) is wider than the float range")
     # np.linspace(lo, hi, _N_COARSE) bit for bit, less its Python overhead
     dx = (hi - lo) / (_N_COARSE - 1)
     xs = _RAMP * dx + lo if dx else np.linspace(lo, hi, _N_COARSE)
@@ -543,7 +546,7 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     """
     etas = _require_finite(**{f"eta_list[{i}]": eta for i, eta in enumerate(eta_list)})
     if not etas:
-        raise ValidationError(["eta_list must be nonempty"])
+        raise ValidationError("eta_list must be nonempty")
     if window is not None:
         window = tuple(_require_finite(**{"window[0]": window[0], "window[1]": window[1]}))
     return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)

@@ -11,8 +11,9 @@ import pytest
 
 from bic_lab import __version__, errors
 from bic_lab.cli import MAX_STATES, SWEEP_HEADER, _ratio_line, main
+from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.recipes import fig3_params, fig4_params, fig5_params
-from bic_lab.spectrum import sweep_eta
+from bic_lab.spectrum import EtaSweepResult, sweep_eta
 
 
 def write_cfg(tmp_path, name, payload):
@@ -391,6 +392,34 @@ def test_reproduce_fig4_flag_quotes_the_1_over_e_pole_width(tmp_path, capsys):
     assert "1/e pole width 2*sqrt(e-1)*|Im E1|=0.002496" in line
 
 
+def test_reproduce_fig4_reports_e1_and_the_trace_of_the_computed_triple(tmp_path, capsys):
+    # Re E1 is the least-damped eigenvalue's, and tr B = sum Im E_k of the
+    # triple at eta = 1, which is -(1 + g1 + g2 + gamma1 + gamma2) = -8.01
+    assert main(["reproduce", "fig4", "--out", str(tmp_path / "fig4.csv")]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    trio = eigensystem(build(fig4_params().replace(eta=1.0))).eigenvalues
+    line = next(s for s in summary if "fig4 Re E1(eta=1):" in s)
+    assert line.startswith(f"PASS fig4 Re E1(eta=1): measured={trio[0].real:.6g} quoted=6.763 ")
+    line = next(s for s in summary if s.startswith("FLAG fig4 quoted E2="))
+    assert f"tr B = {trio.imag.sum():.6g}; " in line
+    assert "tr B = -8.01; " in line
+
+
+@pytest.mark.parametrize("widths, verdict", [
+    (list(range(41, 0, -1)), "PASS"),
+    # a rise between neighbours, which a check of every second pair misses
+    ([41, 40, 38, 39, *range(37, 0, -1)], "FLAG"),
+    # a tie between neighbours is no strict decrease
+    ([41, 40, 40, *range(39, 1, -1)], "FLAG"),
+], ids=["decreasing", "rise", "tie"])
+def test_reproduce_fig5_checks_every_pair_of_neighbours(monkeypatch, tmp_path, capsys,
+                                                          widths, verdict):
+    monkeypatch.setattr(EtaSweepResult, "widths", lambda self: widths)
+    assert main(["reproduce", "fig5", "--out", str(tmp_path / "fig5.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{verdict} fig5 W(eta) strictly decreasing toward eta=1 over [0.9, 1]")
+
+
 @pytest.mark.parametrize("measured,quoted", [(0.0, 1e-6), (1e-6, 0.0), (-1e-3, 1e-3)])
 def test_ratio_line_flags_a_sign_or_zero_mismatch(measured, quoted):
     # no ratio is taken: a zero or a flipped sign is flagged as such
@@ -450,11 +479,8 @@ def test_reproduce_takes_no_config(capsys):
 def test_every_library_error_has_an_exit_code():
     # the CLI's contract, class by class: a class added without a
     # deliberate code fails here instead of silently exiting 3
-    want = {"BicLabError": 3, "ValidationError": 2, "GridCoverage": 2,
-            "ConvergenceFailure": 3,
-            **dict.fromkeys(("DegenerateVector", "ZeroWidth", "ZeroCross",
-                             "DegenerateDressing", "SingularEndpoint", "NoPeak", "MultiPeak",
-                             "PoleHit", "GainMode", "ProbeOnSpectrum"), 4)}
+    want = {"BicLabError": 3, "ValidationError": 2, "ConvergenceFailure": 3,
+            **dict.fromkeys(("Degenerate", "NoPeak", "MultiPeak", "PoleHit", "GainMode"), 4)}
     defined = {name: c.exit_code for name, c in vars(errors).items()
                if isinstance(c, type) and issubclass(c, errors.BicLabError)}
     assert defined == want

@@ -17,8 +17,7 @@ from bic_lab.discretized import (
     resolvent_check,
     smoothed_kernel_sum,
 )
-from bic_lab.errors import (ConvergenceFailure, GridCoverage, ProbeOnSpectrum,
-                            ValidationError, ZeroWidth)
+from bic_lab.errors import ConvergenceFailure, Degenerate, ValidationError
 from bic_lab.microscopic import (
     CouplingModel,
     FlatCoupling,
@@ -200,7 +199,7 @@ def test_bins_keep_the_bits_of_the_block_assembly(overlap, n_k):
 
 def test_grid_coverage_guard():
     model = reference_gaussian_model()
-    with pytest.raises(GridCoverage):
+    with pytest.raises(ValidationError):
         discretize(model, GridSpec(e_min=0.0, e_max=2.0, n_e=50))
     # a wide enough window passes
     discretize(model, GridSpec(e_min=0.0, e_max=4.5, n_e=50))
@@ -234,7 +233,7 @@ def test_coverage_integrates_only_outside_the_grid(monkeypatch):
     # a short window fails on both calls, after lambda1's one tail
     short = GridSpec(e_min=0.0, e_max=2.0, n_e=50)
     for _ in range(2):
-        with pytest.raises(GridCoverage, match="^collision grid misses .* of [|]lambda1[|]"):
+        with pytest.raises(ValidationError, match="^collision grid misses .* of [|]lambda1[|]"):
             discretize(model, short)
     assert len(ranges) == 14
 
@@ -273,7 +272,7 @@ def test_widened_coupling_fails_coverage_on_the_next_call():
     discretize(model, grid)
     coupling.width = 3.0
     wide = r"^collision grid misses 8\.689e-02 of [|]lambda1[|]\^2"
-    with pytest.raises(GridCoverage, match=wide):
+    with pytest.raises(ValidationError, match=wide):
         discretize(model, grid)
 
 
@@ -376,7 +375,7 @@ def test_resolvent_identity_zero_coupling():
 
 def test_resolvent_probe_on_axis_rejected():
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    with pytest.raises(ProbeOnSpectrum):
+    with pytest.raises(Degenerate):
         resolvent_check(dm, probes=[5.0 + 0.0j])
 
 
@@ -385,6 +384,18 @@ def test_default_probes_off_axis():
     probes = resolvent_check(dm).probes
     assert len(probes) == 8
     assert all(abs(z.imag) >= 1.0 for z in probes)
+
+
+@pytest.mark.parametrize("c, height", [(0.01, 1.0), (1.0, 20.0 * math.pi)], ids=["weak", "strong"])
+def test_default_probes_sit_max_1_gamma_scale_off_the_spectrum(c, height):
+    # flat couplings hold sum_q C_nq^2 = amplitude^2 (e_max - e_min) = 10 c^2 at
+    # most, so the height max(1, 2 pi max_n sum_q C_nq^2) is 1 for weak couplings
+    # and 20 pi c^2 for strong ones; the spectrum spans [0, 9.375] (e1, e2 at 0)
+    dm = discretize(flat_model(c), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
+    probes = resolvent_check(dm).probes
+    want = [complex(r, s * height) for s in (1.0, -1.0)
+            for r in np.linspace(-height, 9.375 + height, 4)]
+    assert probes == pytest.approx(want, rel=1e-14)
 
 
 def test_smoothed_kernel_sum_matches_pv():
@@ -646,12 +657,16 @@ def test_resolvent_reduced_side_failure_is_convergence_failure(monkeypatch):
         resolvent_check(dm)
 
 
-@pytest.mark.parametrize("probes", [[], [complex("nan+1j")], [1.0 + 1.0j, math.inf]],
-                         ids=["empty", "nan", "inf"])
-def test_resolvent_check_rejects_bad_probes(probes):
+@pytest.mark.parametrize("probes, message", [
+    ([], "probes: must be nonempty"),
+    ([complex("nan+1j")], "probes[0].real=nan is not finite"),
+    ([1.0 + 1.0j, math.inf], "probes[1]=inf is not finite"),
+], ids=["empty", "nan", "inf"])
+def test_resolvent_check_rejects_bad_probes(probes, message):
     dm = discretize(flat_model(), GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    with pytest.raises(ValidationError, match="^probes: must be nonempty and finite"):
+    with pytest.raises(ValidationError) as exc:
         resolvent_check(dm, probes)
+    assert str(exc.value) == message
 
 
 def test_matrix_is_sparse_block_layout():
@@ -722,10 +737,10 @@ def test_pole_comparison_reads_the_feshbach_width_through_the_contract():
 
 
 def test_pole_comparison_needs_a_feshbach_width():
-    # the same condition to_dimensionless reports as ZeroWidth
+    # the same condition to_dimensionless reports as Degenerate
     model = flat_model()
     params = to_dimensionless(derive_couplings(model), model)
     dead = replace(model, v3=FlatCoupling(0.0))
     dm = discretize(dead, GridSpec(e_min=0.0, e_max=10.0, n_e=8))
-    with pytest.raises(ZeroWidth, match="Gamma_F"):
+    with pytest.raises(Degenerate, match="Gamma_F"):
         compare_pole_approximation(dm, dead, params)

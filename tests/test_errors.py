@@ -21,8 +21,9 @@ from bic_lab.discretized import (GridSpec, compare_pole_approximation, discretiz
 from bic_lab.dressing import dress
 from bic_lab.errors import BicLabError, ValidationError, _require_finite
 from bic_lab.hamiltonian import build, eigensystem
-from bic_lab.microscopic import (GaussianCoupling, derive_couplings, pv_integral,
-                                 reference_gaussian_model, to_dimensionless)
+from bic_lab.microscopic import (FlatCoupling, GaussianCoupling, WignerCoupling,
+                                 derive_couplings, pv_integral, reference_gaussian_model,
+                                 to_dimensionless)
 from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params
 from bic_lab.spectrum import peak_metrics, refine_peak, spectrum_series, sweep_eta
 
@@ -83,6 +84,10 @@ REFUSALS = {
     "sweep_eta": (lambda: sweep_eta(fig4_params(), []), r"^eta_list must be nonempty$"),
     "refine_peak": (lambda: refine_peak(lambda x: x, (1.0, 1.0)),
                     r"^empty window \(1\.0, 1\.0\)$"),
+    # refused before f meets the NaN and inf abscissae of an overflowing scan
+    "refine_peak overflowing window": (lambda: refine_peak(lambda x: x, (-1e308, 1e308)),
+                                       r"^window \(-1e\+308, 1e\+308\) is wider than the "
+                                       r"float range$"),
     "eigensystem": (lambda: eigensystem(np.eye(2)),
                     r"^the matrix must be 3x3, got shape \(2, 2\)$"),
     "fig3_params": (lambda: fig3_params(deviate="g3"),
@@ -147,7 +152,35 @@ BARE_NUMBERS = {
                                f"e3={HUGE!r} is not finite"),
     "CouplingModel None": (lambda: replace(reference_gaussian_model(), v1f=None),
                            "v1f=None is not a real number"),
+    # a probe is a finite number, complex or real, held to the rule part by part
+    "resolvent_check probe string": (lambda: _probed("x"), "probes[1]='x' is not a real number"),
+    "resolvent_check probe None": (lambda: _probed(None), "probes[1]=None is not a real number"),
+    "resolvent_check probe bool": (lambda: _probed(True), "probes[1]=True is not a real number"),
+    "resolvent_check probe huge int": (lambda: _probed(HUGE), f"probes[1]={HUGE!r} is not finite"),
+    "resolvent_check probe nan part": (lambda: _probed(complex(1.0, math.nan)),
+                                       "probes[1].imag=nan is not finite"),
+    # the scalars of the coupling shapes
+    "GaussianCoupling string": (lambda: GaussianCoupling("x", 1.0, 0.5),
+                                "amplitude='x' is not a real number"),
+    "GaussianCoupling bool": (lambda: GaussianCoupling(True, 1.0, 0.5),
+                              "amplitude=True is not a real number"),
+    "GaussianCoupling None": (lambda: GaussianCoupling(0.1, None, 0.5),
+                              "center=None is not a real number"),
+    "GaussianCoupling nan": (lambda: GaussianCoupling(0.1, 1.0, math.nan),
+                             "width=nan is not finite"),
+    "WignerCoupling inf": (lambda: WignerCoupling(0.1, math.inf), "scale=inf is not finite"),
+    "WignerCoupling string": (lambda: WignerCoupling("x", 1.0),
+                              "amplitude='x' is not a real number"),
+    "FlatCoupling None": (lambda: FlatCoupling(None), "amplitude=None is not a real number"),
+    "FlatCoupling bool": (lambda: FlatCoupling(True), "amplitude=True is not a real number"),
+    "FlatCoupling nan": (lambda: FlatCoupling(math.nan), "amplitude=nan is not finite"),
+    "FlatCoupling huge int": (lambda: FlatCoupling(HUGE), f"amplitude={HUGE!r} is not finite"),
 }
+
+
+def _probed(z):
+    """resolvent_check of the reference model at a valid probe and z."""
+    return resolvent_check(discretize(reference_gaussian_model(), GRID), [1.0 + 1.0j, z])
 
 
 @pytest.mark.parametrize("name", sorted(BARE_NUMBERS))
@@ -155,7 +188,7 @@ def test_bad_bare_number_is_a_validation_error_naming_it(name):
     call, message = BARE_NUMBERS[name]
     with pytest.raises(ValidationError) as exc:
         call()
-    assert exc.value.violations == [message]
+    assert str(exc.value) == message
 
 
 def test_number_rule_returns_python_floats_in_order():
@@ -164,6 +197,6 @@ def test_number_rule_returns_python_floats_in_order():
     assert all(type(x) is float for x in got)
     with pytest.raises(ValidationError) as exc:
         _require_finite(a=False, b=np.float64("inf"), c=1j, d=Fraction(HUGE))
-    assert exc.value.violations == [
+    assert str(exc.value) == "; ".join([
         "a=False is not a real number", "b=inf is not finite", "c=1j is not a real number",
-        f"d={Fraction(HUGE)!r} is not finite"]
+        f"d={Fraction(HUGE)!r} is not finite"])

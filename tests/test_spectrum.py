@@ -575,7 +575,7 @@ def _oracle_refine_peak(f, window, seeds=(), n_coarse=801):
     """refine_peak as a sequential search calling f on one point per step."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
-        raise ValidationError([f"empty window ({lo!r}, {hi!r})"])
+        raise ValidationError(f"empty window ({lo!r}, {hi!r})")
     xs = np.linspace(lo, hi, n_coarse)
     if len(seeds) > 0:
         inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
@@ -866,9 +866,9 @@ def test_the_scan_is_linspace_bit_for_bit():
     rng = np.random.default_rng(13)
     windows = [(lo, lo + w) for lo, w in zip(rng.uniform(-1e4, 1e4, 300),
                                              10.0 ** rng.uniform(-10.0, 4.0, 300))]
-    # a step that underflows, a window a few ulps wide, and one whose width overflows
+    # a step that underflows, a window a few ulps wide, and one near the float range
     windows += [(0.0, 5e-324), (0.0, 1e-310), (1.0, 1.0 + 4 * np.spacing(1.0)),
-                (-1e300, 1e300), (-1e308, 1e308)]
+                (-1e300, 1e300)]
     for lo, hi in windows:
         scans = []
 
@@ -876,11 +876,9 @@ def test_the_scan_is_linspace_bit_for_bit():
             scans.append(x.copy())
             return np.ones_like(x)
 
-        # the overflowing width warns, in both
-        with np.errstate(all="ignore"), pytest.raises(NoPeak):
+        with pytest.raises(NoPeak):
             refine_peak(flat, (lo, hi))
-        with np.errstate(all="ignore"):
-            want = np.linspace(lo, hi, _N_COARSE)
+        want = np.linspace(lo, hi, _N_COARSE)
         assert scans[0].view(np.uint64).tolist() == want.view(np.uint64).tolist(), (lo, hi)
 
 
