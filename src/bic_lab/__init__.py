@@ -12,6 +12,8 @@ elimination against a brute-force discretized model.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .bic import BicSolution, CertificationReport, certify, solve_bic
 from .dressing import DressedPair, dress
 from .discretized import (DiscretizedModel, GridSpec, PoleComparison,
@@ -27,4 +29,6 @@ from .params import DimensionlessParams, validate
 from .spectrum import (EtaPoint, EtaSweepResult, PeakMetrics, SpectrumSeries,
                        peak_metrics, refine_peak, spectrum_series, sweep_eta)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the classes and functions imported above, not the submodules they come from
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

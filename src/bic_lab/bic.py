@@ -51,7 +51,8 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
     X = (x1, x2, 1) of the module docstring and its norm C come back as
     ``x`` and ``c``.  Raises ValidationError for an input that is not a
     finite real number, or unless g1, g2 >= 0 and gamma1, gamma2 > 0;
-    Degenerate when g1/g2 = gamma1/gamma2 leaves X undefined;
+    Degenerate when g1/g2 = gamma1/gamma2 leaves X undefined, that is when
+    |d| <= 1e-12 * max(sqrt(g2*gamma1), sqrt(g1*gamma2)), g1 = g2 = 0 included;
     ConvergenceFailure when a residual is non-finite or exceeds
     1e-12 * max(1, ||A||_F, ||B||_F), as it does once the inputs
     overflow: the result would not be a solution.
@@ -62,8 +63,9 @@ def solve_bic(g1: float, g2: float, q1: float, q2: float, delta: float,
         raise ValidationError(
             f"solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0, got g1={g1!r}, "
             f"g2={g2!r}, gamma1={gamma1!r}, gamma2={gamma2!r}")
-    denom = math.sqrt(g2 * gamma1) - math.sqrt(g1 * gamma2)
-    if abs(denom) < 1e-12:
+    root_a, root_b = math.sqrt(g2 * gamma1), math.sqrt(g1 * gamma2)
+    denom = root_a - root_b
+    if abs(denom) <= 1e-12 * max(root_a, root_b):
         raise Degenerate(
             "g1/g2 = gamma1/gamma2 leaves the decay-free direction undefined "
             f"(denominator {denom:.3e})")

@@ -41,7 +41,7 @@ from . import __version__
 from .bic import certify, solve_bic
 from .discretized import GridSpec, discretize, resolvent_check
 from .dressing import dress
-from .errors import BicLabError, ValidationError
+from .errors import BicLabError, ValidationError, _require_counts, _require_finite
 from .hamiltonian import build, eigensystem
 from .microscopic import (CouplingModel, FlatCoupling, GaussianCoupling,
                           WignerCoupling, derive_couplings, to_dimensionless)
@@ -113,37 +113,27 @@ MAX_STATES = 2_000
 
 
 def _number(value, where: str) -> float:
-    """A finite JSON number; never a bool, a string or null."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: not a number ({value!r})")
-    if not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{where}: must be finite ({value!r})")
-    return float(value)
+    """A finite real number, by the library's number rule."""
+    return _require_finite(**{where: value})[0]
 
 
 def _integer(value, where: str, least=None, most=None) -> int:
-    """A true integer: an int or an integral float, never a bool or a string."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or (isinstance(value, float) and value.is_integer())):
-        raise ValidationError(f"{where}: not an integer ({value!r})")
+    """A count, by the library's count rule; JSON's integral floats (11.0) count too."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _require_counts(**{where: value})
     if least is not None and value < least:
         raise ValidationError(f"{where}: must be >= {least} ({value!r})")
     if most is not None and value > most:
         raise ValidationError(f"{where}: must be <= {most} ({value!r})")
-    return int(value)
-
-
-def _string(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where}: not a string ({value!r})")
     return value
 
 
 def _array(item):
+    """A JSON array, each entry read by item; an empty one is its consumer's to refuse."""
     def read(value, where: str) -> list:
-        if not isinstance(value, list) or not value:
-            raise ValidationError(f"{where}: must be a nonempty array")
+        if not isinstance(value, list):
+            raise ValidationError(f"{where}: must be an array")
         return [item(x, f"{where}[{i}]") for i, x in enumerate(value)]
     return read
 
@@ -152,13 +142,6 @@ def _pair(value, where: str, names: str) -> list[float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"{where}: must be [{names}]")
     return [_number(x, f"{where}[{i}]") for i, x in enumerate(value)]
-
-
-def _window(value, where: str) -> tuple[float, float]:
-    lo, hi = _pair(value, where, "lo, hi")
-    if not lo < hi:
-        raise ValidationError(f"{where}: needs lo < hi, got {value!r}")
-    return lo, hi
 
 
 def _complex(value, where: str) -> complex:
@@ -213,11 +196,12 @@ _SOLVE_PARAMS = {
 # a full DimensionlessParams: solve's inputs plus the detunings and both coherences
 _PARAMS = {"params": ({**_SOLVE_PARAMS, **dict.fromkeys(("delta1", "delta2"), (_number, ...)),
                        **dict.fromkeys(("g12", "eta"), (_number, None))}, ...),
-           "validation_mode": (_string, "permissive")}
+           # validate refuses a mode outside VALIDATION_MODES
+           "validation_mode": (lambda mode, where: mode, "permissive")}
 _SWEEP = {"eta_list": (_array(_number), None),
           "eta_range": ({"start": (_number, ...), "stop": (_number, ...),
                          "n": (partial(_integer, least=2, most=MAX_ETAS), ...)}, None),
-          "window": (_window, None), "channel": (_integer, 1)}
+          "window": (partial(_pair, names="lo, hi"), None), "channel": (_integer, 1)}
 _CONFIGS = {
     "dress": {"dressing": ({"omega_m": (_number, ...), "delta_m": (_number, ...),
                             "gamma1_bare": (_number, None),

@@ -7,7 +7,8 @@ as ``exit_code``, which library callers can read too. A class exists only
 where a caller tells it apart: ValidationError (2), ConvergenceFailure (3),
 Degenerate (4), and the four line failures sweep_eta records by name,
 NoPeak, MultiPeak, PoleHit and GainMode (4). ``_require_finite`` is the one
-bare-number rule.
+bare-number rule and ``_require_counts`` the one count rule, for the library
+and the CLI's config reader alike.
 """
 
 import functools
@@ -118,8 +119,13 @@ def _require_complex(**values) -> list[complex]:
 
 def _require_counts(**values) -> None:
     """Raise one ValidationError naming every keyword value that is not a count:
-    an integer (numbers.Integral) other than a bool."""
-    problems = [f"{name} must be an integer, got {n!r}" for name, n in values.items()
-                if isinstance(n, bool) or not isinstance(n, numbers.Integral)]
+    an integer (numbers.Integral) other than a bool, at most sys.maxsize (numpy's
+    index range)."""
+    problems = []
+    for name, n in values.items():
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            problems.append(f"{name} must be an integer, got {n!r}")
+        elif n > sys.maxsize:
+            problems.append(f"{name} must be at most {sys.maxsize}, got {n!r}")
     if problems:
         raise ValidationError("; ".join(problems))

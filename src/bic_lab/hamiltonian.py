@@ -170,11 +170,14 @@ class ComplexEigenSet:
 def eigensystem(m: np.ndarray) -> ComplexEigenSet:
     """All three complex eigenpairs of the matrix m = A + i*B.
 
-    Raises ValidationError unless m is 3x3, and ConvergenceFailure if the
-    roots fail the trace check or any residual exceeds
-    RESIDUAL_RTOL * max(||A + iB||_F, 1).
+    Raises ValidationError unless m is a 3x3 array of numbers, and
+    ConvergenceFailure if the roots fail the trace check or any residual
+    exceeds RESIDUAL_RTOL * max(||A + iB||_F, 1).
     """
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # e.g. a string, or a huge int
+        raise ValidationError(f"the matrix is not an array of numbers: {exc}") from None
     if m.shape != (3, 3):
         raise ValidationError(f"the matrix must be 3x3, got shape {m.shape}")
     c2, c1, c0 = char_coeffs(m)

@@ -127,7 +127,8 @@ class CouplingModel:
     couplings at the two emitted-photon energies, dipole_overlap the
     cosine between the two transition dipoles, omega13/omega23 the
     direct bound-bound couplings, e3 the quasi-bound energy.  v1f, v2f,
-    omega13, omega23 and e3 must be finite; e_max = inf is the same as None.
+    omega13, omega23, e3 and dipole_overlap must be finite real numbers, and
+    so must e_max unless it is None or inf, which is the same as None.
     """
 
     lambda1: Callable[[float], float]
@@ -142,8 +143,10 @@ class CouplingModel:
     e_max: float | None = None
 
     def __post_init__(self):
+        # an e_max of None or inf is an open end, held to no rule (0.0 stands in)
         _require_finite(v1f=self.v1f, v2f=self.v2f, omega13=self.omega13,
-                        omega23=self.omega23, e3=self.e3)
+                        omega23=self.omega23, e3=self.e3, dipole_overlap=self.dipole_overlap,
+                        e_max=0.0 if self.e_max in (None, math.inf) else self.e_max)
         if not -1.0 <= self.dipole_overlap <= 1.0:
             raise ValidationError(
                 f"dipole_overlap must lie in [-1, 1], got {self.dipole_overlap!r}")

@@ -278,8 +278,9 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     _SECTIONS parts per round until it is within tolerance or stops
     shrinking; a round is one call of f on the open brackets, a line about 12
     calls.  A search open 4 steps past its bracket ratio's count raises
-    ConvergenceFailure.  An empty window, or one whose width hi - lo
-    overflows, is a ValidationError.
+    ConvergenceFailure.  An empty window, one whose width hi - lo
+    overflows, or a seed that is not a finite real number is a
+    ValidationError; a finite seed outside the window is dropped.
 
     f maps a 1-d float64 array of abscissae to one value per abscissa;
     refine_peak calls it no other way.  A golden-section call evaluates the
@@ -308,7 +309,8 @@ def refine_peak(f: Callable[[np.ndarray], np.ndarray],
     dx = (hi - lo) / (_N_COARSE - 1)
     xs = _RAMP * dx + lo if dx else np.linspace(lo, hi, _N_COARSE)
     xs[-1] = hi
-    inside = [s for s in np.asarray(seeds, dtype=float) if lo < s < hi]
+    inside = [s for s in _require_finite(**{f"seeds[{i}]": s for i, s in enumerate(seeds)})
+              if lo < s < hi]
     if inside:
         xs = np.unique(np.concatenate([xs, np.array(inside)]))
     ys = np.asarray(f(xs), dtype=float)
@@ -542,12 +544,16 @@ def sweep_eta(params: DimensionlessParams, eta_list: Sequence[float],
     """Peak metrics and least-damped eigenvalue per eta, in input order.
 
     Per-eta spectral failures (NoPeak, MultiPeak, PoleHit, GainMode) are
-    recorded on the point instead of aborting the sweep.
+    recorded on the point instead of aborting the sweep.  An empty eta_list,
+    an eta or a window bound that is not a finite real number, and an empty
+    window (lo >= hi) are ValidationErrors, raised before any eta is swept.
     """
     etas = _require_finite(**{f"eta_list[{i}]": eta for i, eta in enumerate(eta_list)})
     if not etas:
         raise ValidationError("eta_list must be nonempty")
     if window is not None:
         window = tuple(_require_finite(**{"window[0]": window[0], "window[1]": window[1]}))
+        if not window[0] < window[1]:
+            raise ValidationError(f"empty window {window!r}")
     return EtaSweepResult(points=[_sweep_one(params, eta, channel, window)
                                   for eta in etas])

@@ -59,6 +59,9 @@ def test_bic_vector_guards():
     # g1/g2 = gamma1/gamma2 makes the direction undefined
     with pytest.raises(Degenerate):
         solve_bic(2.0, 1.0, 0.1, 0.2, 0.3, gamma1=0.5, gamma2=0.25)
+    # both lasers off: d = 0 - 0, and its test is relative to its two terms
+    with pytest.raises(Degenerate, match="leaves the decay-free direction undefined"):
+        solve_bic(0.0, 0.0, 0.1, 0.2, 0.3, gamma1=1.0, gamma2=1.0)
 
 
 def test_solve_bic_frozen_example(fig4_bic):
@@ -99,6 +102,14 @@ def test_solve_bic_with_one_laser_off_is_a_certified_bound_state(g1, g2, lam):
     rep = certify(sol.params)
     assert rep.is_bic
     assert rep.eigenvalue.real == pytest.approx(sol.lam, rel=1e-12)
+
+
+def test_small_widths_are_no_degeneracy():
+    # g1/g2 = 5e-31 and gamma1/gamma2 = 1e-30 differ by a factor of 2, though
+    # d = sqrt(g2*gamma1) - sqrt(g1*gamma2) = 4.1e-16 is below 1e-12
+    sol = solve_bic(g1=1e-30, g2=2.0, q1=-0.8, q2=0.54, delta=0.1, gamma1=1e-30, gamma2=1.0)
+    assert sol.lam == -3.7750461735799483
+    assert certify(sol.params).is_bic
 
 
 def test_solve_bic_derives_g12_and_takes_no_knob_for_it():

@@ -498,26 +498,26 @@ def _validate_cfg(**oracle):
     return ("validate", cfg)
 
 
-@pytest.mark.parametrize("command,payload,where", [
-    (*_spectrum_cfg(channel="x"), "grid.channel"),
-    (*_spectrum_cfg(channel=1.5), "grid.channel"),
-    (*_spectrum_cfg(channel=True), "grid.channel"),
-    (*_spectrum_cfg(n_points=2.9), "grid.n_points"),
-    (*_spectrum_cfg(n_points="11"), "grid.n_points"),
-    (*_spectrum_cfg(n_points=False), "grid.n_points"),
-    (*_spectrum_cfg(n_points=float("inf")), "grid.n_points"),
-    (*_sweep_cfg(channel="x"), "sweep.channel"),
-    (*_sweep_cfg(channel=[1]), "sweep.channel"),
+@pytest.mark.parametrize("command,payload,message", [
+    (*_spectrum_cfg(channel="x"), "grid.channel must be an integer, got 'x'"),
+    (*_spectrum_cfg(channel=1.5), "grid.channel must be an integer, got 1.5"),
+    (*_spectrum_cfg(channel=True), "grid.channel must be an integer, got True"),
+    (*_spectrum_cfg(n_points=2.9), "grid.n_points must be an integer, got 2.9"),
+    (*_spectrum_cfg(n_points="11"), "grid.n_points must be an integer, got '11'"),
+    (*_spectrum_cfg(n_points=False), "grid.n_points must be an integer, got False"),
+    (*_spectrum_cfg(n_points=float("inf")), "grid.n_points must be an integer, got inf"),
+    (*_sweep_cfg(channel="x"), "sweep.channel must be an integer, got 'x'"),
+    (*_sweep_cfg(channel=[1]), "sweep.channel must be an integer, got [1]"),
     (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 3.5}),
-     "sweep.eta_range.n"),
-    (*_validate_cfg(n_e=40.5), "oracle.n_e"),
-    (*_validate_cfg(n_k="30"), "oracle.n_k"),
+     "sweep.eta_range.n must be an integer, got 3.5"),
+    (*_validate_cfg(n_e=40.5), "oracle.n_e must be an integer, got 40.5"),
+    (*_validate_cfg(n_k="30"), "oracle.n_k must be an integer, got '30'"),
 ])
-def test_integer_fields_reject_non_integers(tmp_path, capsys, command, payload, where):
+def test_integer_fields_reject_non_integers(tmp_path, capsys, command, payload, message):
     cfg = write_cfg(tmp_path, "cfg.json", payload)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {where}: not an integer")
+    assert err.startswith(f"error: {message}")
     assert "Traceback" not in err
 
 
@@ -531,23 +531,23 @@ def test_integer_fields_accept_integral_floats(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,payload,message", [
-    (*_spectrum_cfg(e_min=float("nan")), "grid.e_min: must be finite"),
-    (*_spectrum_cfg(e_max=float("inf")), "grid.e_max: must be finite"),
-    (*_sweep_cfg(eta_list=["x"]), "sweep.eta_list[0]: not a number"),
-    (*_sweep_cfg(eta_list=[0.9, float("nan")]), "sweep.eta_list[1]: must be finite"),
-    (*_sweep_cfg(eta_list=[None]), "sweep.eta_list[0]: not a number"),
-    (*_sweep_cfg(window=["a", 7.0]), "sweep.window[0]: not a number"),
-    (*_sweep_cfg(window=[6.0, float("inf")]), "sweep.window[1]: must be finite"),
-    (*_sweep_cfg(window=[7.0, 6.0]), "sweep.window: needs lo < hi"),
+    (*_spectrum_cfg(e_min=float("nan")), "grid.e_min=nan is not finite"),
+    (*_spectrum_cfg(e_max=float("inf")), "grid.e_max=inf is not finite"),
+    (*_sweep_cfg(eta_list=["x"]), "sweep.eta_list[0]='x' is not a real number"),
+    (*_sweep_cfg(eta_list=[0.9, float("nan")]), "sweep.eta_list[1]=nan is not finite"),
+    (*_sweep_cfg(eta_list=[None]), "sweep.eta_list[0]=None is not a real number"),
+    (*_sweep_cfg(window=["a", 7.0]), "sweep.window[0]='a' is not a real number"),
+    (*_sweep_cfg(window=[6.0, float("inf")]), "sweep.window[1]=inf is not finite"),
+    (*_sweep_cfg(window=[7.0, 6.0]), "empty window (7.0, 6.0)"),
     (*_sweep_cfg(eta_list=None, eta_range={"start": float("nan"), "stop": 1.0, "n": 3}),
-     "sweep.eta_range.start: must be finite"),
+     "sweep.eta_range.start=nan is not finite"),
     # certify has no tolerance: a key that was one is an unknown key
     ("certify", {"params": fig4_params().as_dict(), "tol_im": "x"},
      "config: unknown keys for certify: tol_im"),
     ("certify", {"params": dict(fig4_params().as_dict(), g12="x")},
-     "params.g12: not a number"),
+     "params.g12='x' is not a real number"),
     ("derive", {"microscopic": dict(gaussian_model_cfg()["microscopic"], e_max=float("nan"))},
-     "microscopic.e_max: must be finite"),
+     "microscopic.e_max=nan is not finite"),
     # the range's step overflows: its etas are NaN, printed as plain floats
     (*_sweep_cfg(eta_list=None, eta_range={"start": -1.7e308, "stop": 1.7e308, "n": 3}),
      "eta=nan is not finite"),
@@ -590,32 +590,44 @@ def _dress_cfg(**dressing):
     (*_solve_cfg(gamma1=-1.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
     (*_solve_cfg(g1=-3.0), "solve_bic needs g1, g2 >= 0 and gamma1, gamma2 > 0"),
     (*_solve_cfg(gama1=1.0), "params: unknown keys for solve: gama1"),
-    (*_dress_cfg(gamma1_bare="x"), "dressing.gamma1_bare: not a number"),
-    (*_dress_cfg(gamma2_bare=float("nan")), "dressing.gamma2_bare: must be finite"),
-    (*_validate_cfg(probes=[["a", 1.0]]), "oracle.probes[0][0]: not a number"),
+    (*_dress_cfg(gamma1_bare="x"), "dressing.gamma1_bare='x' is not a real number"),
+    (*_dress_cfg(gamma2_bare=float("nan")), "dressing.gamma2_bare=nan is not finite"),
+    (*_validate_cfg(probes=[["a", 1.0]]), "oracle.probes[0][0]='a' is not a real number"),
     (*_validate_cfg(probes=[1.0]), "oracle.probes[0]: must be [re, im]"),
     # a bool or a null never stands in for a number
     ("certify", {"params": dict(fig4_params().as_dict(), gamma1=True)},
-     "params.gamma1: not a number (True)"),
+     "params.gamma1=True is not a real number"),
     *[(command, dict(payload, params=dict(fig4_params().as_dict(), gamma2=None)),
-       "params.gamma2: not a number (None)")
+       "params.gamma2=None is not a real number")
       for command, payload in (("certify", {}), _spectrum_cfg(), _sweep_cfg())],
-    (*_solve_cfg(gamma1=True), "params.gamma1: not a number (True)"),
-    (*_dress_cfg(omega_m=True), "dressing.omega_m: not a number (True)"),
-    (*_sweep_cfg(eta_list=[True]), "sweep.eta_list[0]: not a number (True)"),
+    (*_solve_cfg(gamma1=True), "params.gamma1=True is not a real number"),
+    (*_dress_cfg(omega_m=True), "dressing.omega_m=True is not a real number"),
+    (*_sweep_cfg(eta_list=[True]), "sweep.eta_list[0]=True is not a real number"),
     ("certify", {"params": dict(fig4_params().as_dict(), g1=10 ** 400)},
-     "params.g1: must be finite (1000"),
+     f"params.g1={10 ** 400} is not finite"),
     # a shape that is not a string
     (*_derive_cfg(lambda1={"shape": [1], "amplitude": 0.16}),
      "microscopic.lambda1.shape: must be one of"),
     (*_derive_cfg(lambda1={"shape": {}, "amplitude": 0.16}),
      "microscopic.lambda1.shape: must be one of"),
-    # sizes above their cap, rejected before anything is allocated
-    (*_spectrum_cfg(n_points=1e160), "grid.n_points: must be <= 100000"),
-    (*_validate_cfg(n_e=1e160), "oracle: 3 + n_e + 2*n_k must be <= 2000"),
+    # sizes past numpy's index range, rejected before anything is allocated
+    (*_spectrum_cfg(n_points=1e160),
+     f"grid.n_points must be at most {sys.maxsize}, got {int(1e160)}"),
+    (*_validate_cfg(n_e=1e160), f"oracle.n_e must be at most {sys.maxsize}, got {int(1e160)}"),
     (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 1e160}),
-     "sweep.eta_range.n: must be <= 10000"),
-    (*_validate_cfg(probes=[]), "oracle.probes: must be a nonempty array"),
+     f"sweep.eta_range.n must be at most {sys.maxsize}, got {int(1e160)}"),
+    # sizes above their cap, rejected before anything is allocated
+    (*_spectrum_cfg(n_points=100001), "grid.n_points: must be <= 100000 (100001)"),
+    (*_spectrum_cfg(n_points=1e6), "grid.n_points: must be <= 100000 (1000000)"),
+    (*_sweep_cfg(eta_list=None, eta_range={"start": 0.9, "stop": 1.0, "n": 10001}),
+     "sweep.eta_range.n: must be <= 10000 (10001)"),
+    (*_validate_cfg(probes=[]), "probes: must be nonempty"),
+    (*_sweep_cfg(eta_list=[]), "eta_list must be nonempty"),
+    # validate judges the mode, whatever JSON value it is
+    ("certify", {"params": fig4_params().as_dict(), "validation_mode": 5},
+     "unknown validation mode 5; expected one of ('permissive', 'physical', 'strict')"),
+    ("certify", {"params": fig4_params().as_dict(), "validation_mode": "lax"},
+     "unknown validation mode 'lax'; expected one of ('permissive', 'physical', 'strict')"),
     # unknown keys, at every level
     (*_spectrum_cfg(typo=1), "grid: unknown keys for spectrum: typo"),
     (*_sweep_cfg(bogus=1), "sweep: unknown keys for sweep-eta: bogus"),

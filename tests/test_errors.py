@@ -8,22 +8,28 @@ library refuses on purpose is a ValidationError, a BicLabError too.
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache, partial
+from types import ModuleType
 
 import numpy as np
 import pytest
 
+import bic_lab
 from bic_lab.bic import certify, solve_bic
 from bic_lab.discretized import (GridSpec, compare_pole_approximation, discretize,
                                  resolvent_check, smoothed_kernel_sum)
 from bic_lab.dressing import dress
-from bic_lab.errors import BicLabError, ValidationError, _require_finite
+from bic_lab.errors import BicLabError, ValidationError, _require_counts, _require_finite
 from bic_lab.hamiltonian import build, eigensystem
 from bic_lab.microscopic import (FlatCoupling, GaussianCoupling, WignerCoupling,
                                  derive_couplings, pv_integral, reference_gaussian_model,
                                  to_dimensionless)
+from bic_lab.params import PARAM_KEYS, validate
 from bic_lab.recipes import FIG4_SHARED, fig3_params, fig4_params
 from bic_lab.spectrum import peak_metrics, refine_peak, spectrum_series, sweep_eta
 
@@ -82,6 +88,9 @@ def test_overflow_ends_in_a_library_error(name):
 
 REFUSALS = {
     "sweep_eta": (lambda: sweep_eta(fig4_params(), []), r"^eta_list must be nonempty$"),
+    # refused up front: at eta = 3 a gain mode would end the line before any window is read
+    "sweep_eta empty window": (lambda: sweep_eta(fig4_params(), [3.0], window=(7.0, 6.0)),
+                               r"^empty window \(7\.0, 6\.0\)$"),
     "refine_peak": (lambda: refine_peak(lambda x: x, (1.0, 1.0)),
                     r"^empty window \(1\.0, 1\.0\)$"),
     # refused before f meets the NaN and inf abscissae of an overflowing scan
@@ -200,3 +209,127 @@ def test_number_rule_returns_python_floats_in_order():
     assert str(exc.value) == "; ".join([
         "a=False is not a real number", "b=inf is not finite", "c=1j is not a real number",
         f"d={Fraction(HUGE)!r} is not finite"])
+
+
+def test_count_rule_refuses_a_count_past_numpys_index_range():
+    _require_counts(a=sys.maxsize, b=np.int64(3), c=-HUGE)  # a negative count is each caller's
+    with pytest.raises(ValidationError) as exc:
+        _require_counts(a=sys.maxsize + 1, b=1.0)
+    assert str(exc.value) == (f"a must be at most {sys.maxsize}, got {sys.maxsize + 1}; "
+                              "b must be an integer, got 1.0")
+
+
+# ---------------------------------------------------------------------------
+# the number rule over the whole public API. Every callable in bic_lab.__all__
+# that takes a number gets each bad value below in each numeric argument (an
+# element of a sequence argument), the other arguments valid. Each case ends in
+# a ValidationError, or in one of the documented acceptances.
+
+BAD_NUMBERS = {"10**400": HUGE, "str": "x", "True": True, "None": None,
+               "nan": math.nan, "inf": math.inf}
+
+
+def _replacing(obj, *names):
+    """One entry per field: a copy of the dataclass obj with that field set to the value."""
+    return {name: lambda v, name=name: replace(obj, **{name: v}) for name in names}
+
+
+def _keywords(fn, **base):
+    """One entry per keyword of base: fn(**base) with that keyword set to the value."""
+    return {name: lambda v, name=name: fn(**dict(base, **{name: v})) for name in base}
+
+
+@cache
+def _derivation():
+    model = reference_gaussian_model()
+    return derive_couplings(model), model
+
+
+@cache
+def _discretized():
+    return discretize(reference_gaussian_model(), GRID)
+
+
+def _line(x):
+    """A Lorentzian line at 0.5, for the engines that take a function."""
+    return 1.0 / (1.0 + 100.0 * (np.asarray(x) - 0.5) ** 2)
+
+
+NUMBER_ARGUMENTS = {
+    "CouplingModel": _replacing(reference_gaussian_model(), "v1f", "v2f", "omega13",
+                                "omega23", "e3", "dipole_overlap", "e_max"),
+    "DimensionlessParams": _replacing(fig4_params(), *PARAM_KEYS),
+    "FlatCoupling": _replacing(FlatCoupling(0.1), "amplitude"),
+    "GaussianCoupling": _replacing(GaussianCoupling(0.16, 1.25, 0.45),
+                                   "amplitude", "center", "width"),
+    "WignerCoupling": _replacing(WignerCoupling(0.1, 1.0), "amplitude", "scale"),
+    "GridSpec": _replacing(GridSpec(0.0, 4.5, 60, 0.0, 3.0, 10),
+                           "e_min", "e_max", "n_e", "k_min", "k_max", "n_k"),
+    "discretize": _keywords(partial(discretize, reference_gaussian_model(), GRID),
+                            e1_rot=0.0, e2_rot=0.0),
+    "dress": _keywords(dress, omega_m=50.0, delta_m=10.0, gamma1_bare=6.0, gamma2_bare=4.0),
+    "eigensystem": {"m": eigensystem},
+    "peak_metrics": {"channel": lambda v: peak_metrics(fig4_params(), v)},
+    "pv_integral": _keywords(partial(pv_integral, lambda e: math.exp(-e)), e3=1.0, upper=3.0),
+    "refine_peak": {"window[0]": lambda v: refine_peak(_line, (v, 1.0)),
+                    "window[1]": lambda v: refine_peak(_line, (0.0, v)),
+                    "seeds[0]": lambda v: refine_peak(_line, (0.0, 1.0), [v])},
+    "resolvent_check": {"probes[0]": lambda v: resolvent_check(_discretized(), [v])},
+    "smoothed_kernel_sum": _keywords(partial(smoothed_kernel_sum, _line),
+                                     e3=1.0, lo=0.0, hi=2.0, n_bins=4),
+    "solve_bic": _keywords(solve_bic, g1=3.0, g2=2.0, q1=-0.8, q2=0.54, delta=0.1,
+                           gamma1=1.0, gamma2=1.0, inv_kca=0.0),
+    "spectrum_series": _keywords(partial(spectrum_series, fig4_params()),
+                                 e_min=6.0, e_max=7.5, n_points=11, channel=1),
+    "sweep_eta": {"eta_list[0]": lambda v: sweep_eta(fig4_params(), [v]),
+                  "window[0]": lambda v: sweep_eta(fig4_params(), [0.9], window=(v, 7.5)),
+                  "window[1]": lambda v: sweep_eta(fig4_params(), [0.9], window=(6.0, v)),
+                  "channel": lambda v: sweep_eta(fig4_params(), [0.9], channel=v)},
+    "to_dimensionless": _keywords(lambda **rot: to_dimensionless(*_derivation(), **rot),
+                                  e1=0.0, e2=0.0),
+    "validate": {"mode": lambda v: validate(fig4_params(), v)},
+}
+#: (callable, argument, value) cases that return, each as documented: a coherence
+#: left None takes its coherent default, and None or +inf is an open upper bound
+ACCEPTED = {("DimensionlessParams", "g12", "None"), ("DimensionlessParams", "eta", "None"),
+            ("CouplingModel", "e_max", "None"), ("CouplingModel", "e_max", "inf"),
+            ("pv_integral", "upper", "None"), ("pv_integral", "upper", "inf")}
+#: what takes no bare number: a parameter set, a model or nothing
+TAKES_NO_NUMBER = {"build", "certify", "compare_pole_approximation", "derive_couplings",
+                   "reference_gaussian_model"}
+#: the records the library returns, built from values it has checked
+RECORDS = {"BicSolution", "CertificationReport", "ComplexEigenSet", "DiscretizedModel",
+           "DressedPair", "EtaPoint", "EtaSweepResult", "MicroscopicResult", "PeakMetrics",
+           "PoleComparison", "ResolventReport", "SpectrumSeries"}
+NUMBER_CASES = [(name, arg, value) for name, args in NUMBER_ARGUMENTS.items()
+                for arg in args for value in BAD_NUMBERS]
+
+
+def test_the_number_table_covers_every_public_callable():
+    errors = {name for name in bic_lab.__all__
+              if inspect.isclass(getattr(bic_lab, name))
+              and issubclass(getattr(bic_lab, name), BicLabError)}
+    groups = [set(NUMBER_ARGUMENTS), TAKES_NO_NUMBER, RECORDS, errors]
+    assert sum(map(len, groups)) == len(bic_lab.__all__)
+    assert set().union(*groups) == set(bic_lab.__all__)
+    assert ACCEPTED <= set(NUMBER_CASES)
+
+
+@pytest.mark.parametrize("name,arg,value", NUMBER_CASES,
+                         ids=["-".join(case) for case in NUMBER_CASES])
+def test_a_bad_number_at_any_public_entry_point_is_a_validation_error(name, arg, value):
+    call = NUMBER_ARGUMENTS[name][arg]
+    if (name, arg, value) in ACCEPTED:
+        call(BAD_NUMBERS[value])
+    else:
+        with pytest.raises(ValidationError):
+            call(BAD_NUMBERS[value])
+
+
+def test_the_package_exports_classes_and_functions_only():
+    assert all(inspect.isclass(obj) or inspect.isfunction(obj)
+               for obj in map(partial(getattr, bic_lab), bic_lab.__all__))
+    star = {}
+    exec("from bic_lab import *", star)
+    assert not [name for name, obj in star.items() if isinstance(obj, ModuleType)]
+    assert set(star) - {"__builtins__"} == set(bic_lab.__all__)
